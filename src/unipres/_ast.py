@@ -7,11 +7,10 @@ between the normalizer and the solvers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .numtheory import integer_roots, kth_root
+from .numtheory import depressed_cubic_roots, integer_roots, kth_root
 
 __all__ = [
     "ParseError",
@@ -30,9 +29,6 @@ __all__ = [
     "PolyAtom",
     "Verdict",
     "ConstraintSystem",
-    "power_atom_holds",
-    "poly_atom_holds",
-    "atom_holds",
     "system_holds",
 ]
 
@@ -210,30 +206,16 @@ class PolyAtom:
         """All u with u = offset (mod stride) and f(u) = a*x + b."""
         v = self.a * x + self.b
         if self.degree == 2:
-            if v < 0:
-                return []
-            s = math.isqrt(v)
-            if s * s != v:
+            s = kth_root(v, 2)
+            if s is None:
                 return []
             roots = [s] if s == 0 else [-s, s]
         else:
-            roots = integer_roots([-v, self.lin, 0, 1])
+            roots = depressed_cubic_roots(self.lin, v)
         return [u for u in roots if u % self.stride == self.offset]
 
     def holds(self, x: int) -> bool:
         return bool(self.witnesses(x))
-
-
-def power_atom_holds(atom: PowerAtom, x: int) -> bool:
-    return atom.holds(x)
-
-
-def poly_atom_holds(atom: PolyAtom, x: int) -> bool:
-    return atom.holds(x)
-
-
-def atom_holds(atom, x: int) -> bool:
-    return atom.holds(x)
 
 
 @dataclass(frozen=True)

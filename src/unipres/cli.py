@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from ._ast import ParseError, PolyAtom, Verdict
@@ -135,12 +134,7 @@ def run(config: RunConfig, stream=None) -> int:
     """Decide every input; returns the worst exit code seen."""
     stream = stream or sys.stdout
     try:
-        if len(config.paths) == 1:
-            results = {config.paths[0]: _solve_file(config.paths[0], config)}
-        else:
-            with ThreadPoolExecutor(max_workers=min(4, len(config.paths))) as pool:
-                futures = {p: pool.submit(_solve_file, p, config) for p in config.paths}
-                results = {p: fut.result() for p, fut in futures.items()}
+        results = {p: _solve_file(p, config) for p in config.paths}
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

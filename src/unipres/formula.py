@@ -789,15 +789,19 @@ def _assemble(sys: ConstraintSystem, lower: int, atoms, decls, enum_bound, power
             sys.log(f"depress:{name}")
         (sys.positives if sign > 0 else sys.negatives).append(atom)
 
-    processed = power_solver.preprocess(sys)
-    final = []
-    for s in processed:
+    # A system that preprocessing refutes stays as a resolved unsat, so its
+    # trace still names the case that refuted it.
+    for s in power_solver.preprocess(sys) or [_refuted(sys)]:
         if s.resolved is not None or not _has_poly(s):
-            final.append(s)
+            out.append(s)
         else:
-            final.extend(poly_solver.preprocess_poly(s))
-    out.extend(final)
+            out.extend(poly_solver.preprocess_poly(s) or [_refuted(s)])
     return out
+
+
+def _refuted(sys: ConstraintSystem) -> ConstraintSystem:
+    sys.resolved = Verdict.unsat()
+    return sys
 
 
 def _has_poly(sys: ConstraintSystem) -> bool:

@@ -1,7 +1,9 @@
 """Exact integer and rational kernels: CRT, valuations, roots, factoring.
 
-Everything here operates on Python ints and Fractions; no floating point
-is used anywhere in the package.
+Everything here operates on Python ints and Fractions.  The decision
+procedure uses no floating point anywhere; only the encoder's optional
+numpy equivalence check takes float square roots, and it corrects them
+exactly.
 """
 
 from __future__ import annotations
@@ -23,7 +25,10 @@ __all__ = [
     "factor",
     "divisors",
     "divisor_pairs",
+    "floor_root",
+    "integer_numerators",
     "integer_roots",
+    "depressed_cubic_roots",
 ]
 
 
@@ -79,30 +84,75 @@ def valuation(p: int, n: int) -> int:
     return e
 
 
+# Moduli whose k-th power residues certify most non-powers as such before
+# any root is extracted; reducing n modulo their product first keeps the
+# table lookups on small ints even when n has thousands of bits.
+_SIEVE_MODULI = (64, 63, 65, 11, 17, 19, 23)
+_SIEVE_PRODUCT = math.prod(_SIEVE_MODULI)
+_sieve_tables: dict[int, tuple[tuple[int, bytes], ...]] = {}
+
+
+def _power_sieve(k: int) -> tuple[tuple[int, bytes], ...]:
+    """(modulus, is-k-th-power-residue table) pairs that can reject, built on first use of k."""
+    tables = _sieve_tables.get(k)
+    if tables is None:
+        found = []
+        for m in _SIEVE_MODULI:
+            table = bytearray(m)
+            for u in range(m):
+                table[pow(u, k, m)] = 1
+            if not all(table):
+                found.append((m, bytes(table)))
+        tables = _sieve_tables[k] = tuple(found)
+    return tables
+
+
+def _floor_root(n: int, k: int) -> int:
+    """Largest u with u**k <= n, for n >= 0 and k >= 2."""
+    if n < 2:
+        return n
+    if k == 2:
+        return math.isqrt(n)
+    # Newton iteration on integers from a seed above the root.  For a large
+    # n the seed is one more than the root of n's top half, shifted back:
+    # it already holds half the bits, so a few full-size steps finish.
+    bits = n.bit_length()
+    if bits < 64 * k:
+        x = 1 << (-(-bits // k))
+    else:
+        m = bits // (2 * k)
+        x = (_floor_root(n >> (k * m), k) + 1) << m
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def kth_root(n: int, k: int) -> int | None:
-    """Return u with u**k == n, or None.  For even k the nonnegative root."""
+    """Return u with u**k == n, or None.  For even k the nonnegative root.
+
+    Most non-powers are rejected by their residues modulo the sieve moduli
+    before any root is extracted.
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k == 1:
         return n
-    if n < 0:
+    negative = n < 0
+    if negative:
         if k % 2 == 0:
             return None
-        r = kth_root(-n, k)
-        return None if r is None else -r
-    if n in (0, 1):
-        return n
-    if k == 2:
-        r = math.isqrt(n)
-        return r if r * r == n else None
-    # Newton iteration on integers, seeded from the bit length.
-    x = 1 << (-(-n.bit_length() // k))
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            break
-        x = y
-    return x if x**k == n else None
+        n = -n
+    if n > 1:
+        r = n % _SIEVE_PRODUCT
+        for m, table in _power_sieve(k):
+            if not table[r % m]:
+                return None
+    x = _floor_root(n, k)
+    if x**k != n:
+        return None
+    return -x if negative else x
 
 
 def is_kth_power(n: int, k: int) -> bool:
@@ -113,17 +163,7 @@ def floor_root(n: int, k: int) -> int:
     """Largest u with u**k <= n (n >= 0, k >= 1)."""
     if n < 0 or k < 1:
         raise ValueError("need n >= 0 and k >= 1")
-    if k == 1 or n in (0, 1):
-        return n
-    if k == 2:
-        return math.isqrt(n)
-    x = 1 << (-(-n.bit_length() // k))
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            break
-        x = y
-    return x
+    return n if k == 1 else _floor_root(n, k)
 
 
 def kth_power_residues(k: int, m: int) -> frozenset[int]:
@@ -247,12 +287,13 @@ def divisor_pairs(n: int) -> list[tuple[int, int]]:
 # Exact integer roots of rational-coefficient polynomials.
 
 
-def _int_coeffs(coeffs: Sequence[Fraction | int]) -> list[int]:
+def integer_numerators(coeffs: Sequence[Fraction | int]) -> tuple[list[int], int]:
+    """(nums, den) with coeffs[i] == nums[i] / den; den > 0 is the least common denominator."""
+    if all(isinstance(c, int) for c in coeffs):
+        return list(coeffs), 1
     fracs = [Fraction(c) for c in coeffs]
-    lcm = 1
-    for c in fracs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    return [int(c * lcm) for c in fracs]
+    den = math.lcm(*(c.denominator for c in fracs))
+    return [c.numerator * (den // c.denominator) for c in fracs], den
 
 
 def _poly_eval(coeffs: Sequence[int], x: int) -> int:
@@ -269,11 +310,60 @@ def _cauchy_bound(coeffs: Sequence[int]) -> int:
     return 1 + m // abs(lead) + 1
 
 
+def _bisect(coeffs: Sequence[int], lo: int, hi: int, flo: int) -> tuple[int, int]:
+    """Narrow the sign change of the polynomial on a monotone stretch [lo, hi].
+
+    Needs flo = f(lo) and f(hi) nonzero with opposite signs.  Returns (r, r)
+    for the integer root r, or (a, a + 1) when the root lies strictly between.
+    """
+    positive = flo > 0
+    a, b = lo, hi
+    while b - a > 1:
+        mid = (a + b) // 2
+        fm = _poly_eval(coeffs, mid)
+        if fm == 0:
+            return mid, mid
+        if (fm > 0) == positive:
+            a = mid
+        else:
+            b = mid
+    return a, b
+
+
+def _roots_on_stretches(coeffs: Sequence[int], grid: Sequence[int]) -> tuple[set[int], set[int]]:
+    """(roots, brackets) over the ascending grid, on whose stretches f is monotone.
+
+    Grid points that are roots are tested directly; every sign change
+    between neighbours is bisected, and `brackets` collects the points
+    `_bisect` returned.
+    """
+    vals = [_poly_eval(coeffs, x) for x in grid]
+    roots = {x for x, fx in zip(grid, vals) if fx == 0}
+    brackets: set[int] = set()
+    for i in range(len(grid) - 1):
+        flo, fhi = vals[i], vals[i + 1]
+        if flo and fhi and (flo > 0) != (fhi > 0):
+            a, b = _bisect(coeffs, grid[i], grid[i + 1], flo)
+            if a == b:
+                roots.add(a)
+            brackets.update((a, b))
+    return roots, brackets
+
+
+def _monotone_grid(coeffs: list[int]) -> list[int]:
+    """Ascending integers spanning every real root, with f monotone between neighbours."""
+    bound = _cauchy_bound(coeffs)
+    pts = {-bound, bound}
+    if len(coeffs) > 2:
+        pts.update(_sign_breakpoints([i * coeffs[i] for i in range(1, len(coeffs))]))
+    return sorted(pts)
+
+
 def _sign_breakpoints(coeffs: list[int]) -> list[int]:
     """Integers bracketing every real root of the polynomial, ascending.
 
     Between consecutive returned points the polynomial has constant sign at
-    integer arguments, which is what the binary searches below rely on.
+    integer arguments, which is what the binary searches rely on.
     """
     deg = len(coeffs) - 1
     if deg <= 0:
@@ -282,27 +372,9 @@ def _sign_breakpoints(coeffs: list[int]) -> list[int]:
         c0, c1 = coeffs
         q = -c0 // c1
         return [q - 1, q, q + 1]
-    deriv = [i * coeffs[i] for i in range(1, len(coeffs))]
-    pts = _sign_breakpoints(deriv)
-    bound = _cauchy_bound(coeffs)
-    grid = sorted(set(pts + [-bound, bound]))
-    out = set(grid)
-    # Monotone stretches between grid points: bisect for sign changes.
-    for lo, hi in zip(grid, grid[1:]):
-        flo, fhi = _poly_eval(coeffs, lo), _poly_eval(coeffs, hi)
-        if flo == 0 or fhi == 0 or (flo > 0) == (fhi > 0):
-            continue
-        a, b = lo, hi
-        while b - a > 1:
-            mid = (a + b) // 2
-            fm = _poly_eval(coeffs, mid)
-            if fm == 0 or (fm > 0) != (flo > 0):
-                b = mid
-            else:
-                a = mid
-        out.add(a)
-        out.add(b)
-    return sorted(out)
+    grid = _monotone_grid(coeffs)
+    _, brackets = _roots_on_stretches(coeffs, grid)
+    return sorted(brackets.union(grid))
 
 
 def integer_roots(coeffs: Sequence[Fraction | int]) -> list[int]:
@@ -311,7 +383,7 @@ def integer_roots(coeffs: Sequence[Fraction | int]) -> list[int]:
     Exact: isolates monotone stretches via recursive derivative breakpoints,
     then bisects with integer arithmetic only.
     """
-    cs = _int_coeffs(coeffs)
+    cs, _ = integer_numerators(coeffs)
     while cs and cs[-1] == 0:
         cs.pop()
     if not cs:
@@ -328,25 +400,40 @@ def integer_roots(coeffs: Sequence[Fraction | int]) -> list[int]:
         cs = cs[v:]
         if len(cs) == 1:
             return sorted(roots)
-    pts = _sign_breakpoints(cs)
-    bound = _cauchy_bound(cs)
-    grid = sorted(set(pts + [-bound, bound]))
-    for x in grid:
-        if _poly_eval(cs, x) == 0:
-            roots.add(x)
-    for lo, hi in zip(grid, grid[1:]):
-        flo, fhi = _poly_eval(cs, lo), _poly_eval(cs, hi)
-        if flo == 0 or fhi == 0 or (flo > 0) == (fhi > 0):
-            continue
-        a, b = lo, hi
-        while b - a > 1:
-            mid = (a + b) // 2
-            fm = _poly_eval(cs, mid)
-            if fm == 0:
-                roots.add(mid)
-                break
-            if (fm > 0) != (flo > 0):
-                b = mid
-            else:
-                a = mid
+    found, _ = _roots_on_stretches(cs, _monotone_grid(cs))
+    return sorted(roots | found)
+
+
+def depressed_cubic_roots(lin: int, v: int) -> list[int]:
+    """All integers u with u**3 + lin*u == v, ascending.
+
+    g(u) = u**3 + lin*u is odd, so the roots for v < 0 are the negated
+    roots for -v.  For v >= 0, with c = floor_root(v, 3), the monotone
+    stretches of g and the windows holding its roots are closed forms:
+
+    - lin > 0: g increases.  A root has u**3 <= v, so u <= c, and then
+      v = u*(u*u + lin) <= u*(c*c + lin), so u >= v // (c*c + lin).
+    - lin = -L < 0: with s = isqrt(L // 3), g increases up to -s - 1,
+      decreases on [-s, s] and increases from s + 1.  A negative root has
+      u*u <= L, so u >= -isqrt(L).  A positive one has u**3 = v + L*u >= v,
+      so u >= c, and u < c + isqrt(L) + 2, since beyond that g(u) exceeds
+      (c + 1)**3 > v.  The turning points +-s (and their neighbours) are
+      grid points, which catches a double root there.
+
+    Each window spans at most about isqrt(|lin|) + 2 integers, so the
+    bisection cost follows |lin| and not the size of v.
+    """
+    if lin == 0:
+        r = kth_root(v, 3)
+        return [] if r is None else [r]
+    if v < 0:
+        return sorted(-u for u in depressed_cubic_roots(lin, -v))
+    c = _floor_root(v, 3)
+    if lin > 0:
+        grid = (min(v // (c * c + lin), c), c)
+    else:
+        r, s = math.isqrt(-lin), math.isqrt(-lin // 3)
+        # (-s - 1, -s) and (s, s + 1) hold no integer strictly inside.
+        grid = (-r - 1, -s - 1, -s, s, s + 1, max(s + 1, c), c + r + 2)
+    roots, _ = _roots_on_stretches((-v, lin, 0, 1), grid)
     return sorted(roots)

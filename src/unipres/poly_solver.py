@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from ._ast import ConstraintSystem, PolyAtom, PowerAtom, PredicateDecl, Verdict, system_holds
 from .lrbs import IndexSet, Lrbs, filter_congruence
-from .numtheory import crt_extended, ResidueClass, divisor_pairs, integer_roots
+from .numtheory import crt_extended, ResidueClass, divisor_pairs, integer_numerators, kth_root
 from .pell import QuadNum, fundamental, solve_generalized, squarefree_kernel, unit_exponent
 from .power_solver import (
     AllSolutions,
@@ -37,8 +37,11 @@ from .power_solver import (
     SolveOptions,
     _combine,
     _filter_by_atoms,
+    _peek,
+    _power_residues,
     members,
     preprocess as power_preprocess,
+    solve_positive,
 )
 
 __all__ = [
@@ -141,9 +144,6 @@ class DepressedPred:
     source_a: int
     source_b: int
 
-    def equivalent_at(self, x: int) -> bool:
-        return self.atom.holds(x)
-
 
 def _reduce_atom(degree: int, lin: int, a: int, b: int, q: int, r: int) -> PolyAtom:
     # Divide out a common factor g of the witness lattice q*t + r when the
@@ -174,10 +174,7 @@ def depress_ascending(asc, a: int, b: int) -> PolyAtom:
         raise ValueError(f"degree must be 2 or 3, got {degree}")
     if asc[-1] <= 0 or a <= 0:
         raise ValueError("need a positive leading coefficient and a > 0")
-    lcm = 1
-    for c in asc:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    F = [int(c * lcm) for c in asc]
+    F, lcm = integer_numerators(asc)
     A, B = lcm * a, lcm * b
     if degree == 2:
         c0, c1, c2 = F
@@ -237,17 +234,7 @@ def _rational_sqrt(f: Fraction) -> Fraction | None:
 
 
 def _rational_cbrt(f: Fraction) -> Fraction | None:
-    def icbrt(n: int) -> int | None:
-        if n < 0:
-            r = icbrt(-n)
-            return None if r is None else -r
-        r = round(n ** (1 / 3)) if n < 2**40 else int(n ** (1 / 3))
-        for c in (r - 2, r - 1, r, r + 1, r + 2):
-            if c >= 0 and c**3 == n:
-                return c
-        return None
-
-    nc, dc = icbrt(f.numerator), icbrt(f.denominator)
+    nc, dc = kth_root(f.numerator, 3), kth_root(f.denominator, 3)
     if nc is None or dc is None:
         return None
     return Fraction(nc, dc)
@@ -514,25 +501,30 @@ def _atom_value(atom: PolyAtom, u: int) -> int:
     return u**atom.degree + atom.lin * u
 
 
-def _atom_residues_empty(atom: PolyAtom) -> bool:
-    a = atom.a
-    comp = _pcompose(_atom_poly(atom), [Fraction(atom.offset), Fraction(atom.stride)])
-    vals = {int(_peval(comp, u)) % a for u in range(a)}
-    return atom.b % a not in vals
+def _poly_residues(atom: PolyAtom):
+    """The u in [0, a) with f(offset + stride*u) = b (mod a), ascending, as one lazy scan."""
+    a, lin, b = atom.a, atom.lin, atom.b
+    ws = range(atom.offset, atom.offset + atom.stride * a, atom.stride)
+    if atom.degree == 2:
+        return (u for u, w in enumerate(ws) if (w * w - b) % a == 0)
+    return (u for u, w in enumerate(ws) if (w * w * w + lin * w - b) % a == 0)
 
 
-def _single_poly_images(atom: PolyAtom, lower, case: str) -> SolutionSet:
-    a, b = atom.a, atom.b
-    F = _pcompose(_atom_poly(atom), [Fraction(atom.offset), Fraction(atom.stride)])
-    residues = [u for u in range(a) if int(_peval(F, u)) % a == b % a]
-    if not residues:
-        return EmptySolutions(lower, case + ":empty-residues", True)
+def _single_poly_images(atom: PolyAtom, residues, lower, case: str) -> SolutionSet:
+    """x = (f(w + stride*a*t) - b) / a with w = offset + stride*u, per residue u.
+
+    The coefficients are integers: f(w) = b (mod a) for the constant, and
+    every other coefficient carries a factor stride*a.
+    """
+    a, b, q, lin = atom.a, atom.b, atom.stride, atom.lin
     polys = []
     for u in residues:
-        comp = _pcompose(F, [Fraction(u), Fraction(a)])
-        comp[0] -= b
-        comp = _pscale(comp, Fraction(1, a))
-        polys.append(ImagePoly(tuple(comp)))
+        w = atom.offset + q * u
+        if atom.degree == 2:
+            coeffs = [(w * w - b) // a, 2 * w * q, q * q * a]
+        else:
+            coeffs = [(w**3 + lin * w - b) // a, (3 * w * w + lin) * q, 3 * w * q * q * a, q**3 * a * a]
+        polys.append(ImagePoly(coeffs))
     return PolyImages(lower, case + ":images", True, polys=tuple(polys))
 
 
@@ -849,22 +841,26 @@ def solve_positive_poly(
     """Exact structure of the integers satisfying all positive atoms.
 
     Atoms are depressed PolyAtoms (plus possibly power atoms of exponent
-    >= 4, which are handled by a bounded pairing).  Preconditions mirror
-    the power case: pairwise non-redundant, a > 0.
+    >= 4, which are handled by a bounded pairing, or by the power solver
+    when no PolyAtom is positive).  Preconditions mirror the power case:
+    pairwise non-redundant, a > 0.
     """
     polys = sorted(a for a in positives if isinstance(a, PolyAtom))
     powers = sorted(a for a in positives if isinstance(a, PowerAtom))
     if any(a.a <= 0 for a in positives):
         raise ValueError("positive atoms must have a > 0 after normalization")
+    if powers and not polys:
+        return solve_positive(powers, lower, options)
+    scans = []
     for atom in polys:
-        if _atom_residues_empty(atom):
+        scan = _peek(_poly_residues(atom))
+        if scan is None:
             return EmptySolutions(lower, "poly:empty-residues", True)
+        scans.append(scan)
     for atom in powers:
-        if not any(pow(u, atom.k, atom.a) == atom.b % atom.a for u in range(atom.a)):
+        if next(_power_residues(atom), None) is None:
             return EmptySolutions(lower, "poly:empty-residues", True)
     if powers:
-        if not polys:
-            raise ValueError("pure power systems belong to the power solver")
         primary = polys[0]
         rest = polys[1:] + powers
         return _bounded_curve(primary, rest, lower, options, "poly:mixed-power:bounded")
@@ -872,7 +868,7 @@ def solve_positive_poly(
     if l == 0:
         return AllSolutions(lower, "poly:none", True)
     if l == 1:
-        return _single_poly_images(polys[0], lower, "poly:single")
+        return _single_poly_images(polys[0], scans[0], lower, "poly:single")
     degs = tuple(a.degree for a in polys)
     if l == 2:
         if degs == (2, 2):
@@ -1116,20 +1112,21 @@ def _decide_one_poly(system: ConstraintSystem, options: SolveOptions) -> Verdict
 def decide_poly(system: ConstraintSystem, options: SolveOptions = DEFAULT_OPTIONS) -> Verdict:
     """Three-valued satisfiability of a normalized system with polynomial atoms."""
     work = system.clone()
+    seen = len(system.trace)  # every derived system's trace starts with these entries
     verdicts = []
     reported = False
     for power_sub in power_preprocess(work):
         subs = preprocess_poly(power_sub)
         for sub in subs:
             v = _decide_one_poly(sub, options)
-            system.trace.extend(sub.trace)
+            system.trace.extend(sub.trace[seen:])
             verdicts.append(v)
             reported = True
         if not subs:
-            system.trace.extend(power_sub.trace)
+            system.trace.extend(power_sub.trace[seen:])
             reported = True
     if not reported:
-        system.trace.extend(work.trace)
+        system.trace.extend(work.trace[seen:])
     final = _combine(verdicts)
     if final.is_sat:
         _verify_poly_witness(system, final.witness)

@@ -17,6 +17,7 @@ are certified complete.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,6 +30,7 @@ from .numtheory import (
     divisor_pairs,
     factor,
     floor_root,
+    integer_numerators,
     integer_roots,
     is_kth_power,
     kth_power_residues,
@@ -239,48 +241,50 @@ def preprocess(system: ConstraintSystem) -> list[ConstraintSystem]:
 # Solution-set representations.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ImagePoly:
-    """Integer-valued polynomial given by ascending rational coefficients."""
+    """Integer-valued polynomial sum(nums[i] * t**i) / den, with den > 0."""
 
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
-        if len(self.coeffs) < 3 or self.coeffs[-1] <= 0:
+    def __init__(self, coeffs) -> None:
+        """From ascending integer or rational coefficients."""
+        nums, den = integer_numerators(coeffs)
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
+        if len(nums) < 3 or nums[-1] <= 0:
             raise ValueError("image polynomials have degree >= 2 and positive leading coefficient")
-        for t in range(self.degree + 1):
-            if self.eval_exact(t).denominator != 1:
-                raise ValueError("polynomial is not integer-valued")
+        if den > 1 and any(self._numerator(t) % den for t in range(self.degree + 1)):
+            raise ValueError("polynomial is not integer-valued")
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
-    def eval_exact(self, t: int) -> Fraction:
-        v = Fraction(0)
-        for c in reversed(self.coeffs):
+    def _numerator(self, t: int) -> int:
+        v = 0
+        for c in reversed(self.nums):
             v = v * t + c
         return v
 
     def eval(self, t: int) -> int:
-        v = self.eval_exact(t)
-        if v.denominator != 1:
+        v = self._numerator(t)
+        if self.den == 1:
+            return v
+        q, r = divmod(v, self.den)
+        if r:
             raise ArithmeticError(f"non-integer image at t={t}")
-        return int(v)
+        return q
 
     def contains(self, x: int) -> bool:
-        cs = list(self.coeffs)
-        cs[0] -= x
+        cs = list(self.nums)
+        cs[0] -= x * self.den
         return bool(integer_roots(cs))
 
     def turn_bound(self) -> int:
         """|f| is strictly increasing in |t| at integers beyond this radius."""
-        lcm = 1
-        for c in self.coeffs:
-            lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-        ints = [int(c * lcm) for c in self.coeffs]
-        deriv = [i * ints[i] for i in range(1, len(ints))]
+        deriv = [i * self.nums[i] for i in range(1, len(self.nums))]
 
         def cauchy(cs):
             while cs and cs[-1] == 0:
@@ -289,7 +293,7 @@ class ImagePoly:
                 return 1
             return 2 + max(abs(c) for c in cs[:-1]) // abs(cs[-1])
 
-        return max(cauchy(ints), cauchy(deriv))
+        return max(cauchy(list(self.nums)), cauchy(deriv))
 
 
 @dataclass(frozen=True)
@@ -323,8 +327,7 @@ class PolyValueMap:
     def apply(self, v: int) -> int | None:
         if v % self.divisor != 0:
             return None
-        val = self.poly.eval_exact(v // self.divisor)
-        return int(val) if val.denominator == 1 else None
+        return self.poly.eval(v // self.divisor)
 
     def turn(self) -> int:
         return self.poly.turn_bound() * self.divisor + self.divisor
@@ -333,8 +336,7 @@ class PolyValueMap:
         t = v_abs // self.divisor
         if t <= self.poly.turn_bound():
             return 0
-        lo = min(abs(self.poly.eval_exact(t)), abs(self.poly.eval_exact(-t)))
-        return max(0, math.floor(lo))
+        return min(abs(self.poly.eval(t)), abs(self.poly.eval(-t)))
 
 
 @dataclass(frozen=True)
@@ -592,17 +594,26 @@ def members(solution_set: SolutionSet, options: SolveOptions = DEFAULT_OPTIONS) 
 # Positive-constraint solution sets.
 
 
-def _single_power_images(atom: PowerAtom, lower: int | None) -> SolutionSet:
+def _power_residues(atom: PowerAtom):
+    """The u in [0, a) with u**k = b (mod a), ascending, as one lazy scan."""
+    k, a, r = atom.k, atom.a, atom.b % atom.a
+    return (u for u in range(a) if pow(u, k, a) == r)
+
+
+def _peek(scan):
+    """The scan with its first item put back, or None when it is empty."""
+    first = next(scan, None)
+    return None if first is None else itertools.chain((first,), scan)
+
+
+def _single_power_images(atom: PowerAtom, residues, lower: int | None) -> SolutionSet:
+    """x = ((u + a*t)**k - b) / a for each residue u, with integer coefficients."""
     k, a, b = atom.k, atom.a, atom.b
-    residues = [u for u in range(a) if pow(u, k, a) == b % a]
-    if not residues:
-        return EmptySolutions(lower, "power:single:empty-residues", True)
     polys = []
     for u in residues:
-        coeffs = [Fraction(u**k - b, a)]
-        for i in range(1, k + 1):
-            coeffs.append(Fraction(math.comb(k, i) * u ** (k - i) * a ** (i - 1)))
-        polys.append(ImagePoly(tuple(coeffs)))
+        coeffs = [(u**k - b) // a]
+        coeffs.extend(math.comb(k, i) * u ** (k - i) * a ** (i - 1) for i in range(1, k + 1))
+        polys.append(ImagePoly(coeffs))
     return PolyImages(lower, "power:single:images", True, polys=tuple(polys))
 
 
@@ -720,11 +731,14 @@ def solve_positive(
     if len(atoms) == 0:
         return AllSolutions(lower, "power:none", True, substitution=substitution)
     # Cheap certified emptiness: the value-set residues must admit b mod a.
+    scans = []
     for atom in atoms:
-        if not any(pow(u, atom.k, atom.a) == atom.b % atom.a for u in range(atom.a)):
+        scan = _peek(_power_residues(atom))
+        if scan is None:
             return EmptySolutions(lower, "power:empty-residues", True)
+        scans.append(scan)
     if len(atoms) == 1:
-        return _single_power_images(atoms[0], lower)
+        return _single_power_images(atoms[0], scans[0], lower)
     if len(atoms) == 2:
         (A1, A2) = atoms
         if A2.k < A1.k:
@@ -862,14 +876,15 @@ def decide(system: ConstraintSystem, options: SolveOptions = DEFAULT_OPTIONS) ->
 
         return decide_poly(system, options)
     work = system.clone()
+    seen = len(system.trace)  # every derived system's trace starts with these entries
     subs = preprocess(work)
     verdicts = []
     for sub in subs:
         v = _decide_one(sub, options)
-        system.trace.extend(sub.trace)
+        system.trace.extend(sub.trace[seen:])
         verdicts.append(v)
     if not subs:
-        system.trace.extend(work.trace)
+        system.trace.extend(work.trace[seen:])
     final = _combine(verdicts)
     if final.is_sat:
         _verify_witness(system, final.witness)

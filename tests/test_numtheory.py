@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from unipres.numtheory import (
     ResidueClass,
     crt_extended,
+    depressed_cubic_roots,
     divisor_pairs,
     divisors,
     factor,
@@ -97,6 +98,26 @@ def test_kth_root_matches_binary_search(n, k):
     assert kth_root(n, k) == binary_search_root(n, k)
 
 
+def test_kth_root_on_large_powers_and_neighbours(rng):
+    # The residue sieve must never reject a power; the neighbours of a
+    # power are (almost always) rejected by it, so both paths are covered.
+    for k in range(2, 8):
+        for _ in range(12):
+            base = rng.randrange(1 << (200 // k + 1), 1 << (200 // k + 40))
+            n = base**k
+            assert n.bit_length() >= 200
+            for m in (n - 1, n, n + 1):
+                assert kth_root(m, k) == binary_search_root(m, k)
+                if k % 2:
+                    assert kth_root(-m, k) == binary_search_root(-m, k)
+
+
+def test_kth_root_accepts_every_small_power():
+    for k in range(2, 8):
+        for u in range(3000):
+            assert kth_root(u**k, k) == u
+
+
 @given(st.integers(0, 10**12), st.integers(2, 6))
 @settings(max_examples=200, deadline=None)
 def test_floor_root(n, k):
@@ -176,3 +197,36 @@ def test_integer_roots_misses_nothing_nearby(rng):
         for t in range(-60, 61):
             v = sum(c * t**i for i, c in enumerate(asc))
             assert (v == 0) == (t in found)
+
+
+def _cubic_cases(rng):
+    # Double roots at the turning points: u^3 - 3t^2 u = +-2t^3 has the
+    # double root -+t and the simple root +-2t.
+    for t in range(-40, 41):
+        yield -3 * t * t, 2 * t**3
+        yield -3 * t * t, -2 * t**3
+        yield -t * t, 0  # roots -|t|, 0, |t|
+    for _ in range(400):
+        lin = rng.randint(-(10**6), 10**6)
+        if rng.random() < 0.5:
+            u = rng.randint(-(10**6), 10**6)
+            yield lin, u**3 + lin * u
+        else:
+            yield lin, rng.randint(-(10**20), 10**20)
+    for _ in range(400):
+        lin = rng.randint(-300, 300)
+        yield lin, rng.randint(-(10**4), 10**4)
+
+
+def test_depressed_cubic_roots_match_integer_roots(rng):
+    for lin, v in _cubic_cases(rng):
+        assert depressed_cubic_roots(lin, v) == integer_roots([-v, lin, 0, 1]), (lin, v)
+
+
+def test_depressed_cubic_double_roots():
+    assert depressed_cubic_roots(-12, 16) == [-2, 4]    # (u + 2)^2 (u - 4)
+    assert depressed_cubic_roots(-12, -16) == [-4, 2]
+    assert depressed_cubic_roots(-3, 2) == [-1, 2]
+    assert depressed_cubic_roots(-1, 0) == [-1, 0, 1]
+    assert depressed_cubic_roots(-4, 0) == [-2, 0, 2]
+    assert depressed_cubic_roots(0, -(10**60)) == [-(10**20)]

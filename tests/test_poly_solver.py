@@ -16,6 +16,8 @@ from unipres.power_solver import (
 from unipres.poly_solver import (
     RedundancyData,
     _derive_curve_case,
+    _poly_residues,
+    _single_poly_images,
     _try_discard_sets,
     decide_poly,
     depress,
@@ -166,6 +168,30 @@ class TestSolvePositive:
             for x in scan:
                 assert s.contains(x)
 
+    def test_residue_scan_matches_brute_force(self, rng):
+        for _ in range(60):
+            pred = random_int_valued_pred(rng, "P", rng.choice((2, 3)))
+            atom = depress(pred, rng.randint(1, 12), rng.randint(-50, 50)).atom
+            # Brute force over three periods of the witness lattice, with the
+            # polynomial evaluated in Fractions.
+            hits = set()
+            for j in range(3 * atom.a):
+                w = Fraction(atom.offset + atom.stride * j)
+                if (w**atom.degree + atom.lin * w - atom.b) % atom.a == 0:
+                    hits.add(j % atom.a)
+            assert list(_poly_residues(atom)) == sorted(hits), atom
+
+    def test_single_images_are_the_atom_solutions(self, rng):
+        for _ in range(12):
+            pred = random_int_valued_pred(rng, "P", rng.choice((2, 3)))
+            atom = depress(pred, rng.randint(1, 12), rng.randint(-20, 20)).atom
+            s = _single_poly_images(atom, _poly_residues(atom), None, "poly:single")
+            for poly in s.polys:
+                for t in range(-4, 5):
+                    assert oracle.atom_eval(atom, poly.eval(t)), (atom, t)
+            for x in range(-120, 121):
+                assert s.contains(x) == oracle.atom_eval(atom, x), (atom, x)
+
     def test_mixed_power_poly(self):
         atoms = [depress(TRIANGULAR, 1, 0).atom, PowerAtom(4, 1, 0)]
         s = solve_positive_poly(atoms, options=OPTS)
@@ -289,6 +315,13 @@ class Test4c:
 
 
 class TestDecidePoly:
+    def test_pure_power_positive_with_negative_predicate(self):
+        # The fourth power is the only positive atom; the cube predicate is negated.
+        f = parse("(declare-pred K (coeffs 1 0 0 0)) (exists x (and (> x 0) (pow 4 x) (not (pred K (+ x 1)))))")
+        v = solve_formula(f).verdict
+        assert v.is_sat and v.witness == 1
+        assert oracle.eval_at(f, v.witness)
+
     def test_forced_contradiction(self):
         atom = depress(TRIANGULAR, 1, 0).atom
         sys_ = ConstraintSystem(lower=0, positives=[atom], negatives=[atom])
@@ -333,6 +366,32 @@ class TestCubicMerge:
         assert v.is_sat and v.witness is not None
         assert oracle.eval_at(f, v.witness)
 
+    def test_fixture_trace_holds_each_entry_once(self):
+        f = parse((FIXTURES / "cubic_merge_sat.sexp").read_text())
+        assert solve_formula(f).case_trace == [
+            "depress:A", "depress:B", "poly-redundant:merge:3", "poly:single:images", "witness-scan:hit",
+        ]
+
+    def test_negated_pair_names_its_case(self):
+        f = parse(
+            "(declare-pred A (coeffs 3 3 1 0)) (declare-pred B (coeffs 3 6 4 0)) "
+            "(exists x (and (> x 0) (pred A x) (not (pred B (* 8 x)))))"
+        )
+        out = solve_formula(f)
+        assert out.verdict.is_unsat
+        assert "poly-redundant:negative-covers-positive" in out.case_trace
+
+    @pytest.mark.parametrize("negated, verdict", [(False, "sat"), (True, "unsat")])
+    def test_huge_cube_ratio(self, negated, verdict):
+        # A(x) and A(N x) with N = (2 * 10**110)**3, far past the float range.
+        n = 8 * 10**330
+        second = f"(not (pred A (* {n} x)))" if negated else f"(pred A (* {n} x))"
+        f = parse(f"(declare-pred A (coeffs 1 0 0 0)) (exists x (and (> x 0) (pred A x) {second}))")
+        v = solve_formula(f).verdict
+        assert v.status == verdict
+        if v.is_sat:
+            assert v.witness == 1 and oracle.eval_at(f, 1)
+
     def test_negated_pair_is_unsat(self):
         # B(2u) = 8 A(u), so B(8x) holds wherever A(x) does.
         f = parse(
@@ -370,3 +429,16 @@ def check_poly_differential(rng, count, bound):
 
 def test_differential_poly_smoke(rng):
     check_poly_differential(rng, 20, bound=1500)
+
+
+def test_every_unsat_fixture_names_its_case():
+    opts = SolveOptions(enum_bound=200, scan_cap=2000)
+    unsat = 0
+    for path in sorted(FIXTURES.glob("*.sexp")):
+        if path.stem == "malformed":
+            continue
+        out = solve_formula(parse(path.read_text()), opts)
+        if out.verdict.is_unsat:
+            unsat += 1
+            assert out.case_trace, path.name
+    assert unsat >= 1

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -7,6 +8,7 @@ from unipres.power_solver import (
     AllSolutions,
     EmptySolutions,
     FiniteSolutions,
+    ImagePoly,
     LrbsUnion,
     PolyImages,
     SolveOptions,
@@ -80,6 +82,53 @@ class TestCoalesce:
     def test_rejects_dissimilar(self):
         with pytest.raises(ValueError):
             coalesce_similar([PowerAtom(2, 1, 0), PowerAtom(2, 1, 1)])
+
+
+def _binomial(i):
+    """Ascending Fraction coefficients of C(t, i) = t (t-1) ... (t-i+1) / i!."""
+    p = [Fraction(1)]
+    for j in range(i):
+        nxt = [Fraction(0)] * (len(p) + 1)
+        for d, c in enumerate(p):
+            nxt[d + 1] += c / (j + 1)
+            nxt[d] -= c * j / (j + 1)
+        p = nxt
+    return p
+
+
+class TestImagePoly:
+    def test_eval_matches_fraction_horner(self, rng):
+        for _ in range(200):
+            degree = rng.randint(2, 5)
+            asc = [Fraction(0)] * (degree + 1)
+            for i in range(degree + 1):
+                c = rng.randint(1, 9) if i == degree else rng.randint(-(10**6), 10**6)
+                for d, b in enumerate(_binomial(i)):
+                    asc[d] += c * b
+            poly = ImagePoly(asc)
+            for t in range(-25, 26):
+                v = Fraction(0)
+                for c in reversed(asc):
+                    v = v * t + c
+                assert v.denominator == 1
+                assert poly.eval(t) == v, (asc, t)
+
+    def test_integer_coefficients_have_denominator_one(self):
+        poly = ImagePoly([3, -2, 5])
+        assert poly.nums == (3, -2, 5) and poly.den == 1
+        assert poly.eval(-4) == 3 + 8 + 80
+
+    def test_rejects_non_integer_valued(self):
+        with pytest.raises(ValueError):
+            ImagePoly([Fraction(1, 2), 0, 1])
+        with pytest.raises(ValueError):
+            ImagePoly([0, 1, -1])
+
+    def test_contains_matches_eval(self):
+        poly = ImagePoly([Fraction(0), Fraction(1, 2), Fraction(1, 2)])  # t (t + 1) / 2
+        values = {poly.eval(t) for t in range(-60, 60)}
+        for x in range(-5, 200):
+            assert poly.contains(x) == (x in values)
 
 
 class TestSolvePositive:
