@@ -3,7 +3,11 @@
 Human output is one verdict line per sentence; structured output is
 line-delimited JSON records with stable field names (verdict, witness,
 case_trace, log, timings_ms), byte-identical across runs apart from the
-timings field.  Exit codes: 0 sat, 1 unsat, 2 unknown, 64 input error.
+timings field.  Exit codes: 0 sat, 1 unsat, 2 unknown, 64 input error
+(unreadable file, syntax, or a sentence past the disjunct expansion cap),
+70 internal error.  A batch exits with the highest code of its files; a
+file that fails is reported (an `error:` line, and a record with verdict
+"error" in json-lines) and the other files are still decided.
 """
 
 from __future__ import annotations
@@ -13,7 +17,9 @@ import json
 import os
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from ._ast import ParseError, PolyAtom, Verdict
 from .formula import Formula, normalize, parse, parse_multi
@@ -30,6 +36,7 @@ EXIT_SAT = 0
 EXIT_UNSAT = 1
 EXIT_UNKNOWN = 2
 EXIT_INPUT = 64
+EXIT_INTERNAL = 70
 
 
 @dataclass
@@ -119,7 +126,7 @@ def _record(path: str, index: int, outcome: SolveOutcome, ms: float, trace: bool
 
 
 def _solve_file(path: str, config: RunConfig):
-    text = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
+    text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
     formulas = parse_multi(text) if config.multi else [parse(text)]
     out = []
     for i, f in enumerate(formulas):
@@ -130,21 +137,31 @@ def _solve_file(path: str, config: RunConfig):
     return out
 
 
+def _report_error(path: str, kind: str, exc: Exception, config: RunConfig, stream) -> int:
+    """Report a file that could not be decided; returns its exit code."""
+    print(f"error: {path}: {exc}", file=sys.stderr)
+    if config.fmt == "json-lines":
+        rec = {"file": path, "verdict": "error", "error": kind, "message": str(exc)}
+        print(json.dumps(rec, sort_keys=True), file=stream)
+    return EXIT_INPUT if kind == "input" else EXIT_INTERNAL
+
+
 def run(config: RunConfig, stream=None) -> int:
     """Decide every input; returns the worst exit code seen."""
     stream = stream or sys.stdout
-    try:
-        results = {p: _solve_file(p, config) for p in config.paths}
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     code = EXIT_SAT
     many = len(config.paths) > 1 or config.multi
     for path in config.paths:
-        for index, outcome, ms in results[path]:
+        try:
+            results = _solve_file(path, config)
+        except (ParseError, OSError) as exc:  # ParseError includes the expansion cap
+            code = max(code, _report_error(path, "input", exc, config, stream))
+            continue
+        except Exception as exc:  # a fault of the program, not of the input
+            traceback.print_exc()
+            code = max(code, _report_error(path, "internal", exc, config, stream))
+            continue
+        for index, outcome, ms in results:
             if config.fmt == "json-lines":
                 print(json.dumps(_record(path, index, outcome, ms, config.trace), sort_keys=True), file=stream)
             else:

@@ -14,12 +14,12 @@ raise it.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+import itertools
+from dataclasses import dataclass
 
 from ._ast import ParseError
 from .formula import SToken, read_sexprs
+from .numtheory import kth_root
 
 __all__ = [
     "MultiPoly",
@@ -35,7 +35,6 @@ __all__ = [
     "eval_square_formula",
     "parse_poly",
     "format_square_formula",
-    "bound_variables",
 ]
 
 BUCHI_CHAIN = 5
@@ -106,9 +105,6 @@ class SLin:
     def eval(self, env: dict) -> int:
         return self.const + sum(c * env[v] for v, c in self.coeffs)
 
-    def free_vars(self):
-        return {v for v, _ in self.coeffs}
-
 
 @dataclass(frozen=True)
 class SEq:
@@ -132,19 +128,6 @@ class SExists:
 
 
 SquareFormula = object  # any of SEq / SSquare / SAnd / SExists
-
-
-def bound_variables(f) -> set[str]:
-    out = set()
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, SExists):
-            out.add(node.var)
-            stack.append(node.body)
-        elif isinstance(node, SAnd):
-            stack.extend(node.args)
-    return out
 
 
 # --- encoding ---------------------------------------------------------------
@@ -242,227 +225,300 @@ def encode(h: MultiPoly, chain_len: int = BUCHI_CHAIN) -> SquareFormula:
     return acc
 
 
-# --- exact evaluation and the equivalence checker ---------------------------
-
-
-def _is_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = math.isqrt(n)
-    return r * r == n
+# --- compiled evaluation and the equivalence checker -------------------------
 
 
 @dataclass(frozen=True)
-class _Plan:
-    """Flattened evaluation plan for a purely existential conjunction.
+class _Compiled:
+    """A square formula compiled to integer columns and a resolution order.
 
-    The formula is equivalent to exists(all bound vars). AND(atoms); each
-    bound variable is pinned by a defining conjunct (a linear equation or
-    an adjacent pair of square-chain atoms), giving a static resolution
-    order.  `checks[i]` lists the atoms that become fully known after
-    step i (step -1 holds the atoms over free variables only).
+    The formula is exists(bound columns). AND(atoms).  Columns 0..nfree-1
+    hold the free variables and one more column follows per `SExists`.
+    A linear form is (((column, coefficient), ...), constant) and an atom
+    is (is_square, form).
+
+    Each step is (column, kind, recipes) in resolution order; a bound
+    column is searched only over the values its recipes give.  A recipe
+    (cv, num, None) gives num / cv; a chain recipe (cv, rest, dm1) reads
+    an adjacent pair of square atoms a0 = cv*x + rest and a1 = a0 + dm1 + 1
+    as t^2 and (t + 1)^2, so t = dm1 / 2 and x = (t^2 - rest) / cv.  Kinds:
+
+    - "eq": the first ready equation.  It forces the column, because any
+      other value fails that equation, which is fully known at this step.
+    - "pinned": chain recipes that are integral everywhere and equal as
+      polynomials (a Buchi chain pinning x = T^2); one is kept, and the
+      atoms of their pairs hold at its value.
+    - "chain": every ready chain recipe, each one a candidate.
+
+    `checks[i]` lists the atoms that become fully known after step i - 1,
+    less those a recipe makes true (the pairs of a pinned step, and the
+    equation of an "eq" step with cv = +-1).  A formula with a bound
+    column that no recipe reaches is not `resolved` and is false.
     """
 
-    steps: tuple            # (var, (recipes...)) in resolution order
-    atoms: tuple            # ("eq" | "sq", SLin) with uniquely renamed vars
-    checks: tuple           # per-step tuples of atom indices
-    unresolved: tuple       # bound vars with no recipe (formula is then false)
+    nfree: int
+    ncols: int
+    atoms: tuple
+    steps: tuple
+    checks: tuple
+    resolved: bool
 
 
-def _flatten(f):
-    order: list[str] = []
-    atoms: list[tuple[str, SLin]] = []
-    counter = [0]
-
-    def rename(sl: SLin, scope) -> SLin:
-        return SLin(tuple(sorted((scope.get(v, v), c) for v, c in sl.coeffs)), sl.const)
+def _compile(f, free: tuple) -> _Compiled:
+    """One walk of f; `free` names the free variables' columns in order."""
+    nfree = ncols = len(free)
+    atoms: list = []  # (is_square, {column: coefficient}, constant)
 
     def walk(node, scope):
+        nonlocal ncols
         if isinstance(node, SExists):
-            fresh = f"b{counter[0]}"
-            counter[0] += 1
-            order.append(fresh)
-            walk(node.body, {**scope, node.var: fresh})
+            ncols += 1
+            walk(node.body, {**scope, node.var: ncols - 1})
         elif isinstance(node, SAnd):
             for a in node.args:
                 walk(a, scope)
-        elif isinstance(node, SEq):
-            atoms.append(("eq", rename(node.lhs, scope)))
-        elif isinstance(node, SSquare):
-            atoms.append(("sq", rename(node.arg, scope)))
+        elif isinstance(node, (SEq, SSquare)):
+            sl = node.lhs if isinstance(node, SEq) else node.arg
+            atoms.append((isinstance(node, SSquare), {scope[v]: c for v, c in sl.coeffs}, sl.const))
         else:
             raise TypeError(f"not a square formula: {node!r}")
 
-    walk(f, {})
-    return order, atoms
+    walk(f, {v: i for i, v in enumerate(free)})
 
+    # Recipes by column, equations first: (dependencies, atoms made true, recipe).
+    recipes: list = [[] for _ in range(ncols)]
+    for i, (is_sq, lin, c) in enumerate(atoms):
+        if not is_sq:
+            for j, cv in lin.items():
+                if j >= nfree:
+                    num = tuple((k, -a) for k, a in lin.items() if k != j)
+                    deps = {k for k, _ in num if k >= nfree}
+                    recipes[j].append((deps, (i,) if abs(cv) == 1 else (), (cv, (num, -c), None)))
+    for i, ((sq0, a0, c0), (sq1, a1, c1)) in enumerate(zip(atoms, atoms[1:])):
+        if not (sq0 and sq1):
+            continue
+        diff = {k: d for k in a0.keys() | a1.keys() if (d := a1.get(k, 0) - a0.get(k, 0))}
+        dm1 = (tuple(diff.items()), c1 - c0 - 1)
+        for j, cv in a0.items():
+            if j >= nfree and j not in diff:
+                rest = tuple((k, a) for k, a in a0.items() if k != j)
+                deps = {k for k in itertools.chain(diff, a0) if k >= nfree and k != j}
+                recipes[j].append((deps, (i, i + 1), (cv, (rest, c0), dm1)))
 
-def _build_plan(f) -> _Plan:
-    order, atoms = _flatten(f)
-    bound = set(order)
-    known = {v for _, sl in atoms for v in sl.free_vars() if v not in bound}
-    steps = []
-    remaining = list(order)
-    sq_atoms = [(i, sl) for i, (kind, sl) in enumerate(atoms) if kind == "sq"]
+    # The first remaining column with a ready recipe goes next.
+    steps: list = []
+    proven: set = set()
+    known: set = set()
+    remaining = list(range(nfree, ncols))
     while True:
-        placed = False
-        for var in remaining:
-            recipes = []
-            for kind, sl in atoms:
-                if kind != "eq":
-                    continue
-                d = dict(sl.coeffs)
-                cv = d.pop(var, 0)
-                if cv and all(v in known for v in d):
-                    recipes.append(("eq", cv, SLin(tuple(sorted(d.items())), sl.const)))
-            for (i0, a0), (i1, a1) in zip(sq_atoms, sq_atoms[1:]):
-                if i1 != i0 + 1:
-                    continue
-                cv = dict(a0.coeffs).get(var, 0)
-                if cv == 0:
-                    continue
-                diff = a1 - a0
-                if dict(diff.coeffs).get(var, 0) != 0:
-                    continue
-                rest = dict(a0.coeffs)
-                rest.pop(var)
-                if all(v in known for v in diff.free_vars()) and all(v in known for v in rest):
-                    recipes.append(
-                        ("chain", cv, SLin(tuple(sorted(rest.items())), a0.const), diff)
-                    )
-            if recipes:
-                steps.append((var, tuple(recipes)))
-                known.add(var)
-                remaining.remove(var)
-                placed = True
+        for j in remaining:
+            ready = [r for r in recipes[j] if r[0] <= known]
+            if ready:
                 break
-        if not placed:
+        else:
             break
-    # Atom check schedule: after which step does each atom become known?
-    checks: list[list[int]] = [[] for _ in range(len(steps) + 1)]
-    stage_of = {var: i for i, (var, _) in enumerate(steps)}
-    for idx, (_, sl) in enumerate(atoms):
-        stage = -1
-        dead = False
-        for v in sl.free_vars():
-            if v in stage_of:
-                stage = max(stage, stage_of[v])
-            elif v in bound:
-                dead = True
-        if not dead:
-            checks[stage + 1].append(idx)
-    return _Plan(
+        if ready[0][2][2] is None:
+            proven.update(ready[0][1])
+            steps.append((j, "eq", (ready[0][2],)))
+        elif _pinned([r[2] for r in ready]):
+            proven.update(i for r in ready for i in r[1])
+            steps.append((j, "pinned", (ready[0][2],)))
+        else:
+            steps.append((j, "chain", tuple(r[2] for r in ready)))
+        known.add(j)
+        remaining.remove(j)
+
+    stage = {j: i for i, (j, _, _) in enumerate(steps)}
+    checks: list = [[] for _ in range(len(steps) + 1)]
+    if not remaining:
+        for i, (_, lin, _) in enumerate(atoms):
+            if i not in proven:
+                checks[1 + max((stage[j] for j in lin if j >= nfree), default=-1)].append(i)
+    return _Compiled(
+        nfree,
+        ncols,
+        tuple((is_sq, (tuple(lin.items()), c)) for is_sq, lin, c in atoms),
         tuple(steps),
-        tuple(atoms),
         tuple(tuple(c) for c in checks),
-        tuple(v for v in remaining),
+        not remaining,
     )
 
 
-_PLAN_CACHE: dict = {}
+def _pinned(chains) -> bool:
+    """Whether chain recipes are integral everywhere and give one value.
+
+    With cv = +-1 and dm1 even in every coefficient, t = dm1 / 2 is an
+    integral form and cv * (t^2 - rest) is integral.  Recipes whose dm1
+    differ by a constant 2e give t_b = t_a + e, and then the same value
+    exactly when rest_b = rest_a + e * dm1_a + e^2.
+    """
+    cv, (rest, c), (dm1, d) = chains[0]
+    lin = dict(dm1)
+    base = dict(rest)
+    for cv_b, (rest_b, c_b), (dm1_b, d_b) in chains:
+        if cv_b != cv or abs(cv) != 1 or d_b % 2 or dict(dm1_b) != lin:
+            return False
+        e = (d_b - d) // 2
+        want = {k: base.get(k, 0) + e * lin.get(k, 0) for k in base.keys() | lin.keys()}
+        if dict(rest_b) != {k: a for k, a in want.items() if a} or c_b != c + e * d + e * e:
+            return False
+    return not any(a % 2 for a in lin.values())
 
 
-def _plan_for(f) -> _Plan:
-    # Formulas are immutable, hashable trees; hash once, reuse the plan.
-    plan = _PLAN_CACHE.get(f)
-    if plan is None:
-        plan = _build_plan(f)
-        if len(_PLAN_CACHE) > 512:
-            _PLAN_CACHE.clear()
-        _PLAN_CACHE[f] = plan
-    return plan
+def _lin(form, vals) -> int:
+    items, c = form
+    return c + sum(k * vals[j] for j, k in items)
 
 
-def _recipe_value(recipe, env) -> int | None:
-    if recipe[0] == "eq":
-        _, cv, rest = recipe
-        num = -rest.eval(env)
-        return num // cv if num % cv == 0 else None
-    _, cv, rest, diff = recipe
-    num = diff.eval(env) - 1
-    if num % 2:
-        return None
-    t = num // 2
-    num2 = t * t - rest.eval(env)
-    return num2 // cv if num2 % cv == 0 else None
+def _search(plan: _Compiled, free) -> bool:
+    """Exact truth at one assignment of the free columns (depth first)."""
+    if not plan.resolved:
+        return False
+    vals = list(free) + [0] * (plan.ncols - plan.nfree)
+
+    def run(i: int) -> bool:
+        for idx in plan.checks[i]:
+            is_sq, form = plan.atoms[idx]
+            v = _lin(form, vals)
+            if not (kth_root(v, 2) is not None if is_sq else v == 0):
+                return False
+        if i == len(plan.steps):
+            return True
+        col, _, recipes = plan.steps[i]
+        tried = set()
+        for cv, form, dm1 in recipes:
+            if dm1 is None:
+                num = _lin(form, vals)
+            else:
+                d = _lin(dm1, vals)
+                if d % 2:
+                    continue
+                num = (d // 2) ** 2 - _lin(form, vals)
+            if num % cv or num // cv in tried:
+                continue
+            tried.add(num // cv)
+            vals[col] = num // cv
+            if run(i + 1):
+                return True
+        return False
+
+    return run(0)
 
 
 def eval_square_formula(f, env: dict) -> bool:
     """Exact truth of a formula at an assignment of its free variables.
 
-    Bound variables are searched over their determined values only: each
-    is pinned by a defining equation or a pair of adjacent chain atoms,
-    which yields a computable window of candidates.
+    The formula is compiled once (`_compile`) and searched depth first.
+    Each bound variable is searched only over the values of its ready
+    recipes: a defining equation, which forces the value, or else each
+    adjacent pair of chain atoms.  Each atom is checked as soon as all
+    its variables are known, unless a recipe already makes it true.
     """
-    plan = _plan_for(f)
-    if plan.unresolved:
-        return False
-
-    def atom_ok(idx, env2) -> bool:
-        kind, sl = plan.atoms[idx]
-        v = sl.eval(env2)
-        return v == 0 if kind == "eq" else _is_square(v)
-
-    def run(step: int, env2) -> bool:
-        for idx in plan.checks[step]:
-            if not atom_ok(idx, env2):
-                return False
-        if step == len(plan.steps):
-            return True
-        var, recipes = plan.steps[step]
-        tried = set()
-        for r in recipes:
-            val = _recipe_value(r, env2)
-            if val is None or val in tried:
-                continue
-            tried.add(val)
-            if run(step + 1, {**env2, var: val}):
-                return True
-        return False
-
-    return run(0, dict(env))
+    names = tuple(env)
+    return _search(_compile(f, names), [env[v] for v in names])
 
 
-def _magnitude_bound(f, grid: int) -> int:
-    """Largest |value| any evaluation step can see on the grid (intervals)."""
-    plan = _plan_for(f)
-    iv = {}
-    for _, sl in plan.atoms:
-        for v in sl.free_vars():
-            if v.startswith("x"):
-                iv[v] = (-grid, grid)
+def _bound(plan: _Compiled, grid: int) -> int:
+    """Largest |value| a sweep over the grid can compute.
 
-    def lin_iv(sl: SLin):
-        lo = hi = sl.const
-        for v, c in sl.coeffs:
-            vlo, vhi = iv.get(v, (0, 0))
-            a, b = c * vlo, c * vhi
-            lo += min(a, b)
-            hi += max(a, b)
-        return lo, hi
+    Column bounds b are propagated through the recipes; a linear form is
+    bounded by |const| + sum |c| * b, which also bounds its partial sums.
+    """
+    b = [grid] * plan.nfree + [0] * (plan.ncols - plan.nfree)
+
+    def row(form) -> int:
+        items, c = form
+        return abs(c) + sum(abs(k) * b[j] for j, k in items)
 
     worst = grid
-    for var, recipes in plan.steps:
-        lo, hi = 0, 0
-        for r in recipes:
-            if r[0] == "eq":
-                _, cv, rest = r
-                rlo, rhi = lin_iv(rest)
-                m = max(abs(rlo), abs(rhi)) // abs(cv) + 1
-                lo, hi = min(lo, -m), max(hi, m)
+    for col, _, recipes in plan.steps:
+        for cv, form, dm1 in recipes:
+            if dm1 is None:
+                num = row(form)
             else:
-                _, cv, rest, diff = r
-                dlo, dhi = lin_iv(diff)
-                t = max(abs(dlo), abs(dhi)) // 2 + 1
-                rlo, rhi = lin_iv(rest)
-                m = (t * t + max(abs(rlo), abs(rhi))) // abs(cv) + 1
-                lo, hi = min(lo, -m), max(hi, m)
-        iv[var] = (lo, hi)
-        worst = max(worst, -lo, hi)
-    for _, sl in plan.atoms:
-        alo, ahi = lin_iv(sl)
-        worst = max(worst, abs(alo), abs(ahi))
-    return worst
+                t = row(dm1) // 2 + 1
+                num = t * t + row(form)
+            worst = max(worst, num)
+            b[col] = max(b[col], num // abs(cv) + 1)
+    return max([worst, *b, *(row(form) for _, form in plan.atoms)])
+
+
+def _matrix(forms, width: int, np):
+    """Forms as rows over the columns plus a last column of constants."""
+    m = np.zeros((len(forms), width + 1))
+    for i, (items, c) in enumerate(forms):
+        m[i, width] = c
+        for j, k in items:
+            m[i, j] = k
+    return m
+
+
+def _sweep(plan: _Compiled, points, np):
+    """Truth of a resolved plan at each column of `points` (nfree x P).
+
+    One forward pass gives each bound column one value per point, a level
+    at a time (a level depends only on earlier ones): an "eq" or "pinned"
+    column takes its recipe's value, a "chain" column its first valid
+    candidate, and a point is ambiguous where another valid candidate
+    differs.  The atoms left to check are then checked at once, and each
+    false ambiguous point is decided by `_search`.  Values are float64
+    integers: while `_bound` stays below 2**50, sums and products are
+    exact, floor(n / cv) is n / cv when cv divides n, and the square test
+    rint(sqrt(v))**2 == v is exact because IEEE sqrt rounds correctly.
+    """
+    size = points.shape[1]
+    width = plan.ncols
+    vals = np.ones((width + 1, size))  # the last row is the constant 1
+    vals[: plan.nfree] = points
+    dead = np.zeros(size, dtype=bool)
+    ambiguous = np.zeros(size, dtype=bool)
+
+    level = [0] * width
+    levels: dict = {}
+    for col, kind, recipes in plan.steps:
+        level[col] = 1 + max(
+            (level[j] for r in recipes for form in r[1:] if form for j, _ in form[0]), default=0
+        )
+        levels.setdefault(level[col], {}).setdefault(kind, []).append((col, recipes))
+
+    for lv in sorted(levels):
+        for kind, group in levels[lv].items():
+            cols = [col for col, _ in group]
+            k = max(len(r) for _, r in group)
+            # Pad each column to k candidates by repeating its last one.
+            rs = [r[min(i, len(r) - 1)] for _, r in group for i in range(k)]
+            cv = np.array([r[0] for r in rs], dtype=float)[:, None]
+            forms = _matrix([r[1] for r in rs] + [r[2] for r in rs if r[2]], width, np) @ vals
+            if kind == "eq":
+                vals[cols] = np.floor(forms / cv)
+                continue
+            half = forms[len(rs):] * 0.5
+            t = np.floor(half)
+            num = t * t - forms[: len(rs)]
+            if kind == "pinned":
+                vals[cols] = num * cv
+                continue
+            val = np.floor(num / cv)
+            ok = ((t == half) & (val * cv == num)).reshape(len(cols), k, size)
+            val = val.reshape(len(cols), k, size)
+            chosen = np.take_along_axis(val, ok.argmax(axis=1)[:, None], axis=1)
+            dead |= ~ok.any(axis=1).all(axis=0)
+            ambiguous |= (ok & (val != chosen)).any(axis=(0, 1))
+            vals[cols] = chosen[:, 0]
+
+    truth = ~dead
+    checked = [plan.atoms[i] for c in plan.checks for i in c]
+    eqs = [form for is_sq, form in checked if not is_sq]
+    squares = [form for is_sq, form in checked if is_sq]
+    if eqs:
+        truth &= ~(_matrix(eqs, width, np) @ vals).any(axis=0)
+    if squares:
+        v = _matrix(squares, width, np) @ vals
+        r = np.rint(np.sqrt(np.abs(v)))
+        truth &= (r * r == v).all(axis=0)
+    for p in np.flatnonzero(ambiguous & ~truth):
+        truth[p] = _search(plan, [int(x) for x in points[:, p]])
+    return truth
 
 
 @dataclass(frozen=True)
@@ -472,118 +528,44 @@ class EquivReport:
     checked: int
 
 
-def _eval_vec(f, env, np):
-    """Vectorized plan evaluation; env maps free vars to int64 arrays."""
-    plan = _plan_for(f)
-    size = next(iter(env.values())).shape
-    if plan.unresolved:
-        return np.zeros(size, dtype=bool)
-
-    def lin_vec(sl, env2):
-        total = np.full(size, sl.const, dtype=np.int64)
-        for v, c in sl.coeffs:
-            total = total + c * env2[v]
-        return total
-
-    def atom_ok(idx, env2):
-        kind, sl = plan.atoms[idx]
-        vals = lin_vec(sl, env2)
-        if kind == "eq":
-            return vals == 0
-        nonneg = vals >= 0
-        r = np.sqrt(np.maximum(vals, 0).astype(np.float64)).astype(np.int64)
-        hit = np.zeros(size, dtype=bool)
-        for d in (-1, 0, 1):
-            hit |= (r + d) * (r + d) == vals
-        return nonneg & hit
-
-    def run(step, env2, mask):
-        for idx in plan.checks[step]:
-            mask = mask & atom_ok(idx, env2)
-            if not mask.any():
-                return mask
-        if step == len(plan.steps):
-            return mask
-        var, recipes = plan.steps[step]
-        acc = np.zeros(size, dtype=bool)
-        seen: list = []
-        for r in recipes:
-            if r[0] == "eq":
-                _, cv, rest = r
-                num = -lin_vec(rest, env2)
-                ok = num % cv == 0
-                val = num // cv
-            else:
-                _, cv, rest, diff = r
-                num = lin_vec(diff, env2) - 1
-                ok = num % 2 == 0
-                t = num // 2
-                num2 = t * t - lin_vec(rest, env2)
-                ok = ok & (num2 % cv == 0)
-                val = num2 // cv
-            # Recipes mostly agree pointwise; only genuinely new values
-            # warrant another descent.
-            novel = ok.copy()
-            for ok_j, val_j in seen:
-                novel &= ~(ok_j & (val_j == val))
-            seen.append((ok, val))
-            sub = mask & novel & ~acc
-            if not sub.any():
-                continue
-            acc = acc | run(step + 1, {**env2, var: val}, sub)
-        return acc
-
-    return run(0, dict(env), np.ones(size, dtype=bool))
-
-
 def check_equiv(h: MultiPoly, f, grid: int) -> EquivReport:
     """h = 0 iff f, on every assignment with all |x_i| <= grid.
 
-    A vectorized path handles the bulk; it falls back to exact big-int
-    evaluation when intermediate values might not fit machine words.
+    Both paths scan the points with x1 slowest and xn fastest; `checked`
+    counts the points up to and including the first mismatch, or the
+    whole grid on a pass.  f is compiled once (`_compile`).  With numpy,
+    one forward sweep (`_sweep`) gives every bound variable one value at
+    every point: a defining equation forces its value, a Buchi chain pins
+    it to T^2, and any other chain takes its first valid candidate.  The
+    atoms that no recipe already makes true are then checked at once, and
+    the false points where chain candidates disagree are searched exactly.
+    Without numpy, or when a value could reach 2**50, every point is
+    searched exactly by `_search`, the code `eval_square_formula` runs.
     """
     if grid < 1:
         raise ValueError("need grid >= 1")
     n = h.nvars
+    plan = _compile(f, tuple(f"x{i + 1}" for i in range(n)))
     try:
         import numpy as np
-    except ImportError:  # pragma: no cover
+    except ImportError:
         np = None
-    if np is not None and _magnitude_bound(f, grid) < 2**50:
-        axes = [np.arange(-grid, grid + 1, dtype=np.int64) for _ in range(n)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        env = {f"x{i + 1}": m.ravel() for i, m in enumerate(mesh)}
-        want = np.zeros_like(env["x1"])
-        for expo, c in h.monomials:
-            term = np.full_like(env["x1"], c)
-            for i, e in enumerate(expo):
-                for _ in range(e):
-                    term = term * env[f"x{i + 1}"]
-            want = want + term
-        want0 = want == 0
-        got = _eval_vec(f, env, np)
-        mism = want0 != got
-        if mism.any():
-            idx = int(np.argmax(mism))
-            point = tuple(int(env[f"x{i + 1}"][idx]) for i in range(n))
-            return EquivReport(False, point, idx + 1)
-        return EquivReport(True, None, int(want0.size))
-    point = [-grid] * n
-    checked = 0
-    while True:
-        env = {f"x{i + 1}": point[i] for i in range(n)}
-        want = h.eval(point) == 0
-        got = eval_square_formula(f, env)
-        checked += 1
-        if want != got:
-            return EquivReport(False, tuple(point), checked)
-        i = 0
-        while i < n and point[i] == grid:
-            point[i] = -grid
-            i += 1
-        if i == n:
-            return EquivReport(True, None, checked)
-        point[i] += 1
+    h_bound = sum(abs(c) * grid ** sum(e) for e, c in h.monomials)
+    if np is not None and max(_bound(plan, grid), h_bound) < 2**50:
+        points = np.indices((2 * grid + 1,) * n).reshape(n, -1) - grid
+        expo = np.array([e for e, _ in h.monomials], dtype=np.int64).reshape(-1, n, 1)
+        coeffs = np.array([c for _, c in h.monomials], dtype=np.int64)
+        want = (coeffs @ (points[None] ** expo).prod(axis=1)) == 0
+        got = _sweep(plan, points, np) if plan.resolved else np.zeros(points.shape[1], dtype=bool)
+        mism = np.flatnonzero(want != got)
+        if mism.size:
+            idx = int(mism[0])
+            return EquivReport(False, tuple(int(v) for v in points[:, idx]), idx + 1)
+        return EquivReport(True, None, points.shape[1])
+    for checked, point in enumerate(itertools.product(range(-grid, grid + 1), repeat=n), 1):
+        if (h.eval(point) == 0) != _search(plan, point):
+            return EquivReport(False, point, checked)
+    return EquivReport(True, None, (2 * grid + 1) ** n)
 
 
 # --- surface syntax ----------------------------------------------------------

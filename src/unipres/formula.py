@@ -509,7 +509,7 @@ def _to_dnf(node, positive: bool, decls):
                         continue
                     nxt.append(left + right)
                     if len(nxt) > _DNF_CAP:
-                        raise ValueError("formula exceeds the disjunct expansion cap")
+                        raise ParseError(f"formula expands to more than {_DNF_CAP} disjuncts")
             acc = nxt
         return acc
     return _lower_atom(node, positive, decls)

@@ -2,8 +2,8 @@
 
 Everything here operates on Python ints and Fractions.  The decision
 procedure uses no floating point anywhere; only the encoder's optional
-numpy equivalence check takes float square roots, and it corrects them
-exactly.
+numpy equivalence check computes in floats, on integers below 2**50,
+where its sums, products and square tests are exact.
 """
 
 from __future__ import annotations
