@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .numtheory import depressed_cubic_roots, integer_roots, kth_root
+from .numtheory import _poly_eval, depressed_cubic_roots, integer_numerators, kth_root
 
 __all__ = [
     "ParseError",
@@ -116,10 +116,16 @@ class Quant:
 
 @dataclass(frozen=True)
 class PredicateDecl:
-    """Integer-valued polynomial c_d u^d + ... + c_0 of degree <= 3."""
+    """Integer-valued polynomial c_d u^d + ... + c_0 of degree <= 3.
+
+    `nums` are the ascending integer numerators over the least common
+    denominator `den` > 0: f(u) = (nums[0] + nums[1]*u + ...) / den.
+    """
 
     name: str
     coeffs: tuple[Fraction, ...]  # c_d .. c_0, as declared
+    nums: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
@@ -127,9 +133,12 @@ class PredicateDecl:
             raise ParseError(f"predicate {self.name}: leading coefficient must be nonzero")
         if self.degree > 3:
             raise ParseError(f"predicate {self.name}: degree {self.degree} exceeds 3")
+        nums, den = integer_numerators(self.ascending())
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
         # Integer-valuedness is equivalent to integrality at d+1 consecutive points.
         for u in range(self.degree + 1):
-            if self.eval(u).denominator != 1:
+            if _poly_eval(nums, u) % den:
                 raise ParseError(f"predicate {self.name} is not integer-valued (f({u}) = {self.eval(u)})")
 
     @property
@@ -144,12 +153,6 @@ class PredicateDecl:
         for c in self.coeffs:
             v = v * u + c
         return v
-
-    def value_set_contains(self, v: int) -> bool:
-        """Whether v = f(u) for some integer u (exact root extraction)."""
-        asc = list(self.ascending())
-        asc[0] -= v
-        return bool(integer_roots(asc))
 
 
 @dataclass(frozen=True)

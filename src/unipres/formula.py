@@ -1,15 +1,35 @@
 """Parsing, printing, and normalization of single-variable sentences.
 
-The surface syntax is s-expressions (grammar in the README).  `normalize`
-rewrites a sentence into a disjunction of constraint systems of the shape
-the solvers consume: exactly one lower bound, positive/negative power and
-polynomial atoms with positive x-coefficients, modular constraints folded
-into an affine substitution x = +-(M*y + r).
+The surface syntax is s-expressions.  A token is "(", ")" or a symbol: a
+run of characters other than space, tab, CR, LF, "(", ")" and ";".  A ";"
+starts a comment that runs to the end of the line.
+
+    INPUT    := DECL* SENTENCE         (`parse`; `parse_multi` takes DECLs
+                                        and SENTENCEs in any order)
+    DECL     := (declare-pred NAME (coeffs RAT+))
+    SENTENCE := (exists VAR BODY) | (forall VAR BODY)
+    BODY     := (and BODY+) | (or BODY+) | (not BODY)
+              | (= TERM TERM) | (< TERM TERM) | (> TERM TERM)
+              | (mod TERM M R)         TERM = R (mod M); integers M >= 2 and R
+              | (pow K TERM)           TERM = u^K for an integer u; K >= 2
+              | (pred NAME TERM)       TERM = f(u) for an integer u, f declared as NAME
+    TERM     := VAR | INT | (+ TERM+) | (- TERM) | (- TERM TERM) | (* INT TERM)
+    RAT      := INT | INT/INT
+
+A declaration lists the coefficients c_d ... c_0 of f(u) = c_d u^d + ... +
+c_0, with d <= 3, c_d != 0 and f integer-valued; a sentence sees the
+declarations before it.
+
+`normalize` rewrites a sentence into a disjunction of constraint systems
+of the shape the solvers consume: exactly one lower bound, positive/negative
+power and polynomial atoms with positive x-coefficients, modular
+constraints folded into an affine substitution x = +-(M*y + r).
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,7 +51,8 @@ from ._ast import (
     Quant,
     Verdict,
 )
-from .numtheory import ResidueClass, crt_extended, integer_roots, kth_root
+from .numtheory import ResidueClass, crt_extended, kth_root
+from . import poly_solver, power_solver
 
 __all__ = [
     "ParseError",
@@ -59,71 +80,60 @@ __all__ = [
 # S-expression reading.
 
 
-@dataclass(frozen=True)
 class SToken:
-    text: str
-    line: int
-    col: int
+    """A symbol or parenthesis of the source text, with its offset.
+
+    `line` and `col` (both 1-based) are computed from the offset only when
+    they are read, which is when an error message needs them.  Columns
+    count characters, so a tab or a carriage return is one column.
+    """
+
+    __slots__ = ("text", "off", "src")
+
+    def __init__(self, text: str, off: int, src: str):
+        self.text = text
+        self.off = off
+        self.src = src
+
+    @property
+    def line(self) -> int:
+        return self.src.count("\n", 0, self.off) + 1
+
+    @property
+    def col(self) -> int:
+        return self.off - self.src.rfind("\n", 0, self.off)
+
+    def __repr__(self) -> str:
+        return f"SToken({self.text!r}, {self.line}:{self.col})"
 
 
-def _tokenize(text: str):
-    line, col = 1, 1
-    i = 0
-    out = []
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif ch == ";":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            out.append(SToken(ch, line, col))
-            col += 1
-            i += 1
-        else:
-            j = i
-            while j < len(text) and text[j] not in " \t\r\n();":
-                j += 1
-            out.append(SToken(text[i:j], line, col))
-            col += j - i
-            i = j
-    return out
+# A parenthesis, a symbol, or a comment; the separators " \t\r\n" match none.
+_TOKEN = re.compile(r"[()]|[^ \t\r\n();]+|;[^\n]*")
 
 
 def read_sexprs(text: str) -> list:
     """All top-level s-expressions; nested lists of SToken leaves."""
-    tokens = _tokenize(text)
-    pos = 0
-
-    def read_one():
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ParseError("unexpected end of input")
-        tok = tokens[pos]
-        pos += 1
-        if tok.text == "(":
-            items = []
-            while True:
-                if pos >= len(tokens):
-                    raise ParseError("unclosed '('", tok.line, tok.col)
-                if tokens[pos].text == ")":
-                    pos += 1
-                    return items
-                items.append(read_one())
-        if tok.text == ")":
-            raise ParseError("unexpected ')'", tok.line, tok.col)
-        return tok
-
-    exprs = []
-    while pos < len(tokens):
-        exprs.append(read_one())
-    return exprs
+    top: list = []
+    current = top
+    stack: list[tuple[list, int]] = []  # (enclosing list, offset of the open '(')
+    for m in _TOKEN.finditer(text):
+        tok = m.group()
+        if tok == "(":
+            items: list = []
+            current.append(items)
+            stack.append((current, m.start()))
+            current = items
+        elif tok == ")":
+            if not stack:
+                where = SToken(tok, m.start(), text)
+                raise ParseError("unexpected ')'", where.line, where.col)
+            current = stack.pop()[0]
+        elif tok[0] != ";":
+            current.append(SToken(tok, m.start(), text))
+    if stack:
+        where = SToken("(", stack[-1][1], text)
+        raise ParseError("unclosed '('", where.line, where.col)
+    return top
 
 
 def _pos(node) -> tuple[int | None, int | None]:
@@ -164,11 +174,16 @@ def _parse_rational(node) -> Fraction:
 
 
 def _parse_term(node, var: str) -> LinTerm:
+    return LinTerm(*_term_pair(node, var))
+
+
+def _term_pair(node, var: str) -> tuple[int, int]:
+    """(a, b) of the term a*x + b."""
     if isinstance(node, SToken):
         if node.text == var:
-            return LinTerm(1, 0)
+            return 1, 0
         try:
-            return LinTerm(0, int(node.text))
+            return 0, int(node.text)
         except ValueError:
             raise ParseError(
                 f"unknown symbol '{node.text}' in term (the bound variable is '{var}')",
@@ -182,21 +197,27 @@ def _parse_term(node, var: str) -> LinTerm:
     if head == "+":
         if not args:
             raise ParseError("(+) needs arguments", node[0].line, node[0].col)
-        acc = LinTerm(0, 0)
-        for a in args:
-            acc = acc + _parse_term(a, var)
-        return acc
+        a = b = 0
+        for arg in args:
+            da, db = _term_pair(arg, var)
+            a += da
+            b += db
+        return a, b
     if head == "-":
         if len(args) == 1:
-            return -_parse_term(args[0], var)
+            a, b = _term_pair(args[0], var)
+            return -a, -b
         if len(args) == 2:
-            return _parse_term(args[0], var) - _parse_term(args[1], var)
+            a, b = _term_pair(args[0], var)
+            da, db = _term_pair(args[1], var)
+            return a - da, b - db
         raise ParseError("(-) takes one or two arguments", node[0].line, node[0].col)
     if head == "*":
         if len(args) != 2:
             raise ParseError("(*) takes an integer and a term", node[0].line, node[0].col)
         c = _parse_int(args[0])
-        return _parse_term(args[1], var).scale(c)
+        a, b = _term_pair(args[1], var)
+        return c * a, c * b
     raise ParseError(f"unknown term operator '{head}'", node[0].line, node[0].col)
 
 
@@ -247,58 +268,47 @@ def _parse_body(node, var: str, decls: dict[str, PredicateDecl]):
 
 
 def parse(text: str) -> Formula:
-    """Parse declarations plus one sentence (several with trailing sentences)."""
+    """Parse declarations followed by exactly one sentence."""
+    return _parse_formulas(text, multi=False)[0]
+
+
+def parse_multi(text: str) -> list[Formula]:
+    """Declarations and any number of sentences; each sentence sees the declarations before it."""
+    return _parse_formulas(text, multi=True)
+
+
+def _parse_formulas(text: str, multi: bool) -> list[Formula]:
     exprs = read_sexprs(text)
     if not exprs:
         raise ParseError("no sentence found")
     decls: dict[str, PredicateDecl] = {}
-    i = 0
-    while i < len(exprs):
-        e = exprs[i]
-        if isinstance(e, list) and e and isinstance(e[0], SToken) and e[0].text == "declare-pred":
-            if len(e) != 3:
-                raise ParseError("(declare-pred NAME (coeffs ...))", e[0].line, e[0].col)
-            name = _expect_symbol(e[1], "a predicate name")
-            spec = e[2]
-            if (
-                not isinstance(spec, list)
-                or not spec
-                or _expect_symbol(spec[0], "coeffs") != "coeffs"
-                or len(spec) < 2
-            ):
-                raise ParseError("expected (coeffs c_d ... c_0)", *_pos(e[2]))
-            coeffs = tuple(_parse_rational(c) for c in spec[1:])
-            decls[name] = PredicateDecl(name, coeffs)
-            i += 1
-        else:
-            break
-    sentences = exprs[i:]
-    if not sentences:
-        raise ParseError("no sentence found after declarations")
-    if len(sentences) > 1:
-        raise ParseError("more than one sentence; use --multi for batches", *_pos(sentences[1]))
-    return Formula(tuple(decls.values()), _parse_sentence(sentences[0], decls))
-
-
-def parse_multi(text: str) -> list[Formula]:
-    """Declarations followed by any number of sentences."""
-    exprs = read_sexprs(text)
-    decls: dict[str, PredicateDecl] = {}
     out = []
-    for e in exprs:
+    for i, e in enumerate(exprs):
         if isinstance(e, list) and e and isinstance(e[0], SToken) and e[0].text == "declare-pred":
-            name = _expect_symbol(e[1], "a predicate name") if len(e) == 3 else None
-            if name is None:
-                raise ParseError("(declare-pred NAME (coeffs ...))", e[0].line, e[0].col)
-            spec = e[2]
-            if not isinstance(spec, list) or len(spec) < 2 or _expect_symbol(spec[0], "coeffs") != "coeffs":
-                raise ParseError("expected (coeffs c_d ... c_0)", *_pos(e[2]))
-            decls[name] = PredicateDecl(name, tuple(_parse_rational(c) for c in spec[1:]))
-        else:
-            out.append(Formula(tuple(decls.values()), _parse_sentence(e, decls)))
+            decl = _parse_decl(e)
+            decls[decl.name] = decl
+            continue
+        if not multi and i + 1 < len(exprs):
+            raise ParseError("more than one sentence; use --multi for batches", *_pos(exprs[i + 1]))
+        out.append(Formula(tuple(decls.values()), _parse_sentence(e, decls)))
     if not out:
-        raise ParseError("no sentence found")
+        raise ParseError("no sentence found" if multi else "no sentence found after declarations")
     return out
+
+
+def _parse_decl(e: list) -> PredicateDecl:
+    if len(e) != 3:
+        raise ParseError("(declare-pred NAME (coeffs ...))", e[0].line, e[0].col)
+    name = _expect_symbol(e[1], "a predicate name")
+    spec = e[2]
+    if (
+        not isinstance(spec, list)
+        or not spec
+        or _expect_symbol(spec[0], "coeffs") != "coeffs"
+        or len(spec) < 2
+    ):
+        raise ParseError("expected (coeffs c_d ... c_0)", *_pos(spec))
+    return PredicateDecl(name, tuple(_parse_rational(c) for c in spec[1:]))
 
 
 def _parse_sentence(node, decls) -> Quant:
@@ -439,23 +449,25 @@ def _lower_mod(term: LinTerm, m: int, r: int, positive: bool):
     return [[("mod", m2, (y0 + s) % m2)] for s in range(1, m2)]
 
 
-def _flip_cubic(asc: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+def _flip_cubic(asc: tuple[int, ...]) -> tuple[int, ...]:
     # u -> -u: same value set for odd degree; fixes a negative leading coefficient
     return tuple(c if i % 2 == 0 else -c for i, c in enumerate(asc))
 
 
 def _lower_pred(decl: PredicateDecl, term: LinTerm, positive: bool):
-    asc = decl.ascending()
+    # f(u) = a*y + b exactly when den*f(u) = den*a*y + den*b, so the literal
+    # carries f's integer numerators and the term scaled by den.  An
+    # integer-valued f of degree <= 1 has integer coefficients: den == 1.
+    asc, den = decl.nums, decl.den
     d = decl.degree
     if d == 0:
-        f0 = asc[0]
-        return _lower_cmp("=", LinTerm(term.a, term.b - int(f0)), positive)
+        return _lower_cmp("=", LinTerm(term.a, term.b - asc[0]), positive)
     if d == 1:
-        c1, c0 = int(asc[1]), int(asc[0])
+        c1, c0 = asc[1], asc[0]
         if abs(c1) == 1:
             return _const(positive)
         return _lower_mod(term, abs(c1), c0 % abs(c1), positive)
-    a, b = term.a, term.b
+    a, b = den * term.a, den * term.b
     if asc[-1] < 0:
         if d == 3:
             asc = _flip_cubic(asc)
@@ -468,10 +480,9 @@ def _lower_pred(decl: PredicateDecl, term: LinTerm, positive: bool):
     return [[("pred", sign, asc, a, b, decl.name)]]
 
 
-def _scaled_value_set_contains(asc: tuple[Fraction, ...], v: int) -> bool:
-    cs = list(asc)
-    cs[0] -= v
-    return bool(integer_roots(cs))
+def _scaled_value_set_contains(asc: tuple[int, ...], v: int) -> bool:
+    """Whether asc(u) = v for some integer u; asc has degree 2 or 3 and a positive lead."""
+    return poly_solver.depress_ascending(asc, 1, 0).holds(v)
 
 
 def _lower_atom(node, positive: bool, decls):
@@ -604,13 +615,11 @@ def _flip_lits(lits):
     return out
 
 
-def _quad_min_value(asc: tuple[Fraction, ...]) -> Fraction:
+def _quad_min_value(asc: tuple[int, ...]) -> int:
     # Minimum of c2 u^2 + c1 u + c0 (c2 > 0) over the integers.
     c0, c1, c2 = asc
-    vertex = Fraction(-c1, 2 * c2)
-    lo = math.floor(vertex)
-    candidates = (lo, lo + 1)
-    return min(c2 * u * u + c1 * u + c0 for u in candidates)
+    lo = (-c1) // (2 * c2)
+    return min(c2 * u * u + c1 * u + c0 for u in (lo, lo + 1))
 
 
 def _finite_check(sys: ConstraintSystem, lits, lo: int, hi: int, enum_bound: int):
@@ -631,9 +640,7 @@ def _finite_check(sys: ConstraintSystem, lits, lo: int, hi: int, enum_bound: int
     return sys
 
 
-def _build_systems(conj, decls, enum_bound: int) -> list[ConstraintSystem]:
-    from . import poly_solver, power_solver
-
+def _build_systems(conj, enum_bound: int) -> list[ConstraintSystem]:
     sys = ConstraintSystem()
     lits = [l for l in conj if l[0] != "true"]
     if any(l[0] == "false" for l in lits):
@@ -701,7 +708,7 @@ def _build_systems(conj, decls, enum_bound: int) -> list[ConstraintSystem]:
             pos = sys.clone()
             pos.log("case-split:positive")
             try:
-                out.extend(_assemble(pos, 0, atoms, decls, enum_bound, power_solver, poly_solver))
+                out.extend(_assemble(pos, 0, atoms, enum_bound))
             except _Dropped:
                 pass
             neg = sys.clone()
@@ -709,19 +716,17 @@ def _build_systems(conj, decls, enum_bound: int) -> list[ConstraintSystem]:
             neg.substitution = (neg.substitution[0], -neg.substitution[1])
             neg.log("case-split:negative")
             try:
-                out.extend(
-                    _assemble(neg, 0, _flip_lits(atoms), decls, enum_bound, power_solver, poly_solver)
-                )
+                out.extend(_assemble(neg, 0, _flip_lits(atoms), enum_bound))
             except _Dropped:
                 pass
             return out
 
-        return _assemble(sys, max(gts), atoms, decls, enum_bound, power_solver, poly_solver)
+        return _assemble(sys, max(gts), atoms, enum_bound)
     except _Dropped:
         return []
 
 
-def _assemble(sys: ConstraintSystem, lower: int, atoms, decls, enum_bound, power_solver, poly_solver):
+def _assemble(sys: ConstraintSystem, lower: int, atoms, enum_bound: int):
     """Sign handling, depression, and redundancy processing under one lower bound."""
     sys.lower = lower
 
@@ -753,7 +758,7 @@ def _assemble(sys: ConstraintSystem, lower: int, atoms, decls, enum_bound, power
                 kept.append(("pred", sign, _flip_cubic(tuple(-c for c in asc)), -a, -b, name))
                 continue
             vmin = _quad_min_value(asc)
-            bound = math.floor(Fraction(vmin - b, a))  # a < 0: value floor turns into an upper bound
+            bound = (vmin - b) // a  # a < 0: value floor turns into an upper bound
             if sign > 0:
                 uppers.append(bound)
                 kept.append(lit)
@@ -824,5 +829,5 @@ def normalize(f: Formula, enum_bound: int = 10**6) -> NormalForm:
     body = Not(q.body) if negated else q.body
     systems = []
     for conj in _to_dnf(body, True, decls):
-        systems.extend(_build_systems(conj, decls, enum_bound))
+        systems.extend(_build_systems(conj, enum_bound))
     return NormalForm(negated, systems)

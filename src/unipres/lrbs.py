@@ -145,9 +145,6 @@ class IndexSet:
     def is_empty(self) -> bool:
         return not self.aps and not self.added
 
-    def is_finite(self) -> bool:
-        return not self.aps
-
     def _lcm(self) -> int:
         L = 1
         for _, m in self.aps:

@@ -291,9 +291,8 @@ def integer_numerators(coeffs: Sequence[Fraction | int]) -> tuple[list[int], int
     """(nums, den) with coeffs[i] == nums[i] / den; den > 0 is the least common denominator."""
     if all(isinstance(c, int) for c in coeffs):
         return list(coeffs), 1
-    fracs = [Fraction(c) for c in coeffs]
-    den = math.lcm(*(c.denominator for c in fracs))
-    return [c.numerator * (den // c.denominator) for c in fracs], den
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def _poly_eval(coeffs: Sequence[int], x: int) -> int:

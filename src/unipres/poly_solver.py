@@ -167,8 +167,7 @@ def _reduce_atom(degree: int, lin: int, a: int, b: int, q: int, r: int) -> PolyA
 
 
 def depress_ascending(asc, a: int, b: int) -> PolyAtom:
-    """Normalize f(u) = a*x + b (f by ascending rational coeffs, lead > 0, a > 0)."""
-    asc = [Fraction(c) for c in asc]
+    """Normalize f(u) = a*x + b (f by ascending integer or rational coeffs, lead > 0, a > 0)."""
     degree = len(asc) - 1
     if degree not in (2, 3):
         raise ValueError(f"degree must be 2 or 3, got {degree}")

@@ -350,11 +350,6 @@ class LrbsEntry:
     pell_class: PellClass | None = None
     component: str = "z"
 
-    def member_at(self, n: int) -> int | None:
-        if n not in self.indices:
-            return None
-        return self.vmap.apply(self.value_seq.eval(n))
-
 
 @dataclass(frozen=True)
 class SolutionSet:

@@ -1,4 +1,10 @@
+from pathlib import Path
+
+import pytest
+
 from unipres import cli
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 DNF_CAP_REPRO = (
     "(exists x (and (> x 0) (not (mod x 50 1)) (not (mod x 51 1)) (not (mod x 53 1))))"
@@ -42,3 +48,38 @@ def test_internal_error_has_its_own_exit_code_and_keeps_other_results(tmp_path, 
     out, err = capsys.readouterr()
     assert out.splitlines() == [f"{power}[0]: sat x=4"]
     assert f"error: {poly}: solver fault" in err
+
+
+# fixture -> (exit code, verdict, witness) at --bound 200
+GOLDEN = {
+    "catalan": (2, "unknown", None),
+    "cubic_merge_sat": (0, "sat", 12),
+    "fermat": (2, "unknown", None),
+    "fibonacci_cube": (2, "unknown", None),
+    "forced_unsat": (1, "unsat", None),
+    "gessel_sat": (0, "sat", 169),
+    "simple_sat": (0, "sat", 4),
+}
+
+
+def test_golden_covers_every_fixture():
+    assert sorted(p.stem for p in FIXTURES.glob("*.sexp")) == sorted([*GOLDEN, "malformed"])
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_fixture_golden(name, capsys):
+    path = str(FIXTURES / f"{name}.sexp")
+    code, verdict, witness = GOLDEN[name]
+    assert cli.main(["--bound", "200", "--format", "json-lines", path]) == code
+    [record] = cli.read_records(capsys.readouterr().out)
+    assert (record["verdict"], record["witness"]) == (verdict, witness)
+
+
+def test_malformed_fixture_is_an_input_error(capsys):
+    path = str(FIXTURES / "malformed.sexp")
+    assert cli.main(["--bound", "200", "--format", "json-lines", path]) == cli.EXIT_INPUT
+    out, err = capsys.readouterr()
+    message = "power exponent must be >= 2, got 1 at 1:29"
+    assert err == f"error: {path}: {message}\n"
+    [record] = cli.read_records(out)
+    assert (record["verdict"], record["error"], record["message"]) == ("error", "input", message)

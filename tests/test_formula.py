@@ -1,12 +1,16 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unipres import ParseError, PolyAtom, PowerAtom, Verdict, format_formula, normalize, parse
-from unipres._ast import Cmp, LinTerm, PredAtomNode, Quant
+from unipres._ast import Cmp, LinTerm, PredAtomNode, PredicateDecl, Quant
 from unipres import oracle
-from unipres.formula import parse_multi
+from unipres.encoder import parse_poly
+from unipres.formula import _scaled_value_set_contains, parse_multi, read_sexprs
+from unipres.numtheory import integer_roots
 
 
 def test_parse_power_sentence():
@@ -233,3 +237,180 @@ def test_parse_multi():
     fs = parse_multi("(declare-pred T (coeffs 1/2 1/2 0)) (exists x (pred T x)) (forall x (> x 0))")
     assert len(fs) == 2
     assert fs[0].decls and fs[1].root.kind == "forall"
+
+
+# --- the s-expression reader ---------------------------------------------
+
+
+def _error_at(text: str, parser=parse) -> tuple[str, int, int]:
+    with pytest.raises(ParseError) as info:
+        parser(text)
+    return str(info.value), info.value.line, info.value.col
+
+
+def _shape(node):
+    if isinstance(node, list):
+        return [_shape(n) for n in node]
+    return (node.text, node.line, node.col)
+
+
+def test_unexpected_close_paren_position():
+    text = "; a comment (not read)\r\n\t(exists x\r\n\t\t(> x 0)))"
+    msg, line, col = _error_at(text)
+    assert msg == "unexpected ')' at 3:11" and (line, col) == (3, 11)
+
+
+def test_unclosed_paren_names_the_innermost():
+    text = "; c\n(exists x\r\n\t(and (> x 0)\n\t (pow 2 x)"
+    msg, line, col = _error_at(text)
+    assert msg == "unclosed '(' at 3:2" and (line, col) == (3, 2)
+
+
+def test_unknown_symbol_position_after_comment_tab_and_crlf():
+    text = "(exists x ; the body follows\r\n\t(> x\ty))"
+    msg, line, col = _error_at(text)
+    assert msg.startswith("unknown symbol 'y' in term") and (line, col) == (2, 7)
+
+
+def test_form_feed_stays_inside_a_symbol():
+    assert _shape(read_sexprs("(a\fb c\v)")) == [[("a\fb", 1, 2), ("c\v", 1, 6)]]
+    msg, _, _ = _error_at("(exists x (> x\f 0))")
+    assert msg.startswith("unknown symbol 'x\f'")
+
+
+def test_read_sexprs_token_structure():
+    text = (
+        "; header (ignored)\n"
+        "(declare-pred T (coeffs 1/2 1/2 0)) ; trailing\n"
+        "\t(exists x\r\n"
+        "  (and (> x 1) ;; inner (comment\n"
+        "       (pred T x)))\n"
+    )
+    assert _shape(read_sexprs(text)) == [
+        [("declare-pred", 2, 2), ("T", 2, 15), [("coeffs", 2, 18), ("1/2", 2, 25), ("1/2", 2, 29), ("0", 2, 33)]],
+        [
+            ("exists", 3, 3),
+            ("x", 3, 10),
+            [("and", 4, 4), [(">", 4, 9), ("x", 4, 11), ("1", 4, 13)], [("pred", 5, 9), ("T", 5, 14), ("x", 5, 16)]],
+        ],
+    ]
+    assert read_sexprs("") == [] and read_sexprs(" ; only a comment") == []
+
+
+def test_parse_poly_unknown_symbol_position():
+    msg, line, col = _error_at("(+ x1\n  ; c (\n  (* 2 y))", parser=parse_poly)
+    assert msg == "unknown symbol 'y' at 3:8" and (line, col) == (3, 8)
+
+
+def test_sentence_count_errors():
+    decl = "(declare-pred T (coeffs 1 0 0))"
+    assert _error_at("; nothing") == ("no sentence found", None, None)
+    assert _error_at(" ", parser=parse_multi) == ("no sentence found", None, None)
+    assert _error_at(decl) == ("no sentence found after declarations", None, None)
+    assert _error_at(decl, parser=parse_multi) == ("no sentence found", None, None)
+    # The second sentence is reported before the first one is read.
+    msg, line, col = _error_at(f"(exists x (> x y))\n  {decl}")
+    assert msg.startswith("more than one sentence") and (line, col) == (2, 4)
+    fs = parse_multi(f"(exists x (> x 0)) {decl} (exists x (pred T x))")
+    assert [len(f.decls) for f in fs] == [0, 1]
+
+
+@pytest.mark.parametrize(
+    "decl, message",
+    [
+        ("(declare-pred A)", "(declare-pred NAME (coeffs ...)) at 1:2"),
+        ("(declare-pred (A) (coeffs 1))", "expected a predicate name at 1:16"),
+        ("(declare-pred A (coeffs))", "expected (coeffs c_d ... c_0) at 1:18"),
+        ("(declare-pred A ((1)))", "expected coeffs at 1:19"),
+        ("(declare-pred A (coeffs 1 (2)))", "expected a rational at 1:28"),
+        ("(declare-pred A (coeffs 1 1/0))", "expected a rational, got '1/0' at 1:27"),
+    ],
+)
+def test_parse_and_parse_multi_share_declaration_errors(decl, message):
+    text = f"{decl} (exists x (> x 0))"
+    assert _error_at(text)[0] == _error_at(text, parser=parse_multi)[0] == message
+
+
+# --- integer arithmetic of predicate declarations and literals -------------
+
+
+def _fraction_eval(coeffs, u):
+    v = Fraction(0)
+    for c in coeffs:
+        v = v * u + c
+    return v
+
+
+_rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+
+
+@given(st.lists(_rationals, min_size=2, max_size=4).filter(lambda cs: cs[0] != 0))
+@settings(max_examples=400, deadline=None)
+def test_integer_valuedness_check_matches_fraction_evaluation(coeffs):
+    bad = [u for u in range(len(coeffs)) if _fraction_eval(coeffs, u).denominator != 1]
+    if bad:
+        u = bad[0]
+        with pytest.raises(ParseError) as info:
+            PredicateDecl("P", tuple(coeffs))
+        assert str(info.value) == f"predicate P is not integer-valued (f({u}) = {_fraction_eval(coeffs, u)})"
+        return
+    decl = PredicateDecl("P", tuple(coeffs))
+    assert decl.coeffs == tuple(coeffs) and all(type(c) is Fraction for c in decl.coeffs)
+    assert decl.den == math.lcm(*(c.denominator for c in coeffs))
+    assert tuple(Fraction(n, decl.den) for n in decl.nums) == decl.ascending()
+
+
+@pytest.mark.parametrize(
+    "coeffs, nums, den",
+    [
+        ((Fraction(1, 2), Fraction(1, 2), Fraction(0)), (0, 1, 1), 2),                    # (u^2 + u)/2
+        ((Fraction(1, 6), Fraction(0), Fraction(-1, 6), Fraction(0)), (0, -1, 0, 1), 6),  # (u^3 - u)/6
+        ((Fraction(3), Fraction(-1)), (-1, 3), 1),
+    ],
+)
+def test_predicate_integer_numerators(coeffs, nums, den):
+    decl = PredicateDecl("P", coeffs)
+    assert (decl.nums, decl.den) == (nums, den)
+    for u in range(-20, 21):
+        assert Fraction(sum(n * u**i for i, n in enumerate(decl.nums)), decl.den) == decl.eval(u)
+
+
+_leading = st.integers(1, 12)
+_lower = st.integers(-300, 300)
+
+
+@given(
+    st.one_of(st.tuples(_lower, _lower, _leading), st.tuples(_lower, _lower, _lower, _leading)),
+    st.integers(-(10**4), 10**4),
+    st.integers(-(10**6), 10**6),
+)
+@settings(max_examples=600, deadline=None)
+def test_scaled_value_set_contains_matches_integer_roots(asc, u, v):
+    hit = sum(c * u**i for i, c in enumerate(asc))
+    for value in (hit, v):
+        cs = [asc[0] - value, *asc[1:]]
+        assert _scaled_value_set_contains(asc, value) == bool(integer_roots(cs)), (asc, value)
+    assert _scaled_value_set_contains(asc, hit)
+
+
+@pytest.mark.parametrize(
+    "decl",
+    [
+        "(declare-pred T (coeffs 1/2 1/2 0))",
+        "(declare-pred C (coeffs 1/6 0 -1/6 0))",
+        "(declare-pred N (coeffs -1/6 0 1/6 0))",
+        "(declare-pred M (coeffs -1/2 -1/2 3))",
+        "(declare-pred V (coeffs 1/2 -19/2 50))",  # least value 5, at u = 9 and 10
+    ],
+)
+def test_denominator_predicates_agree_with_the_oracle(decl):
+    name = decl.split()[1]
+    terms = ["x", "(+ (* 3 x) -2)", "(- 7 (* 2 x))", "(* -4 x)", "5"]
+    for t in terms:
+        for body in (f"(pred {name} {t})", f"(and (> x -30) (not (pred {name} {t})))"):
+            f = parse(f"{decl} (exists x (and (< x 40) {body}))")
+            nf = normalize(f)
+            for x in range(-60, 61):
+                direct = oracle.eval_at(f, x)
+                covered = any(_system_satisfied_at(s, x) for s in nf.systems)
+                assert covered == direct, (decl, t, body, x)
