@@ -266,7 +266,6 @@ class ConstraintSystem:
     lower: int | None = None
     positives: list = field(default_factory=list)
     negatives: list = field(default_factory=list)
-    pending_mods: list = field(default_factory=list)  # (modulus, residue); empty after normalize
     sign_flipped: bool = False
     substitution: tuple[int, int] = (1, 0)
     excluded: list = field(default_factory=list)      # y-points carved out exactly
@@ -288,7 +287,6 @@ class ConstraintSystem:
             lower=self.lower,
             positives=list(self.positives),
             negatives=list(self.negatives),
-            pending_mods=list(self.pending_mods),
             sign_flipped=self.sign_flipped,
             substitution=self.substitution,
             excluded=list(self.excluded),
@@ -305,9 +303,6 @@ def system_holds(system: ConstraintSystem, y: int) -> bool:
         return False
     if y in system.excluded:
         return False
-    for m, r in system.pending_mods:
-        if y % m != r:
-            return False
     if not all(atom.holds(y) for atom in system.positives):
         return False
     return not any(atom.holds(y) for atom in system.negatives)

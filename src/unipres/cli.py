@@ -21,11 +21,10 @@ import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ._ast import ParseError, PolyAtom, Verdict
+from ._ast import ParseError, Verdict
 from .formula import Formula, normalize, parse, parse_multi
-from .power_solver import SolveOptions, _combine
+from .power_solver import SolveOptions, least_witness
 from .power_solver import decide as decide_power
-from .poly_solver import decide_poly
 from . import encoder
 
 __all__ = ["RunConfig", "SolveOutcome", "solve_formula", "run", "read_records", "main"]
@@ -79,19 +78,22 @@ class SolveOutcome:
         return {"sat": EXIT_SAT, "unsat": EXIT_UNSAT, "unknown": EXIT_UNKNOWN}[self.verdict.status]
 
 
+def _combine(verdicts) -> Verdict:
+    """The sat verdict with the least (|x|, x) witness, else the first unknown, else unsat."""
+    witness = least_witness(v.witness for v in verdicts if v.is_sat)
+    if witness is not None:
+        return Verdict.sat(witness)
+    return next((v for v in verdicts if v.is_unknown), Verdict.unsat())
+
+
 def solve_formula(f: Formula, options: SolveOptions | None = None) -> SolveOutcome:
-    """Decide a sentence: normalize, route each disjunct, combine, negate."""
+    """Decide a sentence: normalize, decide each disjunct, combine, negate."""
     options = options or SolveOptions()
     nf = normalize(f, enum_bound=options.enum_bound)
     verdicts = []
     trace: list = []
     for system in nf.systems:
-        if system.resolved is not None:
-            verdicts.append(system.resolved)
-        elif any(isinstance(a, PolyAtom) for a in system.positives + system.negatives):
-            verdicts.append(decide_poly(system, options))
-        else:
-            verdicts.append(decide_power(system, options))
+        verdicts.append(decide_power(system, options))
         trace.extend(system.trace)
     inner = _combine(verdicts)
     log = [t for t in trace if t.startswith(("redundant", "coalesce", "poly-redundant", "dedup"))]

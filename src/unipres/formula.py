@@ -43,7 +43,6 @@ from ._ast import (
     Not,
     Or,
     ParseError,
-    PolyAtom,
     PowAtomNode,
     PowerAtom,
     PredAtomNode,
@@ -529,37 +528,29 @@ def _to_dnf(node, positive: bool, decls):
 # --- direct evaluation of canonical literals (for eager finite checks) ---
 
 
-def _lit_holds(lit, y: int) -> bool:
+def _lit_test(lit):
+    """The literal as a test of the point y; a predicate's atom is built here, once."""
     tag = lit[0]
-    if tag == "true":
-        return True
-    if tag == "false":
-        return False
-    if tag == "eq":
-        return y == lit[1]
     if tag == "lt":
-        return y < lit[1]
+        c = lit[1]
+        return lambda y: y < c
     if tag == "gt":
-        return y > lit[1]
-    if tag == "mod":
-        return y % lit[1] == lit[2]
+        c = lit[1]
+        return lambda y: y > c
     if tag == "pow":
         _, sign, k, a, b = lit
-        return (kth_root(a * y + b, k) is not None) == (sign > 0)
+        return lambda y: (kth_root(a * y + b, k) is not None) == (sign > 0)
     if tag == "pred":
         _, sign, asc, a, b, _name = lit
-        return _scaled_value_set_contains(asc, a * y + b) == (sign > 0)
+        atom = poly_solver.depress_ascending(asc, 1, 0)
+        return lambda y: atom.holds(a * y + b) == (sign > 0)
     raise ValueError(f"unknown literal {lit!r}")
 
 
-def _best_witness(sys: ConstraintSystem, ys) -> Verdict | None:
-    best = None
-    for y in ys:
-        x = sys.to_original(y)
-        key = (abs(x), x)
-        if best is None or key < best[0]:
-            best = (key, x)
-    return Verdict.sat(best[1]) if best else None
+def _points_satisfying(lits, ys) -> list[int]:
+    """The ys at which every literal holds."""
+    tests = [_lit_test(lit) for lit in lits]
+    return [y for y in ys if all(t(y) for t in tests)]
 
 
 class _Dropped(Exception):
@@ -630,11 +621,10 @@ def _finite_check(sys: ConstraintSystem, lits, lo: int, hi: int, enum_bound: int
         sys.resolved = Verdict.unknown("bounded interval wider than the enumeration bound", enum_bound)
         sys.log("interval:too-wide")
         return sys
-    sat_ys = [y for y in range(lo + 1, hi) if all(_lit_holds(l, y) for l in lits)]
-    verdict = _best_witness(sys, sat_ys)
-    if verdict is None:
+    sat_ys = _points_satisfying(lits, range(lo + 1, hi))
+    if not sat_ys:
         raise _Dropped
-    sys.resolved = verdict
+    sys.resolved = Verdict.sat(power_solver.least_witness(sys.to_original(y) for y in sat_ys))
     sys.resolved_points = tuple(sat_ys)
     sys.log("interval:enumerated")
     return sys
@@ -669,7 +659,7 @@ def _build_systems(conj, enum_bound: int) -> list[ConstraintSystem]:
                 raise _Dropped
             y = eqs[0]
             rest = [l for l in lits if l[0] != "eq"]
-            if all(_lit_holds(l, y) for l in rest):
+            if _points_satisfying(rest, (y,)):
                 sys.resolved = Verdict.sat(sys.to_original(y))
                 sys.resolved_points = (y,)
                 sys.log("equality:substituted")
@@ -693,14 +683,15 @@ def _build_systems(conj, enum_bound: int) -> list[ConstraintSystem]:
         if not gts:
             if not atoms:
                 # Pure congruence talk: satisfiable everywhere it parses.
-                sys.resolved = _best_witness(sys, range(-1, 2))
+                x = power_solver.least_witness(sys.to_original(y) for y in range(-1, 2))
+                sys.resolved = Verdict.sat(x)
                 sys.resolved_all = True
                 sys.log("unconstrained")
                 return [sys]
             # No inequality at all: split y < 0, y = 0, y > 0.
             out = []
             zero = sys.clone()
-            if all(_lit_holds(l, 0) for l in atoms):
+            if _points_satisfying(atoms, (0,)):
                 zero.resolved = Verdict.sat(zero.to_original(0))
                 zero.resolved_points = (0,)
                 zero.log("case-split:zero")
@@ -794,23 +785,7 @@ def _assemble(sys: ConstraintSystem, lower: int, atoms, enum_bound: int):
             sys.log(f"depress:{name}")
         (sys.positives if sign > 0 else sys.negatives).append(atom)
 
-    # A system that preprocessing refutes stays as a resolved unsat, so its
-    # trace still names the case that refuted it.
-    for s in power_solver.preprocess(sys) or [_refuted(sys)]:
-        if s.resolved is not None or not _has_poly(s):
-            out.append(s)
-        else:
-            out.extend(poly_solver.preprocess_poly(s) or [_refuted(s)])
-    return out
-
-
-def _refuted(sys: ConstraintSystem) -> ConstraintSystem:
-    sys.resolved = Verdict.unsat()
-    return sys
-
-
-def _has_poly(sys: ConstraintSystem) -> bool:
-    return any(isinstance(a, PolyAtom) for a in sys.positives + sys.negatives)
+    return out + poly_solver.prepare(sys)
 
 
 def normalize(f: Formula, enum_bound: int = 10**6) -> NormalForm:
@@ -821,7 +796,8 @@ def normalize(f: Formula, enum_bound: int = 10**6) -> NormalForm:
     equality substitution and bounded-interval finite checks, sign
     normalization (including the x -> -x flip and the three-way case split
     when no inequality appears), depression of degree-2/3 predicates, and
-    redundancy/similarity processing.
+    redundancy/similarity processing (`poly_solver.prepare`), the only
+    preprocessing a system gets before `decide`.
     """
     decls = f.decl_map()
     q = f.root

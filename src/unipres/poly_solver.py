@@ -23,7 +23,6 @@ from .lrbs import IndexSet, Lrbs, filter_congruence
 from .numtheory import crt_extended, ResidueClass, divisor_pairs, integer_numerators, kth_root
 from .pell import QuadNum, fundamental, solve_generalized, squarefree_kernel, unit_exponent
 from .power_solver import (
-    AllSolutions,
     DEFAULT_OPTIONS,
     EmptySolutions,
     FiniteSolutions,
@@ -35,11 +34,13 @@ from .power_solver import (
     PowerValueMap,
     SolutionSet,
     SolveOptions,
-    _combine,
     _filter_by_atoms,
     _peek,
     _power_residues,
-    members,
+    _survivors,
+    _verified_sat,
+    decide,
+    least_witness,
     preprocess as power_preprocess,
     solve_positive,
 )
@@ -52,8 +53,10 @@ __all__ = [
     "depress_ascending",
     "poly_redundant",
     "preprocess_poly",
+    "prepare",
     "solve_positive_poly",
     "subtract_discarded",
+    "discard_pell_indices",
     "decide_poly",
 ]
 
@@ -486,6 +489,25 @@ def preprocess_poly(system: ConstraintSystem) -> list[ConstraintSystem]:
     return [system]
 
 
+def prepare(system: ConstraintSystem) -> list[ConstraintSystem]:
+    """Preprocess one normalized system, once: the systems `decide` takes.
+
+    Power atoms go first (`power_solver.preprocess`); a system that still
+    holds a polynomial atom then goes through `preprocess_poly`.  A system
+    that either pass refutes stays as a resolved unsat, so its trace still
+    names the case that refuted it.
+    """
+    subs = power_preprocess(system)
+    if subs and system.resolved is None and any(
+        isinstance(a, PolyAtom) for a in system.positives + system.negatives
+    ):
+        subs = preprocess_poly(system)
+    if not subs:
+        system.resolved = Verdict.unsat()
+        return [system]
+    return subs
+
+
 # ---------------------------------------------------------------------------
 # Positive solution sets.
 
@@ -839,16 +861,16 @@ def solve_positive_poly(
 ) -> SolutionSet:
     """Exact structure of the integers satisfying all positive atoms.
 
-    Atoms are depressed PolyAtoms (plus possibly power atoms of exponent
-    >= 4, which are handled by a bounded pairing, or by the power solver
-    when no PolyAtom is positive).  Preconditions mirror the power case:
-    pairwise non-redundant, a > 0.
+    The one router of the decide core: without a PolyAtom the power solver
+    takes the atoms; power atoms of exponent >= 4 next to PolyAtoms get a
+    bounded pairing.  Preconditions mirror the power case: pairwise
+    non-redundant, a > 0.
     """
     polys = sorted(a for a in positives if isinstance(a, PolyAtom))
     powers = sorted(a for a in positives if isinstance(a, PowerAtom))
     if any(a.a <= 0 for a in positives):
         raise ValueError("positive atoms must have a > 0 after normalization")
-    if powers and not polys:
+    if not polys:
         return solve_positive(powers, lower, options)
     scans = []
     for atom in polys:
@@ -864,8 +886,6 @@ def solve_positive_poly(
         rest = polys[1:] + powers
         return _bounded_curve(primary, rest, lower, options, "poly:mixed-power:bounded")
     l = len(polys)
-    if l == 0:
-        return AllSolutions(lower, "poly:none", True)
     if l == 1:
         return _single_poly_images(polys[0], scans[0], lower, "poly:single")
     degs = tuple(a.degree for a in polys)
@@ -1047,100 +1067,33 @@ def _try_discard_sets(system: ConstraintSystem, quads, options):
     return out
 
 
-# ---------------------------------------------------------------------------
-# Full decision procedure.
+def discard_pell_indices(system: ConstraintSystem, sol: SolutionSet, options: SolveOptions):
+    """Remove the Pell indices that a cubic negative rules out of a quadratic pair.
+
+    Returns `sol` unchanged unless it is an `LrbsUnion` of two positive
+    quadratics next to a cubic negative that forms a discard set; then the
+    remaining set, or the verdict when its extra values hold a survivor
+    (sat) or no index is left (unsat).
+    """
+    if not isinstance(sol, LrbsUnion) or not system.negatives:
+        return sol
+    quads = [a for a in system.positives if isinstance(a, PolyAtom) and a.degree == 2]
+    if len(quads) != 2:
+        return sol
+    discards = _try_discard_sets(system, sorted(quads), options)
+    if not discards:
+        return sol
+    sol = subtract_discarded(sol, discards)
+    system.log("discard:index-progressions")
+    y = least_witness(_survivors(system, sol.extra_values))
+    if y is not None:
+        return _verified_sat(system, y)
+    if all(e.indices.is_empty() for e in sol.entries):
+        system.log("discard:all-indices-removed")
+        return Verdict.unsat()
+    return sol
 
 
-def _negatives_pass(system: ConstraintSystem, x: int) -> bool:
-    return not any(atom.holds(x) for atom in system.negatives)
-
-
-def _decide_one_poly(system: ConstraintSystem, options: SolveOptions) -> Verdict:
-    if system.resolved is not None:
-        return system.resolved
-    sol = solve_positive_poly(system.positives, system.lower, options)
-    system.log(sol.case)
-    if isinstance(sol, EmptySolutions):
-        return Verdict.unsat() if sol.complete else Verdict.unknown(sol.case, options.enum_bound)
-    if isinstance(sol, AllSolutions):
-        from .power_solver import _search_all
-
-        return _search_all(system, options, system.trace)
-    if isinstance(sol, FiniteSolutions):
-        survivors = [
-            x
-            for x in sol.values
-            if (system.lower is None or x > system.lower)
-            and x not in system.excluded
-            and _negatives_pass(system, x)
-        ]
-        if survivors:
-            system.log("finite:witness")
-            x = min(survivors, key=lambda v: (abs(v), v))
-            return Verdict.sat(system.to_original(x))
-        if sol.complete:
-            system.log("finite:exhausted")
-            return Verdict.unsat()
-        return Verdict.unknown(f"bounded enumeration ({sol.case}) found no witness", options.enum_bound)
-    if isinstance(sol, LrbsUnion) and system.negatives:
-        quads = [a for a in system.positives if isinstance(a, PolyAtom) and a.degree == 2]
-        if len(quads) == 2:
-            discards = _try_discard_sets(system, sorted(quads), options)
-            if discards:
-                sol = subtract_discarded(sol, discards)
-                system.log("discard:index-progressions")
-                survivors_exist = any(not e.indices.is_empty() for e in sol.entries)
-                extras = [
-                    x
-                    for x in sol.extra_values
-                    if (system.lower is None or x > system.lower)
-                    and x not in system.excluded
-                    and _negatives_pass(system, x)
-                ]
-                if extras:
-                    x = min(extras, key=lambda v: (abs(v), v))
-                    return Verdict.sat(system.to_original(x))
-                if not survivors_exist:
-                    system.log("discard:all-indices-removed")
-                    return Verdict.unsat()
-    from .power_solver import _search_stream
-
-    return _search_stream(system, sol, options, system.trace)
-
-
-def decide_poly(system: ConstraintSystem, options: SolveOptions = DEFAULT_OPTIONS) -> Verdict:
-    """Three-valued satisfiability of a normalized system with polynomial atoms."""
-    work = system.clone()
-    seen = len(system.trace)  # every derived system's trace starts with these entries
-    verdicts = []
-    reported = False
-    for power_sub in power_preprocess(work):
-        subs = preprocess_poly(power_sub)
-        for sub in subs:
-            v = _decide_one_poly(sub, options)
-            system.trace.extend(sub.trace[seen:])
-            verdicts.append(v)
-            reported = True
-        if not subs:
-            system.trace.extend(power_sub.trace[seen:])
-            reported = True
-    if not reported:
-        system.trace.extend(work.trace[seen:])
-    final = _combine(verdicts)
-    if final.is_sat:
-        _verify_poly_witness(system, final.witness)
-    return final
-
-
-def _verify_poly_witness(system: ConstraintSystem, x: int) -> None:
-    m, r = system.substitution
-    v = -x if system.sign_flipped else x
-    if (v - r) % m:
-        raise AssertionError(f"witness {x} does not live on the substitution lattice")
-    work = system.clone()
-    work.positives = [
-        PolyAtom(a.k, 0, a.a, a.b, 1, 0) if isinstance(a, PowerAtom) and a.k in (2, 3) else a
-        for a in work.positives
-    ]
-    if not system_holds(work, (v - r) // m):
-        raise AssertionError(f"witness {x} fails direct evaluation")
+# The decide core lives in `power_solver`; this name stays for callers of the
+# polynomial side.
+decide_poly = decide

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from ._ast import ConstraintSystem, PolyAtom, PowerAtom, Verdict, system_holds
+from ._ast import ConstraintSystem, PowerAtom, Verdict, system_holds
 from .lrbs import IndexSet, Lrbs, filter_congruence, growth_rank
 from .numtheory import (
     crt_extended,
@@ -33,7 +33,6 @@ from .numtheory import (
     integer_numerators,
     integer_roots,
     is_kth_power,
-    kth_power_residues,
     kth_root,
 )
 from .pell import PellClass, solve_generalized
@@ -55,6 +54,7 @@ __all__ = [
     "coalesce_similar",
     "preprocess",
     "solve_positive",
+    "least_witness",
     "decide",
 ]
 
@@ -368,8 +368,6 @@ class SolutionSet:
 
 @dataclass(frozen=True)
 class AllSolutions(SolutionSet):
-    substitution: tuple[int, int] = (1, 0)
-
     def is_infinite(self) -> bool:
         return True
 
@@ -710,10 +708,7 @@ def _filter_by_atoms(base: SolutionSet, extra, options: SolveOptions, label: str
 
 
 def solve_positive(
-    positives,
-    lower: int | None = None,
-    options: SolveOptions = DEFAULT_OPTIONS,
-    substitution: tuple[int, int] = (1, 0),
+    positives, lower: int | None = None, options: SolveOptions = DEFAULT_OPTIONS
 ) -> SolutionSet:
     """Exact structure of the integers satisfying all positive power atoms.
 
@@ -724,7 +719,7 @@ def solve_positive(
         if atom.a <= 0:
             raise ValueError("positive atoms must have a > 0 after normalization")
     if len(atoms) == 0:
-        return AllSolutions(lower, "power:none", True, substitution=substitution)
+        return AllSolutions(lower, "power:none", True)
     # Cheap certified emptiness: the value-set residues must admit b mod a.
     scans = []
     for atom in atoms:
@@ -783,114 +778,96 @@ def solve_positive(
 # Full decision procedure for one normalized system.
 
 
-def _combine(verdicts) -> Verdict:
-    sats = [v for v in verdicts if v.is_sat]
-    if sats:
-        return min(sats, key=lambda v: (abs(v.witness), v.witness))
-    unknowns = [v for v in verdicts if v.is_unknown]
-    if unknowns:
-        return unknowns[0]
-    return Verdict.unsat()
+def least_witness(xs) -> int | None:
+    """The least x in (|x|, x) order, or None when there is none."""
+    return min(xs, key=lambda x: (abs(x), x), default=None)
 
 
 def _negatives_pass(system: ConstraintSystem, y: int) -> bool:
     return not any(atom.holds(y) for atom in system.negatives)
 
 
-def _search_all(system: ConstraintSystem, options: SolveOptions, trace) -> Verdict:
-    y = (system.lower if system.lower is not None else -1) + 1
-    for _ in range(options.scan_cap):
-        if y not in system.excluded and _negatives_pass(system, y):
-            trace.append("witness-scan:hit")
-            return Verdict.sat(system.to_original(y))
-        y += 1
-    trace.append("witness-scan:capped")
-    return Verdict.unknown("witness scan cap reached", options.scan_cap)
+def _survivors(system: ConstraintSystem, ys):
+    """The ys above the lower bound, not excluded, on which every negative atom fails (lazy)."""
+    lower = system.lower
+    return (
+        y
+        for y in ys
+        if (lower is None or y > lower) and y not in system.excluded and _negatives_pass(system, y)
+    )
 
 
-def _search_stream(system: ConstraintSystem, sol: SolutionSet, options: SolveOptions, trace) -> Verdict:
-    stream = members(sol, options)
-    count = 0
-    for x in stream:
-        if count >= options.scan_cap:
-            trace.append("witness-scan:capped")
-            return Verdict.unknown("witness scan cap reached", options.scan_cap)
-        count += 1
-        if system.lower is not None and x <= system.lower:
-            continue
-        if x in system.excluded:
-            continue
-        if _negatives_pass(system, x):
-            trace.append("witness-scan:hit")
-            return Verdict.sat(system.to_original(x))
-    if stream.capped:
-        trace.append("witness-scan:value-cap")
+def _verified_sat(system: ConstraintSystem, y: int) -> Verdict:
+    """Sat at the working point y, re-verified by direct evaluation of the system."""
+    if not system_holds(system, y):
+        raise AssertionError(f"witness {system.to_original(y)} fails direct evaluation")
+    return Verdict.sat(system.to_original(y))
+
+
+def _above(lower: int | None):
+    """The integers y > lower in (|y|, y) order."""
+    if lower is not None and lower >= 0:
+        yield from itertools.count(lower + 1)
+        return
+    yield 0
+    for i in itertools.count(1):
+        if lower is None or -i > lower:
+            yield -i
+        yield i
+
+
+def _search(system: ConstraintSystem, candidates, options: SolveOptions) -> Verdict:
+    """The first surviving candidate among the first `scan_cap` ones."""
+    it = iter(candidates)
+    for y in _survivors(system, itertools.islice(it, options.scan_cap)):
+        system.log("witness-scan:hit")
+        return _verified_sat(system, y)
+    if next(it, None) is not None:
+        system.log("witness-scan:capped")
+        return Verdict.unknown("witness scan cap reached", options.scan_cap)
+    if isinstance(candidates, MemberStream) and candidates.capped:
+        system.log("witness-scan:value-cap")
         return Verdict.unknown("candidate values exceeded the size cap", options.value_bits)
-    trace.append("witness-scan:exhausted")
+    system.log("witness-scan:exhausted")
     return Verdict.unsat()
 
 
-def _decide_one(system: ConstraintSystem, options: SolveOptions) -> Verdict:
+def decide(system: ConstraintSystem, options: SolveOptions = DEFAULT_OPTIONS) -> Verdict:
+    """Three-valued satisfiability of one system that `normalize` produced.
+
+    Precondition: the system comes from `formula.normalize`, or a
+    hand-built one went through `poly_solver.prepare`, so it has been
+    preprocessed exactly once.  A system resolved there (eagerly, or as a
+    refuted unsat) returns its `resolved` verdict.  Otherwise the positive
+    atoms give the solution set (`poly_solver.solve_positive_poly` routes
+    every atom mix), and the lower bound, the excluded points and the
+    negative atoms filter it.
+
+    Witness rule: inside a system the witness is the first hit in (|y|, y)
+    order of the working variable y; across systems (`cli.solve_formula`)
+    the least (|x|, x) of the original variable x wins.  Sat witnesses are
+    returned in original coordinates, re-verified by direct evaluation.
+    """
     if system.resolved is not None:
         return system.resolved
-    sol = solve_positive(
-        system.positives, system.lower, options, substitution=system.substitution
-    )
+    from .poly_solver import discard_pell_indices, solve_positive_poly
+
+    sol = solve_positive_poly(system.positives, system.lower, options)
     system.log(sol.case)
+    sol = discard_pell_indices(system, sol, options)
+    if isinstance(sol, Verdict):
+        return sol
     if isinstance(sol, EmptySolutions):
         return Verdict.unsat() if sol.complete else Verdict.unknown(sol.case, options.enum_bound)
     if isinstance(sol, AllSolutions):
-        return _search_all(system, options, system.trace)
+        return _search(system, _above(system.lower), options)
     if isinstance(sol, FiniteSolutions):
-        survivors = [
-            x
-            for x in sol.values
-            if (system.lower is None or x > system.lower)
-            and x not in system.excluded
-            and _negatives_pass(system, x)
-        ]
-        if survivors:
+        y = least_witness(_survivors(system, sol.values))
+        if y is not None:
             system.log("finite:witness")
-            x = min(survivors, key=lambda v: (abs(v), v))
-            return Verdict.sat(system.to_original(x))
+            return _verified_sat(system, y)
         if sol.complete:
             system.log("finite:exhausted")
             return Verdict.unsat()
         return Verdict.unknown(f"bounded enumeration ({sol.case}) found no witness", options.enum_bound)
-    return _search_stream(system, sol, options, system.trace)
-
-
-def decide(system: ConstraintSystem, options: SolveOptions = DEFAULT_OPTIONS) -> Verdict:
-    """Three-valued satisfiability of one normalized power system.
-
-    Sat witnesses are returned in original coordinates and re-verified by
-    direct evaluation before being reported.
-    """
-    if any(isinstance(a, PolyAtom) for a in system.positives + system.negatives):
-        from .poly_solver import decide_poly
-
-        return decide_poly(system, options)
-    work = system.clone()
-    seen = len(system.trace)  # every derived system's trace starts with these entries
-    subs = preprocess(work)
-    verdicts = []
-    for sub in subs:
-        v = _decide_one(sub, options)
-        system.trace.extend(sub.trace[seen:])
-        verdicts.append(v)
-    if not subs:
-        system.trace.extend(work.trace[seen:])
-    final = _combine(verdicts)
-    if final.is_sat:
-        _verify_witness(system, final.witness)
-    return final
-
-
-def _verify_witness(system: ConstraintSystem, x: int) -> None:
-    m, r = system.substitution
-    v = -x if system.sign_flipped else x
-    if (v - r) % m != 0:
-        raise AssertionError(f"witness {x} does not live on the substitution lattice")
-    y = (v - r) // m
-    if not system_holds(system, y):
-        raise AssertionError(f"witness {x} fails direct evaluation")
+    return _search(system, members(sol, options), options)

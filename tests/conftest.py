@@ -9,8 +9,9 @@ from fractions import Fraction
 import pytest
 
 from unipres._ast import ConstraintSystem, PolyAtom, PowerAtom, PredicateDecl
-from unipres import oracle
-from unipres.poly_solver import depress
+from unipres import cli, oracle
+from unipres.poly_solver import depress, prepare
+from unipres.power_solver import decide
 
 
 def brute_first_witness(system: ConstraintSystem, bound: int) -> int | None:
@@ -28,6 +29,15 @@ def brute_first_witness(system: ConstraintSystem, bound: int) -> int | None:
             continue
         return y
     return None
+
+
+def decide_prepared(system: ConstraintSystem, options):
+    """Decide a hand-built system the way `cli.solve_formula` decides normalized ones.
+
+    `prepare` runs the preprocessing that `normalize` runs on the systems it
+    builds; each resulting system is decided and the verdicts are combined.
+    """
+    return cli._combine([decide(s, options) for s in prepare(system)])
 
 
 def eval_system_directly(system: ConstraintSystem, y: int) -> bool:

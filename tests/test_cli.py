@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 from unipres import cli
+from unipres._ast import PolyAtom
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -30,10 +31,14 @@ def test_internal_error_has_its_own_exit_code_and_keeps_other_results(tmp_path, 
     poly = write(tmp_path, "poly.sexp", "(declare-pred T (coeffs 1 0 0)) (exists x (pred T x))")
     bad = write(tmp_path, "bad.sexp", "(exists x (> x y))")
 
-    def broken(system, options):
-        raise RuntimeError("solver fault")
+    decide = cli.decide_power
 
-    monkeypatch.setattr(cli, "decide_poly", broken)
+    def broken(system, options):
+        if any(isinstance(a, PolyAtom) for a in system.positives + system.negatives):
+            raise RuntimeError("solver fault")
+        return decide(system, options)
+
+    monkeypatch.setattr(cli, "decide_power", broken)
     assert cli.main(["--format", "json-lines", poly, bad, power]) == cli.EXIT_INTERNAL == 70
     out, err = capsys.readouterr()
     records = cli.read_records(out)
@@ -83,3 +88,12 @@ def test_malformed_fixture_is_an_input_error(capsys):
     assert err == f"error: {path}: {message}\n"
     [record] = cli.read_records(out)
     assert (record["verdict"], record["error"], record["message"]) == ("error", "input", message)
+
+
+def test_witness_is_the_first_hit_in_abs_order_of_the_working_variable(tmp_path, capsys):
+    # -3x - 15 < x - 2 holds for x >= -3; the scan visits 0, -1, 1, ... above the bound.
+    path = write(tmp_path, "half_line.sexp", "(exists x (< (+ (* -3 x) -15) (+ x -2)))")
+    assert cli.main(["--format", "json-lines", path]) == cli.EXIT_SAT
+    [record] = cli.read_records(capsys.readouterr().out)
+    assert (record["verdict"], record["witness"]) == ("sat", 0)
+    assert record["case_trace"] == ["power:none", "witness-scan:hit"]

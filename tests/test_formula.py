@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unipres import ParseError, PolyAtom, PowerAtom, Verdict, format_formula, normalize, parse
+from unipres import ParseError, PolyAtom, PowerAtom, SolveOptions, Verdict, format_formula, normalize, parse
+from unipres import poly_solver
+from unipres.cli import solve_formula
 from unipres._ast import Cmp, LinTerm, PredAtomNode, PredicateDecl, Quant
 from unipres import oracle
 from unipres.encoder import parse_poly
@@ -71,7 +73,7 @@ def test_normalize_crt_example():
     assert len(nf.systems) == 1
     s = nf.systems[0]
     assert s.substitution == (12, 5)
-    assert not s.positives and not s.pending_mods
+    assert not s.positives
     assert s.resolved is not None and s.resolved.is_sat
     assert s.resolved.witness % 12 == 5 and s.resolved.witness % 4 == 1 and s.resolved.witness % 6 == 5
 
@@ -231,6 +233,44 @@ def test_semantic_preservation_smoke():
             direct = oracle.eval_at(f, x)
             covered = any(_system_satisfied_at(s, x) for s in nf.systems)
             assert covered == direct, (text, x)
+
+
+def test_sentence_differential_against_the_oracle():
+    # Every sat witness satisfies the sentence, and no unsat sentence has a
+    # witness in |x| <= 200.
+    rng = random.Random(20261018)
+    opts = SolveOptions(enum_bound=200)
+    for _ in range(1000):
+        text = _random_formula(rng)
+        f = parse(text)
+        v = solve_formula(f, opts).verdict
+        if v.is_sat:
+            assert oracle.eval_at(f, v.witness), (text, v)
+        elif v.is_unsat:
+            assert oracle.scan(f, 200).witnesses == (), text
+
+
+@pytest.mark.parametrize("body, preds", [
+    # finite check of a bounded interval
+    ("(and (> x 10) (< x 3000) (pred T (+ (* 2 x) 1)) (not (pred C x)) (not (pow 2 x)))", 2),
+    # equality path
+    ("(and (= (* 2 x) 12) (pred T x) (not (pred C (+ x 1))))", 2),
+])
+def test_finite_checks_build_each_predicate_atom_once(monkeypatch, body, preds):
+    calls = []
+    depress_ascending = poly_solver.depress_ascending
+
+    def counted(*args):
+        calls.append(args)
+        return depress_ascending(*args)
+
+    monkeypatch.setattr(poly_solver, "depress_ascending", counted)
+    f = parse(f"(declare-pred T (coeffs 1/2 1/2 0)) (declare-pred C (coeffs 1 0 -3 0)) (exists x {body})")
+    nf = normalize(f)
+    assert len(calls) <= preds
+    [system] = nf.systems
+    assert system.resolved is not None and system.resolved.is_sat
+    assert oracle.eval_at(f, system.resolved.witness)
 
 
 def test_parse_multi():

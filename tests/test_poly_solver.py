@@ -19,7 +19,6 @@ from unipres.poly_solver import (
     _poly_residues,
     _single_poly_images,
     _try_discard_sets,
-    decide_poly,
     depress,
     depress_ascending,
     poly_redundant,
@@ -32,6 +31,7 @@ from unipres.cli import solve_formula
 
 from conftest import (
     brute_first_witness,
+    decide_prepared,
     eval_system_directly,
     random_int_valued_pred,
     random_poly_system,
@@ -141,7 +141,7 @@ class TestSolvePositive:
 
     def test_empty(self):
         s = solve_positive_poly([], options=OPTS)
-        assert s.case == "poly:none"
+        assert s.case == "power:none"
 
     def test_quad_pair_matches_scan(self):
         atoms = [PolyAtom(2, 0, 1, 0, 1, 0), PolyAtom(2, 0, 2, 8, 1, 0)]
@@ -290,7 +290,7 @@ class Test4c:
 
     def test_decide_sat_on_residual(self):
         sys_ = ConstraintSystem(lower=4, positives=[self.q1, self.q3], negatives=[self.neg])
-        v = decide_poly(sys_, OPTS)
+        v = decide_prepared(sys_, OPTS)
         assert v.is_sat and v.witness == 6724
         assert "discard:index-progressions" in sys_.trace
 
@@ -299,7 +299,7 @@ class Test4c:
         # progression survives the stride, so the negative empties S.
         q3s = PolyAtom(2, 0, 2, 8, 5, 0)
         sys_ = ConstraintSystem(lower=0, positives=[self.q1, q3s], negatives=[self.neg])
-        v = decide_poly(sys_, OPTS)
+        v = decide_prepared(sys_, OPTS)
         assert v.is_unsat
         assert "discard:all-indices-removed" in sys_.trace
 
@@ -325,18 +325,18 @@ class TestDecidePoly:
     def test_forced_contradiction(self):
         atom = depress(TRIANGULAR, 1, 0).atom
         sys_ = ConstraintSystem(lower=0, positives=[atom], negatives=[atom])
-        assert decide_poly(sys_, OPTS).is_unsat
+        assert decide_prepared(sys_, OPTS).is_unsat
 
     def test_fermat_never_sat(self):
         atoms = [depress(TRIANGULAR, 1, 0).atom, PolyAtom(3, 0, 1, 0, 1, 0)]
         sys_ = ConstraintSystem(lower=1, positives=atoms)
-        v = decide_poly(sys_, OPTS)
+        v = decide_prepared(sys_, OPTS)
         assert v.is_unknown
 
     def test_triangular_cube_below_threshold(self):
         atoms = [depress(TRIANGULAR, 1, 0).atom, PolyAtom(3, 0, 1, 0, 1, 0)]
         sys_ = ConstraintSystem(lower=0, positives=list(atoms))
-        v = decide_poly(sys_, OPTS)
+        v = decide_prepared(sys_, OPTS)
         assert v.is_sat and v.witness == 1
 
 
@@ -412,7 +412,7 @@ def check_poly_differential(rng, count, bound):
     opts = SolveOptions(enum_bound=1200, scan_cap=4000, value_bits=2500)
     for i in range(count):
         sys_ = random_poly_system(rng)
-        v = decide_poly(sys_.clone(), opts)
+        v = decide_prepared(sys_.clone(), opts)
         if v.is_sat:
             x = v.witness
             if sys_.sign_flipped:

@@ -13,7 +13,6 @@ from unipres.power_solver import (
     PolyImages,
     SolveOptions,
     coalesce_similar,
-    decide,
     is_redundant,
     members,
     preprocess,
@@ -21,7 +20,7 @@ from unipres.power_solver import (
 )
 from unipres import oracle
 
-from conftest import brute_first_witness, eval_system_directly, random_power_system
+from conftest import brute_first_witness, decide_prepared, eval_system_directly, random_power_system
 
 OPTS = SolveOptions(enum_bound=2000, scan_cap=20_000, value_bits=4000)
 
@@ -190,38 +189,45 @@ class TestSolvePositive:
 class TestDecide:
     def test_sat_square_not_fourth(self):
         sys_ = ConstraintSystem(lower=0, positives=[PowerAtom(2, 1, 0)], negatives=[PowerAtom(4, 1, 0)])
-        v = decide(sys_, OPTS)
+        v = decide_prepared(sys_, OPTS)
         assert v.is_sat and v.witness == 4
 
     def test_direct_contradiction(self):
         sys_ = ConstraintSystem(lower=0, positives=[PowerAtom(2, 1, 0)], negatives=[PowerAtom(2, 1, 0)])
-        assert decide(sys_, OPTS).is_unsat
+        assert decide_prepared(sys_, OPTS).is_unsat
 
     def test_catalan_unknown(self):
         sys_ = ConstraintSystem(lower=8, positives=[PowerAtom(2, 1, 0), PowerAtom(3, 1, 1)])
-        v = decide(sys_, OPTS)
+        v = decide_prepared(sys_, OPTS)
         assert v.is_unknown
 
     def test_forced_false_positive_keeps_zero_point(self):
         # Z^4(16x) & Z^2(3x) forces a contradiction away from x = 0, where
         # both terms vanish; x = 0 is a genuine witness.
         sys_ = ConstraintSystem(lower=-5, positives=[PowerAtom(4, 16, 0), PowerAtom(2, 3, 0)])
-        v = decide(sys_, OPTS)
+        v = decide_prepared(sys_, OPTS)
         assert v.is_sat and v.witness == 0
 
     def test_forced_false_negative_excludes_zero_point(self):
         # not Z^2(3x) is free given Z^4(16x) except at x = 0, which the
         # discard must carve out: the witness skips 0 and lands on 1.
         sys_ = ConstraintSystem(lower=-5, positives=[PowerAtom(4, 16, 0)], negatives=[PowerAtom(2, 3, 0)])
-        v = decide(sys_, OPTS)
+        v = decide_prepared(sys_, OPTS)
         assert v.is_sat and v.witness == 1
         assert not eval_system_directly(sys_, 0)  # 3*0 = 0 is a square
+
+    def test_scan_visits_abs_order_above_a_negative_bound(self):
+        # 0 is a square, so the scan moves on to -1 before 1 and -2.
+        sys_ = ConstraintSystem(lower=-4, negatives=[PowerAtom(2, 1, 0)])
+        v = decide_prepared(sys_, OPTS)
+        assert v.is_sat and v.witness == -1
+        assert sys_.trace == ["power:none", "witness-scan:hit"]
 
     def test_substitution_mapping(self):
         sys_ = ConstraintSystem(
             lower=0, positives=[PowerAtom(2, 1, 0)], substitution=(3, 1), sign_flipped=True
         )
-        v = decide(sys_, OPTS)
+        v = decide_prepared(sys_, OPTS)
         assert v.is_sat
         # witness x = -(3y + 1) for the smallest square y > 0
         assert v.witness == -(3 * 1 + 1)
@@ -237,7 +243,7 @@ def check_differential_batch(rng, count, bound):
     opts = SolveOptions(enum_bound=1500, scan_cap=5000, value_bits=3000)
     for i in range(count):
         sys_ = random_power_system(rng)
-        v = decide(sys_.clone(), opts)
+        v = decide_prepared(sys_.clone(), opts)
         if v.is_sat:
             assert eval_system_directly(sys_, _pullback(sys_, v.witness)), (i, sys_, v)
         witness = brute_first_witness(sys_, bound)
