@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._ast import ConstraintSystem, PolyAtom, PowerAtom, PredicateDecl, Verdict, system_holds
-from .lrbs import IndexSet, Lrbs, filter_congruence
-from .numtheory import crt_extended, ResidueClass, divisor_pairs, integer_numerators, kth_root
+from .lrbs import IndexSet
+from .numtheory import crt_extended, ResidueClass, integer_numerators, kth_root
 from .pell import QuadNum, fundamental, solve_generalized, squarefree_kernel, unit_exponent
 from .power_solver import (
     DEFAULT_OPTIONS,
@@ -31,12 +31,14 @@ from .power_solver import (
     LrbsUnion,
     PolyImages,
     PolyValueMap,
-    PowerValueMap,
     SolutionSet,
     SolveOptions,
     _filter_by_atoms,
+    _pell_orbit_entries,
     _peek,
     _power_residues,
+    _quad_pair_solution,
+    _square_factor_pairs,
     _survivors,
     _verified_sat,
     decide,
@@ -332,13 +334,25 @@ def _lin_congruence(a: int, c: int, m: int):
     return t0, m2
 
 
-def _merge_line_branch(P: PolyAtom, Q: PolyAtom, num: int, den: int) -> PolyAtom | None:
-    """Atom equivalent to P & Q along the branch u1 = (num/den) u2, u2 = den*v."""
+def _branch_slopes(data: RedundancyData) -> list[Fraction]:
+    """Slopes m of the correlation lines u1 = m*u2."""
+    if data.kind == "line":
+        return [data.slope, -data.slope]
+    return [-data.slope] if data.kind == "line+conic" else []
+
+
+def _branch_class(P: PolyAtom, Q: PolyAtom, num: int, den: int) -> ResidueClass | None:
+    """The v with u1 = num*v on P's witness lattice and u2 = den*v on Q's, or None."""
     c1 = _lin_congruence(num, P.offset, P.stride)
     c2 = _lin_congruence(den, Q.offset, Q.stride)
     if c1 is None or c2 is None:
         return None
-    merged = crt_extended([ResidueClass(c1[1], c1[0]), ResidueClass(c2[1], c2[0])])
+    return crt_extended([ResidueClass(c1[1], c1[0]), ResidueClass(c2[1], c2[0])])
+
+
+def _merge_line_branch(P: PolyAtom, Q: PolyAtom, num: int, den: int) -> PolyAtom | None:
+    """Atom equivalent to P & Q along the branch u1 = (num/den) u2, u2 = den*v."""
+    merged = _branch_class(P, Q, num, den)
     if merged is None:
         return None
     vq, v0 = merged.modulus, merged.residue
@@ -354,17 +368,35 @@ def _merge_line_branch(P: PolyAtom, Q: PolyAtom, num: int, den: int) -> PolyAtom
     return depress_ascending(comp, P.a, P.b)
 
 
+def _common_point_systems(base: ConstraintSystem, P: PolyAtom, Q: PolyAtom, points, note: str):
+    """One resolved sat system per distinct x at which P and Q meet in a listed (u1, u2)."""
+    out = []
+    seen = set()
+    for u1, u2 in points:
+        if u1 % P.stride != P.offset or u2 % Q.stride != Q.offset:
+            continue
+        v1 = _atom_value(P, u1)
+        if (v1 - P.b) % P.a:
+            continue
+        x = (v1 - P.b) // P.a
+        if x in seen or _atom_value(Q, u2) != Q.a * x + Q.b:
+            continue
+        seen.add(x)
+        cand = base.clone()
+        if system_holds(cand, x):
+            cand.resolved = Verdict.sat(cand.to_original(x))
+            cand.resolved_points = (x,)
+            cand.log(note)
+            out.append(cand)
+    return out
+
+
 def _redundant_pair_systems(system: ConstraintSystem, P: PolyAtom, Q: PolyAtom, data: RedundancyData):
     """Split the system on the witness correlation of two positive atoms."""
     out = []
     base = system.clone()
     base.positives = [a for a in system.positives if a is not P and a is not Q]
-    slopes = []
-    if data.kind == "line":
-        slopes = [data.slope, -data.slope]
-    elif data.kind == "line+conic":
-        slopes = [-data.slope]
-    for m in slopes:
+    for m in _branch_slopes(data):
         branch = base.clone()
         atom = _merge_line_branch(P, Q, m.numerator, m.denominator)
         if atom is None:
@@ -372,38 +404,17 @@ def _redundant_pair_systems(system: ConstraintSystem, P: PolyAtom, Q: PolyAtom, 
         branch.positives.append(atom)
         branch.log(f"poly-redundant:merge:{P.degree}")
         out.append(branch)
-    for u1, u2 in data.points:
-        if u1 % P.stride != P.offset or u2 % Q.stride != Q.offset:
-            continue
-        v1 = u1**P.degree + P.lin * u1
-        if (v1 - P.b) % P.a:
-            continue
-        x = (v1 - P.b) // P.a
-        if (u2**Q.degree + Q.lin * u2) != Q.a * x + Q.b:
-            continue
-        cand = base.clone()
-        if system_holds(cand, x):
-            cand.resolved = Verdict.sat(cand.to_original(x))
-            cand.log("poly-redundant:conic-point")
-            out.append(cand)
-    return out
+    note = "poly-redundant:point-only" if data.kind == "point" else "poly-redundant:conic-point"
+    return out + _common_point_systems(base, P, Q, data.points, note)
 
 
 def _branch_residues(P: PolyAtom, Q: PolyAtom, data: RedundancyData):
     """u1-residue classes (mod L) covered by the correlation branches."""
-    slopes = [data.slope, -data.slope] if data.kind == "line" else [-data.slope]
     classes = []
-    for m in slopes:
-        num, den = m.numerator, m.denominator
-        c1 = _lin_congruence(num, P.offset, P.stride)
-        c2 = _lin_congruence(den, Q.offset, Q.stride)
-        if c1 is None or c2 is None:
-            continue
-        merged = crt_extended([ResidueClass(c1[1], c1[0]), ResidueClass(c2[1], c2[0])])
-        if merged is None:
-            continue
-        vq, v0 = merged.modulus, merged.residue
-        classes.append(((num * v0), abs(num) * vq))
+    for m in _branch_slopes(data):
+        merged = _branch_class(P, Q, m.numerator, m.denominator)
+        if merged is not None:
+            classes.append((m.numerator * merged.residue, abs(m.numerator) * merged.modulus))
     return classes
 
 
@@ -437,30 +448,9 @@ def preprocess_poly(system: ConstraintSystem) -> list[ConstraintSystem]:
             data = poly_redundant(P, Q)
             if data is None:
                 continue
-            if data.kind == "point":
-                base = system.clone()
-                base.positives = [a for a in system.positives if a is not P and a is not Q]
-                out = []
-                for u1, u2 in data.points:
-                    if u1 % P.stride != P.offset or u2 % Q.stride != Q.offset:
-                        continue
-                    v1 = u1**P.degree + P.lin * u1
-                    if (v1 - P.b) % P.a:
-                        continue
-                    x = (v1 - P.b) // P.a
-                    if (u2**Q.degree + Q.lin * u2) != Q.a * x + Q.b:
-                        continue
-                    cand = base.clone()
-                    if system_holds(cand, x):
-                        cand.resolved = Verdict.sat(cand.to_original(x))
-                        cand.resolved_points = (x,)
-                        cand.log("poly-redundant:point-only")
-                        out.append(cand)
-                return out
-            branches = _redundant_pair_systems(system, P, Q, data)
             result = []
-            for b in branches:
-                result.extend(preprocess_poly(b))
+            for branch in _redundant_pair_systems(system, P, Q, data):
+                result.extend(preprocess_poly(branch))
             return result
 
     # Positive-vs-negative redundancy: detect full coverage (contradiction
@@ -547,81 +537,6 @@ def _single_poly_images(atom: PolyAtom, residues, lower, case: str) -> SolutionS
             coeffs = [(w**3 + lin * w - b) // a, (3 * w * w + lin) * q, 3 * w * q * q * a, q**3 * a * a]
         polys.append(ImagePoly(coeffs))
     return PolyImages(lower, case + ":images", True, polys=tuple(polys))
-
-
-def _quad_residue_classes(atom: PolyAtom) -> list[tuple[int, int]]:
-    """Classes (offset, modulus) of witnesses u with u^2 = b (mod a) and the stride."""
-    out = []
-    for s in range(atom.a):
-        if (s * s - atom.b) % atom.a:
-            continue
-        merged = crt_extended([ResidueClass(atom.a, s), ResidueClass(atom.stride, atom.offset)])
-        if merged is not None:
-            out.append((merged.residue, merged.modulus))
-    return sorted(set(out))
-
-
-def _quad_pair_solution(first: PolyAtom, second: PolyAtom, lower, options, label: str) -> SolutionSet:
-    """Two quadratic atoms: divisor factorization or Pell orbits."""
-    a1, b1, a2, b2 = first.a, first.b, second.a, second.b
-    n = a1 * a2
-    E = math.isqrt(n)
-    N = a2 * (a2 * b1 - a1 * b2)
-    if E * E == n:
-        vals = set()
-        if N == 0:
-            if b2 % a2 == 0 and a1 * (-b2 // a2) + b1 == 0:
-                x = -b2 // a2
-                if first.holds(x) and second.holds(x):
-                    vals.add(x)
-        else:
-            for d1, d2 in divisor_pairs(N):
-                if (d1 + d2) % 2 or (d2 - d1) % (2 * E):
-                    continue
-                z = (d2 - d1) // (2 * E)
-                if (z * z - b2) % a2:
-                    continue
-                x = (z * z - b2) // a2
-                if first.holds(x) and second.holds(x):
-                    vals.add(x)
-        return FiniteSolutions(lower, label + ":divisor", True, values=tuple(sorted(vals)))
-    if N == 0:
-        vals = set()
-        if b2 % a2 == 0 and a1 * (-b2 // a2) + b1 == 0:
-            x = -b2 // a2
-            if first.holds(x) and second.holds(x):
-                vals.add(x)
-        return FiniteSolutions(lower, label + ":proportional-point", True, values=tuple(sorted(vals)))
-    c1 = _quad_residue_classes(first)
-    c2 = _quad_residue_classes(second)
-    if not c1 or not c2:
-        return EmptySolutions(lower, label + ":empty-residues", True)
-    sols = solve_generalized(n, N)
-    if not sols.classes:
-        return EmptySolutions(lower, label + ":pell-empty", True)
-    entries = []
-    for cls in sols.classes:
-        w0, z0 = cls.fundamental
-        w_i, z_i = cls.rep
-        wseq = Lrbs((2 * w0, -1), (w_i, w_i * w0 + n * z_i * z0))
-        zseq = Lrbs((2 * w0, -1), (z_i, z_i * w0 + w_i * z0))
-        idx_w = IndexSet.nothing()
-        for off, mod in c1:
-            for sgn in (1, -1):
-                idx_w = idx_w.union(filter_congruence(wseq, a2 * mod, (sgn * a2 * off) % (a2 * mod)))
-        idx_z = IndexSet.nothing()
-        for off, mod in c2:
-            for sgn in (1, -1):
-                idx_z = idx_z.union(filter_congruence(zseq, mod, (sgn * off) % mod))
-        idx = idx_w.intersect(idx_z)
-        if idx.is_empty():
-            continue
-        entries.append(
-            LrbsEntry(zseq, wseq, idx, PowerValueMap(2, a2, b2), pell_class=cls, component="z")
-        )
-    if not entries:
-        return EmptySolutions(lower, label + ":pell-filtered-empty", True)
-    return LrbsUnion(lower, label + ":pell", True, entries=tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -785,75 +700,41 @@ def _triple_4c(
     C = ac * (g3 * dl1 - g1 * dl3)
     if C == 0:
         return None
+
+    def holds(x):
+        return quad1.holds(x) and quad3.holds(x) and cubic.holds(x)
+
+    extras = tuple(
+        x for x in sorted(set(_curve_extra_points(d1)) | set(_curve_extra_points(d3))) if holds(x)
+    )
     n4 = g1 * g3
     E = math.isqrt(n4)
     if E * E == n4:
-        vals = set(_curve_extra_points(d1)) | set(_curve_extra_points(d3))
-        for a, b in divisor_pairs(g3 * C):
-            if (a + b) % 2 or (b - a) % (2 * E):
-                continue
-            Wp = (a + b) // 2
+        vals = set(extras)
+        for Wp, _ in _square_factor_pairs(E, g3 * C):
             if Wp % g3:
                 continue
-            v1 = Wp // g3
-            x = _peval(list(d1.image), v1)
-            if x.denominator != 1:
-                continue
-            x = int(x)
-            if quad1.holds(x) and quad3.holds(x) and cubic.holds(x):
-                vals.add(x)
-        vals = {x for x in vals if quad1.holds(x) and quad3.holds(x) and cubic.holds(x)}
+            x = _peval(d1.image, Wp // g3)
+            if x.denominator == 1 and holds(int(x)):
+                vals.add(int(x))
         return FiniteSolutions(lower, label + ":4c-divisor", True, values=tuple(sorted(vals)))
     sols = solve_generalized(n4, g3 * C)
-    extras = tuple(
-        x
-        for x in sorted(set(_curve_extra_points(d1)) | set(_curve_extra_points(d3)))
-        if quad1.holds(x) and quad3.holds(x) and cubic.holds(x)
-    )
-    if not sols.classes:
-        if extras:
-            return FiniteSolutions(lower, label + ":4c-extras", True, values=extras)
-        return EmptySolutions(lower, label + ":4c-empty", True)
     # W' = g3*v1 must land on residues where v1 passes the pair-1 checks and
     # Z' = v3 on residues passing the pair-3 checks.
-    MW = g3 * d1.modulus
-    w_res = sorted({(s * g3 * rho) % MW for rho in d1.residues for s in (1, -1)})
-    MZ = d3.modulus
-    z_res = sorted({(s * rho) % MZ for rho in d3.residues for s in (1, -1)})
-    if not w_res or not z_res:
-        if extras:
-            return FiniteSolutions(lower, label + ":4c-extras", True, values=extras)
-        return EmptySolutions(lower, label + ":4c-empty", True)
-    entries = []
-    for cls in sols.classes:
-        w0, z0 = cls.fundamental
-        w_i, z_i = cls.rep
-        wseq = Lrbs((2 * w0, -1), (w_i, w_i * w0 + n4 * z_i * z0))
-        zseq = Lrbs((2 * w0, -1), (z_i, z_i * w0 + w_i * z0))
-        idx_w = IndexSet.nothing()
-        for r in w_res:
-            idx_w = idx_w.union(filter_congruence(wseq, MW, r))
-        idx_z = IndexSet.nothing()
-        for r in z_res:
-            idx_z = idx_z.union(filter_congruence(zseq, MZ, r))
-        idx = idx_w.intersect(idx_z)
-        if idx.is_empty():
-            continue
-        entries.append(
-            LrbsEntry(
-                wseq,
-                zseq,
-                idx,
-                PolyValueMap(ImagePoly(d1.image), g3),
-                pell_class=cls,
-                component="w",
-            )
+    MW, MZ = g3 * d1.modulus, d3.modulus
+    w_filter = sorted({(MW, (s * g3 * rho) % MW) for rho in d1.residues for s in (1, -1)})
+    z_filter = sorted({(MZ, (s * rho) % MZ) for rho in d3.residues for s in (1, -1)})
+    entries = _pell_orbit_entries(
+        sols, w_filter, z_filter, lambda: PolyValueMap(ImagePoly(d1.image), g3), "w"
+    )
+    if entries:
+        return LrbsUnion(
+            lower, label + ":4c-pell", True, entries=tuple(entries), extra_values=extras
         )
-    if not entries:
-        if extras:
-            return FiniteSolutions(lower, label + ":4c-extras", True, values=extras)
-        return EmptySolutions(lower, label + ":4c-filtered-empty", True)
-    return LrbsUnion(lower, label + ":4c-pell", True, entries=tuple(entries), extra_values=extras)
+    if extras:
+        return FiniteSolutions(lower, label + ":4c-extras", True, values=extras)
+    searched = sols.classes and w_filter and z_filter
+    return EmptySolutions(lower, label + (":4c-filtered-empty" if searched else ":4c-empty"), True)
 
 
 def solve_positive_poly(
@@ -1094,6 +975,6 @@ def discard_pell_indices(system: ConstraintSystem, sol: SolutionSet, options: So
     return sol
 
 
-# The decide core lives in `power_solver`; this name stays for callers of the
-# polynomial side.
+# The decide core is `power_solver.decide`.  The alias stays because the
+# benchmark's tracer (`perfbench/tracing.py`, `TARGETS`) looks it up by name.
 decide_poly = decide

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._ast import ConstraintSystem, PowerAtom, Verdict, system_holds
+from ._ast import ConstraintSystem, PolyAtom, PowerAtom, Verdict, system_holds
 from .lrbs import IndexSet, Lrbs, filter_congruence, growth_rank
 from .numtheory import (
     crt_extended,
@@ -35,7 +35,7 @@ from .numtheory import (
     is_kth_power,
     kth_root,
 )
-from .pell import PellClass, solve_generalized
+from .pell import PellClass, PellSolutionSet, solve_generalized
 
 __all__ = [
     "Verdict",
@@ -610,65 +610,102 @@ def _single_power_images(atom: PowerAtom, residues, lower: int | None) -> Soluti
     return PolyImages(lower, "power:single:images", True, polys=tuple(polys))
 
 
-def _divisor_pair_solutions(a1: int, b1: int, a2: int, b2: int, E: int) -> list[int]:
-    """x with a1*x+b1 and a2*x+b2 both squares, via (w-Ez)(w+Ez) = N; complete."""
-    N = a2 * (a2 * b1 - a1 * b2)
-    out = set()
-    if N == 0:
-        # Degenerate proportional pair: only the common zero of both terms.
-        if b2 % a2 == 0 and (-b2 // a2) * a1 + b1 == 0:
-            x = -b2 // a2
-            if is_kth_power(a1 * x + b1, 2) and is_kth_power(a2 * x + b2, 2):
-                out.add(x)
-        return sorted(out)
+def _square_factor_pairs(E: int, N: int):
+    """The (w, z) with (w - E*z)(w + E*z) = N, for E >= 1 and N != 0."""
     for d1, d2 in divisor_pairs(N):
-        if (d1 + d2) % 2 != 0 or (d2 - d1) % (2 * E) != 0:
-            continue
-        z = (d2 - d1) // (2 * E)
-        num = z * z - b2
-        if num % a2 != 0:
-            continue
-        x = num // a2
-        if is_kth_power(a1 * x + b1, 2) and is_kth_power(a2 * x + b2, 2):
-            out.add(x)
-    return sorted(out)
+        if (d1 + d2) % 2 == 0 and (d2 - d1) % (2 * E) == 0:
+            yield (d1 + d2) // 2, (d2 - d1) // (2 * E)
 
 
-def _pell_pair_entries(a1: int, b1: int, a2: int, b2: int) -> tuple[list[LrbsEntry], str]:
-    """LRBS entries for the system a1x+b1 = y1^2, a2x+b2 = y2^2 (a1*a2 non-square)."""
-    n = a1 * a2
-    N = a2 * (a2 * b1 - a1 * b2)
-    r1s = sorted({r for r in range(a1) if pow(r, 2, a1) == b1 % a1})
-    r2s = sorted({r for r in range(a2) if pow(r, 2, a2) == b2 % a2})
-    if not r1s or not r2s:
-        return [], "power:pair:empty-residues"
-    sols = solve_generalized(n, N)
-    if not sols.classes:
-        return [], "power:pair:pell-empty"
-    M_w = a1 * a2
-    w_res = sorted({(s * a2 * r) % M_w for r in r1s for s in (1, -1)})
-    z_res = sorted({(s * r) % a2 for r in r2s for s in (1, -1)})
+def _pell_orbit_entries(
+    sols: PellSolutionSet, w_filter, z_filter, make_vmap, component: str
+) -> list[LrbsEntry]:
+    """One entry per class of w^2 - n*z^2 = N whose orbit meets both filters.
+
+    Each filter is a list of (modulus, residue); an index is kept when w
+    lies in some w-class and z in some z-class.  x = vmap(component) along
+    the kept indices, and the other component rides along as the partner.
+    `make_vmap()` builds the value map, once, when the first orbit survives.
+    """
+    n = sols.n
     entries = []
+    vmap = None
     for cls in sols.classes:
         w0, z0 = cls.fundamental
         w_i, z_i = cls.rep
-        w1 = w_i * w0 + n * z_i * z0
-        z1 = z_i * w0 + w_i * z0
-        wseq = Lrbs((2 * w0, -1), (w_i, w1))
-        zseq = Lrbs((2 * w0, -1), (z_i, z1))
-        idx_w = IndexSet.nothing()
-        for r in w_res:
-            idx_w = idx_w.union(filter_congruence(wseq, M_w, r))
-        idx_z = IndexSet.nothing()
-        for r in z_res:
-            idx_z = idx_z.union(filter_congruence(zseq, a2, r))
-        idx = idx_w.intersect(idx_z)
+        seqs = {
+            "w": Lrbs((2 * w0, -1), (w_i, w_i * w0 + n * z_i * z0)),
+            "z": Lrbs((2 * w0, -1), (z_i, z_i * w0 + w_i * z0)),
+        }
+        kept = []
+        for seq, classes in ((seqs["w"], w_filter), (seqs["z"], z_filter)):
+            idx = IndexSet.nothing()
+            for modulus, residue in classes:
+                idx = idx.union(filter_congruence(seq, modulus, residue))
+            kept.append(idx)
+        idx = kept[0].intersect(kept[1])
         if idx.is_empty():
             continue
+        vmap = vmap or make_vmap()
+        partner = seqs["z" if component == "w" else "w"]
         entries.append(
-            LrbsEntry(zseq, wseq, idx, PowerValueMap(2, a2, b2), pell_class=cls, component="z")
+            LrbsEntry(seqs[component], partner, idx, vmap, pell_class=cls, component=component)
         )
-    return entries, ("power:pair:pell" if entries else "power:pair:pell-filtered-empty")
+    return entries
+
+
+def _quad_residue_classes(atom: PolyAtom) -> list[tuple[int, int]]:
+    """Classes (offset, modulus) of witnesses u with u^2 = b (mod a) and the stride."""
+    out = []
+    for s in range(atom.a):
+        if (s * s - atom.b) % atom.a:
+            continue
+        merged = crt_extended([ResidueClass(atom.a, s), ResidueClass(atom.stride, atom.offset)])
+        if merged is not None:
+            out.append((merged.residue, merged.modulus))
+    return sorted(set(out))
+
+
+def _quad_pair_solution(first: PolyAtom, second: PolyAtom, lower, options, label: str) -> SolutionSet:
+    """Two quadratic atoms: divisor factorization or Pell orbits.
+
+    With w = a2*u1 and z = u2 the atoms give w^2 - a1*a2*z^2 = N, solved
+    by factoring N when a1*a2 is a square and by Pell orbits otherwise.
+    Precondition: the atoms are not proportional (N != 0); preprocessing
+    merges those.
+    """
+    a1, b1, a2, b2 = first.a, first.b, second.a, second.b
+    n = a1 * a2
+    N = a2 * (a2 * b1 - a1 * b2)
+    if N == 0:
+        raise ValueError("proportional quadratic atoms must be merged before solving")
+    E = math.isqrt(n)
+    if E * E == n:
+        vals = set()
+        for _, z in _square_factor_pairs(E, N):
+            if (z * z - b2) % a2:
+                continue
+            x = (z * z - b2) // a2
+            if first.holds(x) and second.holds(x):
+                vals.add(x)
+        return FiniteSolutions(lower, label + ":divisor", True, values=tuple(sorted(vals)))
+    c1 = _quad_residue_classes(first)
+    c2 = _quad_residue_classes(second)
+    if not c1 or not c2:
+        return EmptySolutions(lower, label + ":empty-residues", True)
+    sols = solve_generalized(n, N)
+    if not sols.classes:
+        return EmptySolutions(lower, label + ":pell-empty", True)
+    w_filter = sorted({(a2 * mod, (s * a2 * off) % (a2 * mod)) for off, mod in c1 for s in (1, -1)})
+    z_filter = sorted({(mod, (s * off) % mod) for off, mod in c2 for s in (1, -1)})
+    entries = _pell_orbit_entries(sols, w_filter, z_filter, lambda: PowerValueMap(2, a2, b2), "z")
+    if not entries:
+        return EmptySolutions(lower, label + ":pell-filtered-empty", True)
+    return LrbsUnion(lower, label + ":pell", True, entries=tuple(entries))
+
+
+def _as_square(atom: PowerAtom) -> PolyAtom:
+    return PolyAtom(2, 0, atom.a, atom.b, 1, 0)
 
 
 def _bounded_hyperelliptic(a1, b1, k1, a2, b2, k2, lower, options: SolveOptions) -> SolutionSet:
@@ -736,35 +773,24 @@ def solve_positive(
         if A1.a * A2.b == A1.b * A2.a:
             raise ValueError("similar atoms must be coalesced before solving")
         if A2.k == 2:
-            n = A1.a * A2.a
-            E = math.isqrt(n)
-            if E * E == n:
-                vals = _divisor_pair_solutions(A1.a, A1.b, A2.a, A2.b, E)
-                return FiniteSolutions(lower, "power:pair:divisor", True, values=tuple(vals))
-            entries, label = _pell_pair_entries(A1.a, A1.b, A2.a, A2.b)
-            if not entries:
-                return EmptySolutions(lower, label, True)
-            return LrbsUnion(lower, label, True, entries=tuple(entries))
+            return _quad_pair_solution(_as_square(A1), _as_square(A2), lower, options, "power:pair")
         return _bounded_hyperelliptic(A1.a, A1.b, A1.k, A2.a, A2.b, A2.k, lower, options)
     # Three or more atoms.
     squares = [a for a in atoms if a.k == 2]
     for i in range(len(squares)):
         for j in range(i + 1, len(squares)):
             Ai, Aj = squares[i], squares[j]
-            n = Ai.a * Aj.a
-            E = math.isqrt(n)
-            if E * E == n:
-                vals = _divisor_pair_solutions(Ai.a, Ai.b, Aj.a, Aj.b, E)
+            if math.isqrt(Ai.a * Aj.a) ** 2 == Ai.a * Aj.a:
+                Pi, Pj = _as_square(Ai), _as_square(Aj)
+                base = _quad_pair_solution(Pi, Pj, lower, options, "power:multi")
                 rest = [a for a in atoms if a is not Ai and a is not Aj]
-                base = FiniteSolutions(lower, "power:multi:divisor", True, values=tuple(vals))
                 return _filter_by_atoms(base, rest, options, "power:multi:divisor")
     if all(a.k == 2 for a in atoms):
-        entries, label = _pell_pair_entries(atoms[0].a, atoms[0].b, atoms[1].a, atoms[1].b)
-        rest = atoms[2:]
-        if not entries:
-            return EmptySolutions(lower, label, True)
-        base = LrbsUnion(lower, label, True, entries=tuple(entries))
-        return _filter_by_atoms(base, rest, options, "power:multi:pell-filter")
+        P1, P2 = _as_square(atoms[0]), _as_square(atoms[1])
+        base = _quad_pair_solution(P1, P2, lower, options, "power:multi")
+        if isinstance(base, EmptySolutions):
+            return base
+        return _filter_by_atoms(base, atoms[2:], options, "power:multi:pell-filter")
     # Mixed exponents: bound the pair with the largest exponent, then filter.
     A2 = atoms[-1]
     A1 = atoms[0]

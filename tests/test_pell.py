@@ -143,3 +143,22 @@ def test_unit_exponent():
     assert unit_exponent(eps**-3, eps) == -3
     assert unit_exponent(-(eps**2), eps) == 2
     assert unit_exponent(QuadNum(Fraction(1), Fraction(1), 2), eps) is None
+
+
+def test_solve_generalized_matches_sympy():
+    # An independent solver: sympy's diop_DN returns one fundamental
+    # solution per class of w^2 - n*z^2 = N.
+    pytest.importorskip("sympy")
+    from sympy.solvers.diophantine.diophantine import diop_DN
+
+    for n in range(2, 40):
+        if math.isqrt(n) ** 2 == n:
+            continue
+        for N in range(-10, 11):
+            if N == 0:
+                continue
+            ours = solve_generalized(n, N)
+            theirs = diop_DN(n, N)
+            assert len(ours.classes) == len(theirs), (n, N)
+            for w, z in theirs:
+                assert ours.contains(int(w), int(z)), (n, N, w, z)

@@ -144,12 +144,14 @@ class TestSolvePositive:
         assert s.case == "power:none"
 
     def test_quad_pair_matches_scan(self):
-        atoms = [PolyAtom(2, 0, 1, 0, 1, 0), PolyAtom(2, 0, 2, 8, 1, 0)]
-        s = solve_positive_poly(atoms, options=OPTS)
-        assert isinstance(s, LrbsUnion)
-        got = [x for _, x in zip(range(4), members(s, OPTS))]
-        scan = [x for x in range(0, 10**6) if all(oracle.atom_eval(a, x) for a in atoms)]
-        assert got == scan[: len(got)] == [4, 196, 6724, 228484]
+        # The strided witness u = 1 (mod 3) gives a w-filter of stride > 1.
+        for first in (PolyAtom(2, 0, 1, 0, 1, 0), PolyAtom(2, 0, 1, 0, 3, 1)):
+            atoms = [first, PolyAtom(2, 0, 2, 8, 1, 0)]
+            s = solve_positive_poly(atoms, options=OPTS)
+            assert isinstance(s, LrbsUnion) and s.case == "poly:pair:pell"
+            got = [x for _, x in zip(range(4), members(s, OPTS))]
+            scan = [x for x in range(0, 10**6) if all(oracle.atom_eval(a, x) for a in atoms)]
+            assert got == scan[: len(got)] == [4, 196, 6724, 228484], first
 
     def test_double_root_images(self):
         # T(x) & G(x+2) with G = {u^3 - 3u}: the scaled curve acquires a
@@ -230,6 +232,20 @@ class TestPreprocess:
         assert subs
         scan = [x for x in range(0, 3000) if oracle.atom_eval(a1, x) and oracle.atom_eval(a2, x)]
         assert 12 in scan
+        for x in scan:
+            assert _kept_by_some_branch(subs, x), x
+
+    def test_conic_point_resolves_once_with_its_point(self):
+        # Both cubics meet on the line branch and at conic points that all
+        # give x = 0: one resolved system stands for that point.
+        P = PolyAtom(3, -4, 8, 0, 1, 0)
+        Q = PolyAtom(3, -1, 1, 0, 2, 1)
+        subs = preprocess_poly(ConstraintSystem(lower=-5, positives=[P, Q]))
+        points = [s for s in subs if s.resolved is not None]
+        assert [(s.resolved.witness, s.resolved_points) for s in points] == [(0, (0,))]
+        assert points[0].trace == ["poly-redundant:conic-point"]
+        scan = [x for x in range(-4, 3000) if P.holds(x) and Q.holds(x)]
+        assert 0 in scan
         for x in scan:
             assert _kept_by_some_branch(subs, x), x
 

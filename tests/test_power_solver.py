@@ -168,19 +168,38 @@ class TestSolvePositive:
         scan = [x for x in range(-(10**6), 10**6) if oracle.atom_eval(PowerAtom(2, 1, 0), x) and oracle.atom_eval(PowerAtom(2, 1, 1), x)]
         assert scan == [0]
 
+    @pytest.mark.parametrize(
+        "atoms, case, values",
+        [
+            # x+1 and x+16 squares: a square product, solved by factoring 15.
+            ([PowerAtom(2, 1, 1), PowerAtom(2, 1, 16), PowerAtom(2, 2, 4)], "power:multi:divisor", (0, 48)),
+            # {1, 3, 8, 120}: Pell orbits of the first pair, filtered by the third.
+            (
+                [PowerAtom(2, 1, 1), PowerAtom(2, 3, 1), PowerAtom(2, 8, 1)],
+                "power:multi:pell-filter:bounded",
+                (0, 120),
+            ),
+        ],
+    )
+    def test_three_squares_match_scan(self, atoms, case, values):
+        s = solve_positive(atoms, options=OPTS)
+        assert s.case == case and s.values == values
+        scan = [x for x in range(-(10**4), 10**4 + 1) if all(oracle.atom_eval(a, x) for a in atoms)]
+        assert scan == list(values)
+
     def test_membership_and_no_stragglers(self, rng):
         for _ in range(25):
-            atoms = [PowerAtom(rng.randint(2, 3), rng.randint(1, 8), rng.randint(-8, 8)) for _ in range(rng.randint(1, 2))]
+            atoms = [PowerAtom(rng.randint(2, 3), rng.randint(1, 8), rng.randint(-8, 8)) for _ in range(rng.randint(1, 3))]
             sys_ = ConstraintSystem(lower=-(10**4) - 1, positives=list(atoms))
             subs = preprocess(sys_)
             if len(subs) != 1 or subs[0].resolved is not None:
                 continue
             s = solve_positive(subs[0].positives, subs[0].lower, OPTS)
-            if isinstance(s, (EmptySolutions, FiniteSolutions)) and not s.complete:
-                continue
             sample = [x for _, x in zip(range(50), members(s, OPTS))] if not isinstance(s, AllSolutions) else []
             for x in sample:
                 assert all(oracle.atom_eval(a, x) for a in atoms), (atoms, x)
+            if isinstance(s, (EmptySolutions, FiniteSolutions)) and not s.complete:
+                continue
             for x in range(-(10**4), 10**4 + 1):
                 if all(oracle.atom_eval(a, x) for a in atoms):
                     assert s.contains(x), (atoms, x, s.case)
