@@ -2,17 +2,18 @@
 and degree-at-most-3 polynomial-value-set predicates.
 
 The public surface: parse/normalize (formula), exact kernels (numtheory,
-pell, lrbs), one decide core (`decide` in power_solver maps a normalized
-system to a verdict; poly_solver preprocesses systems once in `prepare`
-and routes the positive atoms in `solve_positive_poly`), a brute-force
-oracle, the multiplication-free square-predicate encoder, and the batch
-CLI in `cli`.
+pell, lrbs), one decide core, a brute-force oracle, the
+multiplication-free square-predicate encoder, and the batch CLI in `cli`.
+`poly_solver.prepare` preprocesses each normalized system once and
+rewrites every `PowerAtom` as a `PolyAtom`, the one atom type below it;
+`decide` (power_solver) maps a prepared system to a verdict, and
+`solve_positive` routes its positive atoms.
 """
 
 from ._ast import ConstraintSystem, Formula, ParseError, PolyAtom, PowerAtom, Verdict
 from .formula import NormalForm, format_formula, normalize, parse
 from .power_solver import SolveOptions, decide, solve_positive
-from .poly_solver import depress, prepare, solve_positive_poly
+from .poly_solver import depress, prepare
 
 __all__ = [
     "ConstraintSystem",
@@ -30,7 +31,6 @@ __all__ = [
     "solve_positive",
     "depress",
     "prepare",
-    "solve_positive_poly",
 ]
 
 __version__ = "0.1.0"

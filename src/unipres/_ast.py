@@ -186,38 +186,43 @@ class PowerAtom:
 class PolyAtom:
     """Exists u = offset (mod stride) with f(u) = a*x + b.
 
-    f is the depressed monic form: u^2 for degree 2, u^3 + lin*u for
-    degree 3 (constants live in b).
+    f is the depressed monic form u^degree + lin*u, where only a cubic
+    carries a linear part (constants live in b).  Predicates of degree 2
+    and 3 become these atoms in `normalize`, and `poly_solver.prepare`
+    rewrites every power atom "a*x + b is a k-th power" as
+    PolyAtom(k, 0, a, b, 1, 0), so the solvers see no other atom type.
     """
 
-    degree: int    # 2 or 3
-    lin: int       # coefficient of u for cubics; 0 for quadratics
+    degree: int    # >= 2
+    lin: int       # coefficient of u for cubics; 0 otherwise
     a: int
     b: int
     stride: int    # >= 1
     offset: int    # 0 <= offset < stride
 
     def __post_init__(self) -> None:
-        if self.degree not in (2, 3):
-            raise ValueError(f"degree must be 2 or 3, got {self.degree}")
-        if self.degree == 2 and self.lin != 0:
-            raise ValueError("quadratic atoms are pure squares; fold the linear part away")
+        if self.degree < 2:
+            raise ValueError(f"degree must be at least 2, got {self.degree}")
+        if self.degree != 3 and self.lin != 0:
+            raise ValueError("only cubic atoms carry a linear part")
         if self.stride < 1 or not 0 <= self.offset < self.stride:
             raise ValueError("need stride >= 1 and a reduced offset")
 
     def witnesses(self, x: int) -> list[int]:
         """All u with u = offset (mod stride) and f(u) = a*x + b."""
         v = self.a * x + self.b
-        if self.degree == 2:
-            s = kth_root(v, 2)
-            if s is None:
-                return []
-            roots = [s] if s == 0 else [-s, s]
-        else:
+        if self.lin:
             roots = depressed_cubic_roots(self.lin, v)
+        else:
+            r = kth_root(v, self.degree)
+            if r is None:
+                return []
+            roots = [-r, r] if r and self.degree % 2 == 0 else [r]
         return [u for u in roots if u % self.stride == self.offset]
 
     def holds(self, x: int) -> bool:
+        if self.stride == 1 and self.lin == 0:
+            return kth_root(self.a * x + self.b, self.degree) is not None
         return bool(self.witnesses(x))
 
 

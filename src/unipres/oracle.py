@@ -189,7 +189,12 @@ def atom_eval(atom, x: int) -> bool:
             if s * s != v:
                 return False
             return s % atom.stride == atom.offset or (-s) % atom.stride == atom.offset
-        roots = _solve_poly([0, atom.lin, 0, 1], v)
+        if atom.degree == 3:
+            roots = _solve_poly([0, atom.lin, 0, 1], v)
+        else:
+            # u^d = v: no linear part above degree 3.
+            r = kth_root(v, atom.degree)
+            roots = [] if r is None else [r, -r] if atom.degree % 2 == 0 else [r]
         return any(u % atom.stride == atom.offset for u in roots)
     raise TypeError(f"not a solver atom: {atom!r}")
 

@@ -1,12 +1,15 @@
-"""Decision procedure for systems of perfect-power constraints.
+"""Decision procedure for one normalized system of value-set atoms.
 
 A normalized system holds one lower bound x > c and positive/negative
-atoms "a*x + b is a k-th power" with a > 0.  Preprocessing discards
-redundant atoms and coalesces similar positive ones; the positive
-solution set is then computed exactly by case analysis on the number of
-constraints (everything, polynomial images, Pell orbits, divisor
-factorizations, or a bounded enumeration), and negative atoms are
-filtered pointwise along a deterministic witness scan.
+atoms.  `preprocess` works on power atoms "a*x + b is a k-th power"
+(a > 0): it discards redundant ones and coalesces similar positives.
+`poly_solver.prepare` then rewrites every power atom as a `PolyAtom`
+u^k = a*x + b, so below it a single atom type remains, "a*x + b is in
+the value set of u^d (+ lin*u) over a lattice of u".  `solve_positive`
+routes the positive atoms by count and degree to polynomial images, Pell
+orbits, divisor factorizations, the double-root curve cases of
+`poly_solver`, or a bounded walk; negative atoms are filtered pointwise
+along a deterministic witness scan.
 
 Verdicts are three-valued.  Paths whose finiteness rests on effective but
 astronomically-large bounds in the literature enumerate an auxiliary
@@ -25,11 +28,11 @@ from fractions import Fraction
 from ._ast import ConstraintSystem, PolyAtom, PowerAtom, Verdict, system_holds
 from .lrbs import IndexSet, Lrbs, filter_congruence, growth_rank
 from .numtheory import (
+    _poly_eval,
     crt_extended,
     ResidueClass,
     divisor_pairs,
     factor,
-    floor_root,
     integer_numerators,
     integer_roots,
     is_kth_power,
@@ -42,7 +45,6 @@ __all__ = [
     "SolveOptions",
     "ImagePoly",
     "LrbsEntry",
-    "PowerValueMap",
     "PolyValueMap",
     "SolutionSet",
     "AllSolutions",
@@ -241,6 +243,20 @@ def preprocess(system: ConstraintSystem) -> list[ConstraintSystem]:
 # Solution-set representations.
 
 
+def _turn_bound(nums) -> int:
+    """|p| is strictly increasing in |t| at integers beyond this radius."""
+    deriv = [i * nums[i] for i in range(1, len(nums))]
+
+    def cauchy(cs):
+        while cs and cs[-1] == 0:
+            cs = cs[:-1]
+        if len(cs) <= 1:
+            return 1
+        return 2 + max(abs(c) for c in cs[:-1]) // abs(cs[-1])
+
+    return max(cauchy(list(nums)), cauchy(deriv))
+
+
 @dataclass(frozen=True, init=False)
 class ImagePoly:
     """Integer-valued polynomial sum(nums[i] * t**i) / den, with den > 0."""
@@ -255,21 +271,15 @@ class ImagePoly:
         object.__setattr__(self, "den", den)
         if len(nums) < 3 or nums[-1] <= 0:
             raise ValueError("image polynomials have degree >= 2 and positive leading coefficient")
-        if den > 1 and any(self._numerator(t) % den for t in range(self.degree + 1)):
+        if den > 1 and any(_poly_eval(nums, t) % den for t in range(self.degree + 1)):
             raise ValueError("polynomial is not integer-valued")
 
     @property
     def degree(self) -> int:
         return len(self.nums) - 1
 
-    def _numerator(self, t: int) -> int:
-        v = 0
-        for c in reversed(self.nums):
-            v = v * t + c
-        return v
-
     def eval(self, t: int) -> int:
-        v = self._numerator(t)
+        v = _poly_eval(self.nums, t)
         if self.den == 1:
             return v
         q, r = divmod(v, self.den)
@@ -282,61 +292,42 @@ class ImagePoly:
         cs[0] -= x * self.den
         return bool(integer_roots(cs))
 
-    def turn_bound(self) -> int:
-        """|f| is strictly increasing in |t| at integers beyond this radius."""
-        deriv = [i * self.nums[i] for i in range(1, len(self.nums))]
 
-        def cauchy(cs):
-            while cs and cs[-1] == 0:
-                cs = cs[:-1]
-            if len(cs) <= 1:
-                return 1
-            return 2 + max(abs(c) for c in cs[:-1]) // abs(cs[-1])
-
-        return max(cauchy(list(self.nums)), cauchy(deriv))
-
-
-@dataclass(frozen=True)
-class PowerValueMap:
-    """x = (v**k - b) / a along a solution sequence v."""
-
-    k: int
-    a: int
-    b: int
-
-    def apply(self, v: int) -> int | None:
-        num = v**self.k - self.b
-        return num // self.a if num % self.a == 0 else None
-
-    def turn(self) -> int:
-        return floor_root(abs(self.b), self.k) + 2
-
-    def floor_abs(self, v_abs: int) -> int:
-        if v_abs < self.turn():
-            return 0
-        return max(0, (v_abs**self.k - abs(self.b)) // self.a)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PolyValueMap:
-    """x = h(v / divisor) along a solution sequence v."""
+    """x = h(v / divisor) along a solution sequence v, for a rational h.
 
-    poly: ImagePoly
+    h = sum(nums[i] * t**i) / den need not be integer-valued: it is
+    integral where the orbit filters keep v, and `apply` gives None
+    wherever the value is not an integer.
+    """
+
+    nums: tuple[int, ...]
+    den: int
     divisor: int
+    turn_t: int
+
+    def __init__(self, coeffs, divisor: int) -> None:
+        nums, den = integer_numerators(coeffs)
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "divisor", divisor)
+        object.__setattr__(self, "turn_t", _turn_bound(nums))
 
     def apply(self, v: int) -> int | None:
         if v % self.divisor != 0:
             return None
-        return self.poly.eval(v // self.divisor)
+        q, r = divmod(_poly_eval(self.nums, v // self.divisor), self.den)
+        return None if r else q
 
     def turn(self) -> int:
-        return self.poly.turn_bound() * self.divisor + self.divisor
+        return self.turn_t * self.divisor + self.divisor
 
     def floor_abs(self, v_abs: int) -> int:
         t = v_abs // self.divisor
-        if t <= self.poly.turn_bound():
+        if t <= self.turn_t:
             return 0
-        return min(abs(self.poly.eval(t)), abs(self.poly.eval(-t)))
+        return min(abs(_poly_eval(self.nums, t)), abs(_poly_eval(self.nums, -t))) // self.den
 
 
 @dataclass(frozen=True)
@@ -346,7 +337,7 @@ class LrbsEntry:
     value_seq: Lrbs
     partner_seq: Lrbs | None
     indices: IndexSet
-    vmap: PowerValueMap | PolyValueMap
+    vmap: PolyValueMap
     pell_class: PellClass | None = None
     component: str = "z"
 
@@ -440,7 +431,7 @@ class _PolySource:
     def __init__(self, poly: ImagePoly, value_bits: int):
         self.poly = poly
         self.radius = 0
-        self.next_radius = max(poly.turn_bound(), 4)
+        self.next_radius = max(_turn_bound(poly.nums), 4)
         self.value_bits = value_bits
         self.capped = False
         self.done = False
@@ -587,10 +578,19 @@ def members(solution_set: SolutionSet, options: SolveOptions = DEFAULT_OPTIONS) 
 # Positive-constraint solution sets.
 
 
-def _power_residues(atom: PowerAtom):
-    """The u in [0, a) with u**k = b (mod a), ascending, as one lazy scan."""
-    k, a, r = atom.k, atom.a, atom.b % atom.a
-    return (u for u in range(a) if pow(u, k, a) == r)
+def _poly_residues(atom: PolyAtom):
+    """The lattice points w in [offset, offset + stride*a) with f(w) = b (mod a).
+
+    Ascending, as one lazy scan.
+    """
+    d, lin, a, b = atom.degree, atom.lin, atom.a, atom.b
+    ws = range(atom.offset, atom.offset + atom.stride * a, atom.stride)
+    if d == 2:
+        return (w for w in ws if (w * w - b) % a == 0)
+    if d == 3:
+        return (w for w in ws if (w * w * w + lin * w - b) % a == 0)
+    r = b % a
+    return (w for w in ws if pow(w, d, a) == r)
 
 
 def _peek(scan):
@@ -599,15 +599,25 @@ def _peek(scan):
     return None if first is None else itertools.chain((first,), scan)
 
 
-def _single_power_images(atom: PowerAtom, residues, lower: int | None) -> SolutionSet:
-    """x = ((u + a*t)**k - b) / a for each residue u, with integer coefficients."""
-    k, a, b = atom.k, atom.a, atom.b
-    polys = []
-    for u in residues:
-        coeffs = [(u**k - b) // a]
-        coeffs.extend(math.comb(k, i) * u ** (k - i) * a ** (i - 1) for i in range(1, k + 1))
-        polys.append(ImagePoly(coeffs))
-    return PolyImages(lower, "power:single:images", True, polys=tuple(polys))
+def _single_poly_images(atom: PolyAtom, residues, lower) -> SolutionSet:
+    """x = (f(w + stride*a*t) - b) / a, per residue lattice point w.
+
+    By the binomial expansion the coefficient of t^i (i >= 1) is
+    C(d, i) * w^(d-i) * stride^i * a^(i-1), plus lin*stride at i = 1, and
+    the constant (f(w) - b) / a is an integer because w is a residue.
+    """
+    d, lin, a, b, q = atom.degree, atom.lin, atom.a, atom.b, atom.stride
+    steps = [math.comb(d, i) * q**i * a ** (i - 1) for i in range(1, d + 1)]
+    if d == 2:
+        s1, s2 = steps
+        rows = ([(w * w - b) // a, s1 * w, s2] for w in residues)
+    elif d == 3:
+        s1, s2, s3 = steps
+        rows = ([(w * w * w + lin * w - b) // a, s1 * w * w + lin * q, s2 * w, s3] for w in residues)
+    else:
+        rows = ([(w**d - b) // a, *(s * w ** (d - i) for i, s in enumerate(steps, 1))] for w in residues)
+    polys = tuple(ImagePoly(coeffs) for coeffs in rows)
+    return PolyImages(lower, "poly:single:images", True, polys=polys)
 
 
 def _square_factor_pairs(E: int, N: int):
@@ -618,18 +628,16 @@ def _square_factor_pairs(E: int, N: int):
 
 
 def _pell_orbit_entries(
-    sols: PellSolutionSet, w_filter, z_filter, make_vmap, component: str
+    sols: PellSolutionSet, w_filter, z_filter, vmap, component: str
 ) -> list[LrbsEntry]:
     """One entry per class of w^2 - n*z^2 = N whose orbit meets both filters.
 
     Each filter is a list of (modulus, residue); an index is kept when w
     lies in some w-class and z in some z-class.  x = vmap(component) along
     the kept indices, and the other component rides along as the partner.
-    `make_vmap()` builds the value map, once, when the first orbit survives.
     """
     n = sols.n
     entries = []
-    vmap = None
     for cls in sols.classes:
         w0, z0 = cls.fundamental
         w_i, z_i = cls.rep
@@ -646,7 +654,6 @@ def _pell_orbit_entries(
         idx = kept[0].intersect(kept[1])
         if idx.is_empty():
             continue
-        vmap = vmap or make_vmap()
         partner = seqs["z" if component == "w" else "w"]
         entries.append(
             LrbsEntry(seqs[component], partner, idx, vmap, pell_class=cls, component=component)
@@ -698,31 +705,38 @@ def _quad_pair_solution(first: PolyAtom, second: PolyAtom, lower, options, label
         return EmptySolutions(lower, label + ":pell-empty", True)
     w_filter = sorted({(a2 * mod, (s * a2 * off) % (a2 * mod)) for off, mod in c1 for s in (1, -1)})
     z_filter = sorted({(mod, (s * off) % mod) for off, mod in c2 for s in (1, -1)})
-    entries = _pell_orbit_entries(sols, w_filter, z_filter, lambda: PowerValueMap(2, a2, b2), "z")
+    vmap = PolyValueMap((Fraction(-b2, a2), 0, Fraction(1, a2)), 1)  # x = (z^2 - b2) / a2
+    entries = _pell_orbit_entries(sols, w_filter, z_filter, vmap, "z")
     if not entries:
         return EmptySolutions(lower, label + ":pell-filtered-empty", True)
     return LrbsUnion(lower, label + ":pell", True, entries=tuple(entries))
 
 
-def _as_square(atom: PowerAtom) -> PolyAtom:
-    return PolyAtom(2, 0, atom.a, atom.b, 1, 0)
+def _bounded_curve(walked: PolyAtom, rest, lower, options: SolveOptions, label: str) -> FiniteSolutions:
+    """The x of the walked atom's lattice points u with |u| <= enum_bound
+    at which every atom of `rest` holds.
 
-
-def _bounded_hyperelliptic(a1, b1, k1, a2, b2, k2, lower, options: SolveOptions) -> SolutionSet:
-    """Candidates of y1^k1 = a1x+b1, y2^k2 = a2x+b2 for |y2| <= enum_bound."""
+    When f is even and the lattice is closed under negation, u and -u
+    give the same x, so the walk starts at the least u >= 0.  Atoms with
+    stride 1 and no linear part are tested by one root extraction.
+    """
     H = options.enum_bound
-    values = set()
-    z_range = range(H + 1) if k2 % 2 == 0 else range(-H, H + 1)
-    for z in z_range:
-        num = z**k2 - b2
-        if num % a2 != 0:
-            continue
-        x = num // a2
-        if kth_root(a1 * x + b1, k1) is not None:
-            values.add(x)
-    return FiniteSolutions(
-        lower, "power:pair:hyperelliptic:bounded", False, values=tuple(sorted(values))
-    )
+    d, lin, a, b, q, r = walked.degree, walked.lin, walked.a, walked.b, walked.stride, walked.offset
+    if d % 2 == 0 and (2 * r) % q == 0:
+        us = range(r, H + 1, q)
+    else:
+        us = range(-H + (r + H) % q, H + 1, q)
+    if lin:
+        xs = [n // a for u in us if (n := u * (u * u + lin) - b) % a == 0]
+    else:
+        xs = [n // a for u in us if (n := u**d - b) % a == 0]
+    for at in rest:
+        if at.stride == 1 and not at.lin:
+            a1, b1, k1 = at.a, at.b, at.degree
+            xs = [x for x in xs if kth_root(a1 * x + b1, k1) is not None]
+        else:
+            xs = [x for x in xs if at.holds(x)]
+    return FiniteSolutions(lower, label, False, values=tuple(sorted(set(xs))))
 
 
 def _filter_by_atoms(base: SolutionSet, extra, options: SolveOptions, label: str) -> SolutionSet:
@@ -744,60 +758,65 @@ def _filter_by_atoms(base: SolutionSet, extra, options: SolveOptions, label: str
     return FiniteSolutions(base.lower, label + ":bounded", False, values=tuple(sorted(set(found))))
 
 
+def _walk(atoms, lower, options: SolveOptions, label: str) -> FiniteSolutions:
+    """Bounded walk of the last cubic with a linear part, whose membership
+    test bisects, else of the last atom of highest degree; the rest filter."""
+    walked = ([at for at in atoms if at.lin] or atoms)[-1]
+    return _bounded_curve(walked, [at for at in atoms if at is not walked], lower, options, label)
+
+
 def solve_positive(
     positives, lower: int | None = None, options: SolveOptions = DEFAULT_OPTIONS
 ) -> SolutionSet:
-    """Exact structure of the integers satisfying all positive power atoms.
+    """Exact structure of the integers satisfying all positive atoms.
 
-    Preconditions: atoms pairwise non-similar, none redundant, a > 0.
+    The one router of the decide core; every atom is a `PolyAtom`.  Two
+    atoms go by degrees: (2, 2) to the square-pair solver, (2, 3) to the
+    double-root curve case, anything else to a bounded walk.  Three or
+    more go to the divisor solution of the first pair of quadratics with
+    a square product, to the Pell orbits of the first two atoms when all
+    are quadratic, to the curve-derived Pell structure for exactly
+    (2, 2, 3), and otherwise to a bounded walk; the remaining atoms filter
+    the result.  Preconditions: pairwise non-redundant (`prepare`), a > 0.
     """
     atoms = sorted(positives)
+    if not atoms:
+        return AllSolutions(lower, "power:none", True)
+    # Cheap certified emptiness: some witness must satisfy f(u) = b (mod a).
+    scans = []
     for atom in atoms:
         if atom.a <= 0:
             raise ValueError("positive atoms must have a > 0 after normalization")
-    if len(atoms) == 0:
-        return AllSolutions(lower, "power:none", True)
-    # Cheap certified emptiness: the value-set residues must admit b mod a.
-    scans = []
-    for atom in atoms:
-        scan = _peek(_power_residues(atom))
+        scan = _peek(_poly_residues(atom))
         if scan is None:
-            return EmptySolutions(lower, "power:empty-residues", True)
+            return EmptySolutions(lower, "poly:empty-residues", True)
         scans.append(scan)
     if len(atoms) == 1:
-        return _single_power_images(atoms[0], scans[0], lower)
+        return _single_poly_images(atoms[0], scans[0], lower)
+    degs = tuple(at.degree for at in atoms)
     if len(atoms) == 2:
-        (A1, A2) = atoms
-        if A2.k < A1.k:
-            A1, A2 = A2, A1
-        if A1.a * A2.b == A1.b * A2.a:
-            raise ValueError("similar atoms must be coalesced before solving")
-        if A2.k == 2:
-            return _quad_pair_solution(_as_square(A1), _as_square(A2), lower, options, "power:pair")
-        return _bounded_hyperelliptic(A1.a, A1.b, A1.k, A2.a, A2.b, A2.k, lower, options)
-    # Three or more atoms.
-    squares = [a for a in atoms if a.k == 2]
-    for i in range(len(squares)):
-        for j in range(i + 1, len(squares)):
-            Ai, Aj = squares[i], squares[j]
-            if math.isqrt(Ai.a * Aj.a) ** 2 == Ai.a * Aj.a:
-                Pi, Pj = _as_square(Ai), _as_square(Aj)
-                base = _quad_pair_solution(Pi, Pj, lower, options, "power:multi")
-                rest = [a for a in atoms if a is not Ai and a is not Aj]
-                return _filter_by_atoms(base, rest, options, "power:multi:divisor")
-    if all(a.k == 2 for a in atoms):
-        P1, P2 = _as_square(atoms[0]), _as_square(atoms[1])
-        base = _quad_pair_solution(P1, P2, lower, options, "power:multi")
-        if isinstance(base, EmptySolutions):
-            return base
-        return _filter_by_atoms(base, atoms[2:], options, "power:multi:pell-filter")
-    # Mixed exponents: bound the pair with the largest exponent, then filter.
-    A2 = atoms[-1]
-    A1 = atoms[0]
-    base = _bounded_hyperelliptic(A1.a, A1.b, A1.k, A2.a, A2.b, A2.k, lower, options)
-    rest = [a for a in atoms if a is not A1 and a is not A2]
-    filtered = _filter_by_atoms(base, rest, options, "power:multi")
-    return FiniteSolutions(lower, "power:multi:bounded", False, values=filtered.values)
+        if degs == (2, 2):
+            return _quad_pair_solution(atoms[0], atoms[1], lower, options, "poly:pair")
+        if degs == (2, 3):
+            from .poly_solver import _pair_mixed
+
+            return _pair_mixed(atoms[0], atoms[1], lower, options, "poly:pair")
+        return _walk(atoms, lower, options, "poly:pair:bounded")
+    quads = atoms[: degs.count(2)]
+    for i, P in enumerate(quads):
+        for Q in quads[i + 1 :]:
+            if math.isqrt(P.a * Q.a) ** 2 == P.a * Q.a:
+                base = _quad_pair_solution(P, Q, lower, options, "poly:multi")
+                rest = [at for at in atoms if at is not P and at is not Q]
+                return _filter_by_atoms(base, rest, options, base.case + ":filtered")
+    if len(quads) == len(atoms):
+        base = _quad_pair_solution(atoms[0], atoms[1], lower, options, "poly:multi")
+        return _filter_by_atoms(base, atoms[2:], options, base.case + ":filtered")
+    if degs == (2, 2, 3):
+        from .poly_solver import _triple
+
+        return _triple(atoms, lower, options)
+    return _walk(atoms, lower, options, "poly:multi:bounded")
 
 
 # ---------------------------------------------------------------------------
@@ -865,8 +884,7 @@ def decide(system: ConstraintSystem, options: SolveOptions = DEFAULT_OPTIONS) ->
     hand-built one went through `poly_solver.prepare`, so it has been
     preprocessed exactly once.  A system resolved there (eagerly, or as a
     refuted unsat) returns its `resolved` verdict.  Otherwise the positive
-    atoms give the solution set (`poly_solver.solve_positive_poly` routes
-    every atom mix), and the lower bound, the excluded points and the
+    atoms give the solution set (`solve_positive`), and the lower bound, the excluded points and the
     negative atoms filter it.
 
     Witness rule: inside a system the witness is the first hit in (|y|, y)
@@ -876,9 +894,9 @@ def decide(system: ConstraintSystem, options: SolveOptions = DEFAULT_OPTIONS) ->
     """
     if system.resolved is not None:
         return system.resolved
-    from .poly_solver import discard_pell_indices, solve_positive_poly
+    from .poly_solver import discard_pell_indices
 
-    sol = solve_positive_poly(system.positives, system.lower, options)
+    sol = solve_positive(system.positives, system.lower, options)
     system.log(sol.case)
     sol = discard_pell_indices(system, sol, options)
     if isinstance(sol, Verdict):

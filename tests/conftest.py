@@ -100,6 +100,24 @@ def random_poly_system(rng: random.Random) -> ConstraintSystem:
     )
 
 
+def random_mixed_system(rng: random.Random) -> ConstraintSystem:
+    """Random system whose positives mix a power atom (k = 2..6) with a predicate atom."""
+
+    def power():
+        return PowerAtom(rng.randint(2, 6), rng.randint(1, 12), rng.randint(-20, 20))
+
+    def pred():
+        decl = random_int_valued_pred(rng, f"P{rng.randrange(10**6)}", rng.choice((2, 3)))
+        return depress(decl, rng.randint(1, 6), rng.randint(-20, 20)).atom
+
+    positives = [power(), pred()] + [rng.choice((power, pred))() for _ in range(rng.randint(0, 1))]
+    return ConstraintSystem(
+        lower=rng.randint(-20, 20),
+        positives=positives,
+        negatives=[rng.choice((power, pred))() for _ in range(rng.randint(0, 1))],
+    )
+
+
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)

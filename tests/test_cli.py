@@ -2,8 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from unipres import cli
-from unipres._ast import PolyAtom
+from unipres import cli, oracle, parse
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -34,7 +33,7 @@ def test_internal_error_has_its_own_exit_code_and_keeps_other_results(tmp_path, 
     decide = cli.decide_power
 
     def broken(system, options):
-        if any(isinstance(a, PolyAtom) for a in system.positives + system.negatives):
+        if "depress:T" in system.trace:
             raise RuntimeError("solver fault")
         return decide(system, options)
 
@@ -97,3 +96,35 @@ def test_witness_is_the_first_hit_in_abs_order_of_the_working_variable(tmp_path,
     [record] = cli.read_records(capsys.readouterr().out)
     assert (record["verdict"], record["witness"]) == ("sat", 0)
     assert record["case_trace"] == ["power:none", "witness-scan:hit"]
+
+
+def test_curve_pell_image_integral_only_on_its_residues(tmp_path, capsys):
+    # The derived image x(v1) of (2x, 3x + 12) against the Gessel cubic is
+    # integral only on the filtered residues of v1.
+    text = (
+        "(declare-pred G (coeffs 1 0 -3 0)) "
+        "(exists x (and (> x 0) (pow 2 (* 2 x)) (pow 2 (+ (* 3 x) 12)) (pred G (+ x 2))))"
+    )
+    path = write(tmp_path, "gessel_pell.sexp", text)
+    assert cli.main(["--bound", "200", "--format", "json-lines", path]) == cli.EXIT_SAT
+    [record] = cli.read_records(capsys.readouterr().out)
+    assert (record["verdict"], record["witness"]) == ("sat", 968)
+    assert oracle.scan(parse(text), 968).witnesses == (968,)
+
+
+UNRELATED_PRED = "(declare-pred P (coeffs 1 0 1))"
+UNRELATED_LIT = "(not (pred P (+ x 1000)))"
+SQUARE_TRIPLE = "(> x 0) (pow 2 (+ x 1)) (pow 2 (+ (* 3 x) 7)) (pow 2 (+ (* 4 x) 9))"
+POWER_PAIR = "(> x 20) (pow 2 (+ x 6)) (pow 5 (+ x -20))"
+
+
+@pytest.mark.parametrize("atoms, verdict, witness", [(SQUARE_TRIPLE, "unsat", None), (POWER_PAIR, "sat", 6436363)])
+@pytest.mark.parametrize("negated", [False, True])
+def test_an_unrelated_negated_predicate_keeps_the_answer(tmp_path, capsys, atoms, verdict, witness, negated):
+    text = f"(exists x (and {atoms}))"
+    if negated:
+        text = f"{UNRELATED_PRED} (exists x (and {atoms} {UNRELATED_LIT}))"
+    path = write(tmp_path, "s.sexp", text)
+    cli.main(["--bound", "200", "--format", "json-lines", path])
+    [record] = cli.read_records(capsys.readouterr().out)
+    assert (record["verdict"], record["witness"]) == (verdict, witness)

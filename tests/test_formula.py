@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unipres import ParseError, PolyAtom, PowerAtom, SolveOptions, Verdict, format_formula, normalize, parse
+from unipres import ParseError, PolyAtom, SolveOptions, Verdict, format_formula, normalize, parse
 from unipres import poly_solver
 from unipres.cli import solve_formula
 from unipres._ast import Cmp, LinTerm, PredAtomNode, PredicateDecl, Quant
@@ -100,7 +100,7 @@ def test_normalize_forall():
     assert nf.negated
     # The negated body is exists Z^2(x): case-split systems carry Z^2 atoms.
     atoms = [a for s in nf.systems for a in s.positives]
-    assert any(isinstance(a, PowerAtom) and a.k == 2 for a in atoms)
+    assert any(a == PolyAtom(2, 0, 1, 0, 1, 0) for a in atoms)
 
 
 def test_normalize_negative_power_coefficient_tail():
@@ -127,9 +127,11 @@ def test_normalize_positive_atoms_positive_coefficient():
 
 
 def test_normalize_pairwise_non_similar():
+    # 5x and 4x are similar terms: they coalesce into one sixth power of 500x.
     nf = normalize(parse("(exists x (and (> x 0) (pow 2 (* 5 x)) (pow 3 (* 4 x))))"))
+    assert [s.positives for s in nf.systems] == [[PolyAtom(6, 0, 500, 0, 1, 0)]]
     for s in nf.systems:
-        pows = [a for a in s.positives if isinstance(a, PowerAtom)]
+        pows = s.positives
         for i, a in enumerate(pows):
             for b in pows[i + 1 :]:
                 assert a.a * b.b != a.b * b.a
@@ -183,6 +185,17 @@ def _random_formula(rng: random.Random):
         f"(declare-pred {n} (coeffs {' '.join(str(c) for c in cs)}))" for n, cs in decls.items()
     )
     return header + f"(exists x {body(2)})"
+
+
+def test_normalized_systems_hold_only_poly_atoms():
+    rng = random.Random(11)
+    degrees = set()
+    for _ in range(300):
+        for s in normalize(parse(_random_formula(rng))).systems:
+            atoms = s.positives + s.negatives
+            assert all(isinstance(a, PolyAtom) for a in atoms), s
+            degrees.update(a.degree for a in atoms)
+    assert degrees == {2, 3, 4}
 
 
 def _system_satisfied_at(system, x: int) -> bool:

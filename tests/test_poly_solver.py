@@ -4,26 +4,28 @@ from pathlib import Path
 
 import pytest
 
-from unipres._ast import ConstraintSystem, PolyAtom, PowerAtom, PredicateDecl
+from unipres._ast import ConstraintSystem, PolyAtom, PredicateDecl
 from unipres.power_solver import (
     EmptySolutions,
     FiniteSolutions,
     LrbsUnion,
     PolyImages,
     SolveOptions,
+    _poly_residues,
+    _single_poly_images,
     members,
+    solve_positive,
 )
 from unipres.poly_solver import (
     RedundancyData,
     _derive_curve_case,
-    _poly_residues,
-    _single_poly_images,
+    _square_split,
+    _triple_4c,
     _try_discard_sets,
     depress,
     depress_ascending,
     poly_redundant,
     preprocess_poly,
-    solve_positive_poly,
     subtract_discarded,
 )
 from unipres import oracle, parse
@@ -107,6 +109,11 @@ class TestPolyRedundant:
         assert data is not None and data.kind == "line+conic"
         assert data.slope == Fraction(-1, 2)
 
+    def test_above_degree_three_is_left_to_power_preprocessing(self):
+        # x and 16x are fourth powers together; `power_solver.preprocess`
+        # settles such pairs before the atoms become PolyAtoms.
+        assert poly_redundant(PolyAtom(4, 0, 1, 0, 1, 0), PolyAtom(4, 0, 16, 0, 1, 0)) is None
+
     @pytest.mark.parametrize("p1, p2", [
         (PolyAtom(3, -4, 1, 0, 1, 0), PolyAtom(3, -4, 1, 0, 1, 0)),
         (PolyAtom(3, 0, 1, 0, 1, 0), PolyAtom(3, 0, 8, 0, 1, 0)),
@@ -128,26 +135,26 @@ class TestPolyRedundant:
 class TestSolvePositive:
     def test_triangular_images(self):
         atom = depress(TRIANGULAR, 1, 0).atom
-        s = solve_positive_poly([atom], options=OPTS)
+        s = solve_positive([atom], options=OPTS)
         assert isinstance(s, PolyImages)
         first = sorted(x for _, x in zip(range(8), members(s, OPTS)))
         assert first == [0, 1, 3, 6, 10, 15, 21, 28]
 
     def test_fermat_elliptic(self):
         atoms = [depress(TRIANGULAR, 1, 0).atom, PolyAtom(3, 0, 1, 0, 1, 0)]
-        s = solve_positive_poly(atoms, options=OPTS)
+        s = solve_positive(atoms, options=OPTS)
         assert isinstance(s, FiniteSolutions) and not s.complete
         assert s.values == (0, 1)
 
     def test_empty(self):
-        s = solve_positive_poly([], options=OPTS)
+        s = solve_positive([], options=OPTS)
         assert s.case == "power:none"
 
     def test_quad_pair_matches_scan(self):
         # The strided witness u = 1 (mod 3) gives a w-filter of stride > 1.
         for first in (PolyAtom(2, 0, 1, 0, 1, 0), PolyAtom(2, 0, 1, 0, 3, 1)):
             atoms = [first, PolyAtom(2, 0, 2, 8, 1, 0)]
-            s = solve_positive_poly(atoms, options=OPTS)
+            s = solve_positive(atoms, options=OPTS)
             assert isinstance(s, LrbsUnion) and s.case == "poly:pair:pell"
             got = [x for _, x in zip(range(4), members(s, OPTS))]
             scan = [x for x in range(0, 10**6) if all(oracle.atom_eval(a, x) for a in atoms)]
@@ -158,7 +165,7 @@ class TestSolvePositive:
         # double root, so x is parametrized by degree-6 images.
         quad = depress(TRIANGULAR, 1, 0).atom
         cub = depress(GESSEL_CUBIC, 1, 2).atom
-        s = solve_positive_poly([quad, cub], options=OPTS)
+        s = solve_positive([quad, cub], options=OPTS)
         scan = [x for x in range(-50, 4 * 10**6) if quad.holds(x) and cub.holds(x)]
         if isinstance(s, PolyImages):
             sample = sorted(x for _, x in zip(range(60), members(s, OPTS)))
@@ -175,19 +182,20 @@ class TestSolvePositive:
             pred = random_int_valued_pred(rng, "P", rng.choice((2, 3)))
             atom = depress(pred, rng.randint(1, 12), rng.randint(-50, 50)).atom
             # Brute force over three periods of the witness lattice, with the
-            # polynomial evaluated in Fractions.
+            # polynomial evaluated in Fractions; the scan yields the lattice
+            # points of the first period.
             hits = set()
             for j in range(3 * atom.a):
                 w = Fraction(atom.offset + atom.stride * j)
                 if (w**atom.degree + atom.lin * w - atom.b) % atom.a == 0:
-                    hits.add(j % atom.a)
+                    hits.add(atom.offset + atom.stride * (j % atom.a))
             assert list(_poly_residues(atom)) == sorted(hits), atom
 
     def test_single_images_are_the_atom_solutions(self, rng):
         for _ in range(12):
             pred = random_int_valued_pred(rng, "P", rng.choice((2, 3)))
             atom = depress(pred, rng.randint(1, 12), rng.randint(-20, 20)).atom
-            s = _single_poly_images(atom, _poly_residues(atom), None, "poly:single")
+            s = _single_poly_images(atom, _poly_residues(atom), None)
             for poly in s.polys:
                 for t in range(-4, 5):
                     assert oracle.atom_eval(atom, poly.eval(t)), (atom, t)
@@ -195,8 +203,9 @@ class TestSolvePositive:
                 assert s.contains(x) == oracle.atom_eval(atom, x), (atom, x)
 
     def test_mixed_power_poly(self):
-        atoms = [depress(TRIANGULAR, 1, 0).atom, PowerAtom(4, 1, 0)]
-        s = solve_positive_poly(atoms, options=OPTS)
+        # x a fourth power, as `prepare` rewrites PowerAtom(4, 1, 0).
+        atoms = [depress(TRIANGULAR, 1, 0).atom, PolyAtom(4, 0, 1, 0, 1, 0)]
+        s = solve_positive(atoms, options=OPTS)
         assert isinstance(s, FiniteSolutions)
         scan = [x for x in range(0, 2000) if all(oracle.atom_eval(a, x) for a in atoms)]
         for x in scan:
@@ -281,8 +290,51 @@ class Test4c:
                 rhs = quad.a * (u**3 + cub.lin * u) + (cub.a * quad.b - quad.a * cub.b)
                 assert lhs == rhs, (d.split, u)
 
+    def test_square_split_matches_sympy(self, rng):
+        sympy = pytest.importorskip("sympy")
+        u = sympy.Symbol("u")
+        repeated_seen = 0
+        for _ in range(400):
+            aq = rng.randint(1, 30)
+            if rng.random() < 0.5:
+                # A double root at rho (a triple one at rho = 0).
+                rho = rng.randint(-6, 6)
+                lin, c0 = -3 * rho * rho, 2 * aq * rho**3
+            else:
+                lin, c0 = rng.randint(-20, 20), rng.randint(-300, 300)
+            cubic = aq * u**3 + aq * lin * u + c0
+            _, factors = sympy.sqf_list(cubic)
+            repeated = [f for f, m in factors if m > 1]
+            split = _square_split(aq, aq * lin, c0)
+            assert (split is None) == (not repeated), (aq, lin, c0, factors)
+            if split is None:
+                continue
+            repeated_seen += 1
+            alpha, beta, gamma, delta = split
+            assert sympy.expand((alpha * u + beta) ** 2 * (gamma * u + delta) - cubic) == 0
+            assert any(f.subs(u, sympy.Rational(-beta, alpha)) == 0 for f in repeated)
+        assert repeated_seen > 100
+
+    def test_triple_4c_never_raises_on_probe_pairs(self):
+        # Every ordered pair of distinct quadratics with a in 1..6, b in
+        # {0, 4a} and stride <= 3 against the Gessel cubic G(x + 2).  The
+        # derived image x(v1) is integral only on the filtered residues.
+        quads = [PolyAtom(2, 0, a, b, q, r) for a in range(1, 7) for b in (0, 4 * a)
+                 for q in (1, 2, 3) for r in range(q)]
+        pell = 0
+        for q1 in quads:
+            for q3 in quads:
+                if q1 is q3:
+                    continue
+                sol = _triple_4c(q1, self.neg, q3, None, OPTS, "probe")
+                if isinstance(sol, LrbsUnion):
+                    pell += 1
+                    for _, x in zip(range(2), members(sol, OPTS)):
+                        assert q1.holds(x) and q3.holds(x) and self.neg.holds(x), (q1, q3, x)
+        assert len(quads) * (len(quads) - 1) == 5112 and pell == 456
+
     def test_triple_4c_members(self):
-        s = solve_positive_poly([self.q1, self.q3, self.neg], options=OPTS)
+        s = solve_positive([self.q1, self.q3, self.neg], options=OPTS)
         assert isinstance(s, LrbsUnion) and "4c" in s.case
         got = [x for _, x in zip(range(3), members(s, OPTS))]
         for x in got:
@@ -290,7 +342,7 @@ class Test4c:
         assert got[0] == 196
 
     def test_subtract_discarded_residual(self):
-        S = solve_positive_poly([self.q1, self.q3], options=OPTS)
+        S = solve_positive([self.q1, self.q3], options=OPTS)
         sys_ = ConstraintSystem(lower=4, positives=[self.q1, self.q3], negatives=[self.neg])
         discards = _try_discard_sets(sys_, sorted([self.q1, self.q3]), OPTS)
         assert discards
@@ -322,7 +374,7 @@ class Test4c:
     def test_irrational_radicand_is_vacuous(self):
         # A negative whose curve data does not split leaves the set alone.
         other_neg = PolyAtom(3, 0, 1, 5, 1, 0)
-        S = solve_positive_poly([self.q1, self.q3], options=OPTS)
+        S = solve_positive([self.q1, self.q3], options=OPTS)
         sys_ = ConstraintSystem(lower=4, positives=[self.q1, self.q3], negatives=[other_neg])
         discards = _try_discard_sets(sys_, sorted([self.q1, self.q3]), OPTS)
         S2 = subtract_discarded(S, discards)

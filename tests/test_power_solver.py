@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from unipres._ast import ConstraintSystem, PowerAtom
+from unipres._ast import ConstraintSystem, PolyAtom, PowerAtom
 from unipres.power_solver import (
     AllSolutions,
     EmptySolutions,
@@ -14,13 +14,20 @@ from unipres.power_solver import (
     SolveOptions,
     coalesce_similar,
     is_redundant,
+    _bounded_curve,
     members,
-    preprocess,
     solve_positive,
 )
+from unipres.poly_solver import prepare
 from unipres import oracle
 
-from conftest import brute_first_witness, decide_prepared, eval_system_directly, random_power_system
+from conftest import (
+    brute_first_witness,
+    decide_prepared,
+    eval_system_directly,
+    random_mixed_system,
+    random_power_system,
+)
 
 OPTS = SolveOptions(enum_bound=2000, scan_cap=20_000, value_bits=4000)
 
@@ -130,23 +137,28 @@ class TestImagePoly:
             assert poly.contains(x) == (x in values)
 
 
+def _pow(k, a, b):
+    """The atom `prepare` makes of PowerAtom(k, a, b)."""
+    return PolyAtom(k, 0, a, b, 1, 0)
+
+
 class TestSolvePositive:
     def test_empty_list_is_everything(self):
         s = solve_positive([], lower=3)
         assert isinstance(s, AllSolutions) and s.lower == 3
 
     def test_empty_residues(self):
-        s = solve_positive([PowerAtom(2, 4, 2)])
+        s = solve_positive([_pow(2, 4, 2)])
         assert isinstance(s, EmptySolutions) and s.complete
 
     def test_single_images(self):
-        s = solve_positive([PowerAtom(2, 1, 0)])
+        s = solve_positive([_pow(2, 1, 0)])
         assert isinstance(s, PolyImages)
         first = [x for _, x in zip(range(6), members(s))]
         assert first == [0, 1, 4, 9, 16, 25]
 
     def test_single_images_respect_congruence(self):
-        s = solve_positive([PowerAtom(3, 5, 2)])  # 5x+2 a cube
+        s = solve_positive([_pow(3, 5, 2)])  # 5x+2 a cube
         got = sorted(x for _, x in zip(range(30), members(s, OPTS)))
         scan = [x for x in range(-4000, 4001) if oracle.atom_eval(PowerAtom(3, 5, 2), x)]
         assert set(scan) <= set(got) | {x for x in scan if abs(x) > max(abs(g) for g in got)}
@@ -154,7 +166,7 @@ class TestSolvePositive:
             assert oracle.atom_eval(PowerAtom(3, 5, 2), x)
 
     def test_pell_pair(self):
-        s = solve_positive([PowerAtom(2, 1, 0), PowerAtom(2, 2, 1)], options=OPTS)
+        s = solve_positive([_pow(2, 1, 0), _pow(2, 2, 1)], options=OPTS)
         assert isinstance(s, LrbsUnion) and s.complete
         got = [x for _, x in zip(range(4), members(s, OPTS))]
         assert got == [0, 4, 144, 4900]
@@ -162,7 +174,7 @@ class TestSolvePositive:
         assert scan == [0, 4, 144, 4900, 166464]
 
     def test_divisor_pair(self):
-        s = solve_positive([PowerAtom(2, 1, 0), PowerAtom(2, 1, 1)], options=OPTS)
+        s = solve_positive([_pow(2, 1, 0), _pow(2, 1, 1)], options=OPTS)
         assert isinstance(s, FiniteSolutions) and s.complete
         assert s.values == (0,)
         scan = [x for x in range(-(10**6), 10**6) if oracle.atom_eval(PowerAtom(2, 1, 0), x) and oracle.atom_eval(PowerAtom(2, 1, 1), x)]
@@ -172,11 +184,11 @@ class TestSolvePositive:
         "atoms, case, values",
         [
             # x+1 and x+16 squares: a square product, solved by factoring 15.
-            ([PowerAtom(2, 1, 1), PowerAtom(2, 1, 16), PowerAtom(2, 2, 4)], "power:multi:divisor", (0, 48)),
+            ([_pow(2, 1, 1), _pow(2, 1, 16), _pow(2, 2, 4)], "poly:multi:divisor:filtered", (0, 48)),
             # {1, 3, 8, 120}: Pell orbits of the first pair, filtered by the third.
             (
-                [PowerAtom(2, 1, 1), PowerAtom(2, 3, 1), PowerAtom(2, 8, 1)],
-                "power:multi:pell-filter:bounded",
+                [_pow(2, 1, 1), _pow(2, 3, 1), _pow(2, 8, 1)],
+                "poly:multi:pell:filtered:bounded",
                 (0, 120),
             ),
         ],
@@ -191,7 +203,7 @@ class TestSolvePositive:
         for _ in range(25):
             atoms = [PowerAtom(rng.randint(2, 3), rng.randint(1, 8), rng.randint(-8, 8)) for _ in range(rng.randint(1, 3))]
             sys_ = ConstraintSystem(lower=-(10**4) - 1, positives=list(atoms))
-            subs = preprocess(sys_)
+            subs = prepare(sys_)
             if len(subs) != 1 or subs[0].resolved is not None:
                 continue
             s = solve_positive(subs[0].positives, subs[0].lower, OPTS)
@@ -203,6 +215,60 @@ class TestSolvePositive:
             for x in range(-(10**4), 10**4 + 1):
                 if all(oracle.atom_eval(a, x) for a in atoms):
                     assert s.contains(x), (atoms, x, s.case)
+
+
+class TestBoundedWalk:
+    def test_walk_reaches_the_far_negative_lattice_points(self):
+        # u = 3 (mod 4) with |u| <= 9 is -9, -5, -1, 3, 7.
+        s = _bounded_curve(PolyAtom(3, 0, 1, 0, 4, 3), [], None, SolveOptions(enum_bound=9), "t")
+        assert s.values == (-729, -125, -1, 27, 343)
+
+    def test_walk_covers_every_lattice_point(self, rng):
+        for _ in range(400):
+            degree = rng.randint(2, 6)
+            lin = rng.randint(-6, 6) if degree == 3 else 0
+            stride = rng.randint(1, 5)
+            atom = PolyAtom(degree, lin, rng.randint(1, 4), rng.randint(-10, 10), stride, rng.randrange(stride))
+            H = rng.randint(1, 30)
+            want = set()
+            for u in range(-H, H + 1):
+                num = u**degree + lin * u - atom.b
+                if u % stride == atom.offset and num % atom.a == 0:
+                    want.add(num // atom.a)
+            got = _bounded_curve(atom, [], None, SolveOptions(enum_bound=H), "t")
+            assert got.values == tuple(sorted(want)), (atom, H)
+
+    def test_walk_filters_by_the_rest(self, rng):
+        for _ in range(100):
+            walked = _pow(rng.randint(2, 6), rng.randint(1, 4), rng.randint(-10, 10))
+            rest = [_pow(rng.randint(2, 3), rng.randint(1, 4), rng.randint(-10, 10)),
+                    PolyAtom(3, rng.randint(-6, 6), rng.randint(1, 4), rng.randint(-10, 10), 2, 1)]
+            full = _bounded_curve(walked, [], None, SolveOptions(enum_bound=40), "t")
+            got = _bounded_curve(walked, rest, None, SolveOptions(enum_bound=40), "t")
+            assert got.values == tuple(x for x in full.values if all(oracle.atom_eval(a, x) for a in rest))
+
+
+def test_oracle_and_holds_find_every_root_of_every_degree(rng):
+    for _ in range(200):
+        degree = rng.randint(2, 6)
+        lin = rng.randint(-5, 5) if degree == 3 else 0
+        stride = rng.randint(1, 4)
+        atom = PolyAtom(degree, lin, rng.randint(1, 5), rng.randint(-20, 20), stride, rng.randrange(stride))
+        # |a*x + b| <= 520 keeps every root within |u| <= 40.
+        values = {u**degree + lin * u for u in range(-40, 41) if u % stride == atom.offset}
+        for x in range(-100, 101):
+            want = atom.a * x + atom.b in values
+            assert oracle.atom_eval(atom, x) == want and atom.holds(x) == want, (atom, x)
+
+
+def test_prepare_leaves_only_poly_atoms(rng):
+    seen = set()
+    for _ in range(300):
+        for s in prepare(random_power_system(rng)):
+            atoms = s.positives + s.negatives
+            assert all(isinstance(a, PolyAtom) for a in atoms), s
+            seen.update(a.degree for a in atoms)
+    assert seen == {2, 3, 4, 5}
 
 
 class TestDecide:
@@ -282,3 +348,22 @@ def _pullback(system, x):
 
 def test_differential_power_smoke(rng):
     check_differential_batch(rng, 40, bound=3000)
+
+
+def test_differential_mixed_power_and_predicate(rng):
+    # Powers next to predicates take the same routes as powers alone; the
+    # bounded walk enumerates the atom of highest degree.
+    opts = SolveOptions(enum_bound=300, scan_cap=4000, value_bits=2500)
+    decided = 0
+    for i in range(60):
+        sys_ = random_mixed_system(rng)
+        v = decide_prepared(sys_.clone(), opts)
+        if v.is_sat:
+            assert eval_system_directly(sys_, _pullback(sys_, v.witness)), (i, sys_, v)
+        witness = brute_first_witness(sys_, 2000)
+        if witness is not None:
+            assert not v.is_unsat, (i, sys_, v, witness)
+        if v.is_unsat:
+            assert witness is None, (i, sys_, v)
+        decided += not v.is_unknown
+    assert decided >= 20
