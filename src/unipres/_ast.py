@@ -25,7 +25,6 @@ __all__ = [
     "Quant",
     "PredicateDecl",
     "Formula",
-    "PowerAtom",
     "PolyAtom",
     "Verdict",
     "ConstraintSystem",
@@ -171,26 +170,13 @@ class Formula:
 
 
 @dataclass(frozen=True, order=True)
-class PowerAtom:
-    """a*x + b is a perfect k-th power."""
-
-    k: int
-    a: int
-    b: int
-
-    def holds(self, x: int) -> bool:
-        return kth_root(self.a * x + self.b, self.k) is not None
-
-
-@dataclass(frozen=True, order=True)
 class PolyAtom:
     """Exists u = offset (mod stride) with f(u) = a*x + b.
 
     f is the depressed monic form u^degree + lin*u, where only a cubic
-    carries a linear part (constants live in b).  Predicates of degree 2
-    and 3 become these atoms in `normalize`, and `poly_solver.prepare`
-    rewrites every power atom "a*x + b is a k-th power" as
-    PolyAtom(k, 0, a, b, 1, 0), so the solvers see no other atom type.
+    carries a linear part (constants live in b).  This is the one solver
+    atom: `normalize` depresses every predicate of degree 2 or 3 into one,
+    and a power atom "a*x + b is a k-th power" is PolyAtom(k, 0, a, b, 1, 0).
     """
 
     degree: int    # >= 2
@@ -207,6 +193,11 @@ class PolyAtom:
             raise ValueError("only cubic atoms carry a linear part")
         if self.stride < 1 or not 0 <= self.offset < self.stride:
             raise ValueError("need stride >= 1 and a reduced offset")
+
+    @property
+    def is_power(self) -> bool:
+        """Power shape, stride 1 and no linear part: a*x + b is a perfect degree-th power."""
+        return self.stride == 1 and self.lin == 0
 
     def witnesses(self, x: int) -> list[int]:
         """All u with u = offset (mod stride) and f(u) = a*x + b."""

@@ -96,7 +96,7 @@ def solve_formula(f: Formula, options: SolveOptions | None = None) -> SolveOutco
         verdicts.append(decide_power(system, options))
         trace.extend(system.trace)
     inner = _combine(verdicts)
-    log = [t for t in trace if t.startswith(("redundant", "coalesce", "poly-redundant", "dedup"))]
+    log = [t for t in trace if t.startswith(("redundant", "coalesce", "poly-redundant"))]
     if not nf.negated:
         return SolveOutcome(inner, False, trace, log)
     # forall-sentence: true iff the negated body is unsatisfiable.

@@ -21,9 +21,11 @@ c_0, with d <= 3, c_d != 0 and f integer-valued; a sentence sees the
 declarations before it.
 
 `normalize` rewrites a sentence into a disjunction of constraint systems
-of the shape the solvers consume: exactly one lower bound, positive/negative
-power and polynomial atoms with positive x-coefficients, modular
-constraints folded into an affine substitution x = +-(M*y + r).
+of the shape the solvers consume: exactly one lower bound, positive and
+negative `PolyAtom`s with positive x-coefficients, modular constraints
+folded into an affine substitution x = +-(M*y + r).  A power atom
+(pow k t) is the value set of the monomial u^k, so it lowers to the same
+literal as a predicate and becomes the same kind of atom.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from ._ast import (
     Or,
     ParseError,
     PowAtomNode,
-    PowerAtom,
     PredAtomNode,
     PredicateDecl,
     Quant,
@@ -448,7 +449,7 @@ def _lower_mod(term: LinTerm, m: int, r: int, positive: bool):
     return [[("mod", m2, (y0 + s) % m2)] for s in range(1, m2)]
 
 
-def _flip_cubic(asc: tuple[int, ...]) -> tuple[int, ...]:
+def _flip_u(asc: tuple[int, ...]) -> tuple[int, ...]:
     # u -> -u: same value set for odd degree; fixes a negative leading coefficient
     return tuple(c if i % 2 == 0 else -c for i, c in enumerate(asc))
 
@@ -469,7 +470,7 @@ def _lower_pred(decl: PredicateDecl, term: LinTerm, positive: bool):
     a, b = den * term.a, den * term.b
     if asc[-1] < 0:
         if d == 3:
-            asc = _flip_cubic(asc)
+            asc = _flip_u(asc)
         else:
             asc = tuple(-c for c in asc)
             a, b = -a, -b
@@ -493,7 +494,8 @@ def _lower_atom(node, positive: bool, decls):
         a, b = node.term.a, node.term.b
         if a == 0:
             return _const((kth_root(b, node.k) is not None) == positive)
-        return [[("pow", 1 if positive else -1, node.k, a, b)]]
+        # The value set of u^k: a predicate literal with no name.
+        return [[("pred", 1 if positive else -1, (0,) * node.k + (1,), a, b, None)]]
     if isinstance(node, PredAtomNode):
         return _lower_pred(decls[node.name], node.term, positive)
     raise TypeError(f"not an atom: {node!r}")
@@ -529,7 +531,7 @@ def _to_dnf(node, positive: bool, decls):
 
 
 def _lit_test(lit):
-    """The literal as a test of the point y; a predicate's atom is built here, once."""
+    """The literal as a test of the point y; an atom is built here, once."""
     tag = lit[0]
     if tag == "lt":
         c = lit[1]
@@ -537,9 +539,6 @@ def _lit_test(lit):
     if tag == "gt":
         c = lit[1]
         return lambda y: y > c
-    if tag == "pow":
-        _, sign, k, a, b = lit
-        return lambda y: (kth_root(a * y + b, k) is not None) == (sign > 0)
     if tag == "pred":
         _, sign, asc, a, b, _name = lit
         atom = poly_solver.depress_ascending(asc, 1, 0)
@@ -574,9 +573,6 @@ def _substitute_lits(lits, M: int, r0: int):
             # y' < (c - r0)/M  <=>  y' < ceil((c - r0)/M) adjusted for integrality
             c = lit[1]
             out.append(("lt", _ceil_div(c - r0, M)))
-        elif tag == "pow":
-            _, sign, k, a, b = lit
-            out.append(("pow", sign, k, a * M, a * r0 + b))
         elif tag == "pred":
             _, sign, asc, a, b, name = lit
             out.append(("pred", sign, asc, a * M, a * r0 + b, name))
@@ -595,9 +591,6 @@ def _flip_lits(lits):
             out.append(("gt", -lit[1]))
         elif tag == "eq":
             out.append(("eq", -lit[1]))
-        elif tag == "pow":
-            _, sign, k, a, b = lit
-            out.append(("pow", sign, k, -a, b))
         elif tag == "pred":
             _, sign, asc, a, b, name = lit
             out.append(("pred", sign, asc, -a, b, name))
@@ -668,7 +661,7 @@ def _build_systems(conj, enum_bound: int) -> list[ConstraintSystem]:
 
         gts = [l[1] for l in lits if l[0] == "gt"]
         lts = [l[1] for l in lits if l[0] == "lt"]
-        atoms = [l for l in lits if l[0] in ("pow", "pred")]
+        atoms = [l for l in lits if l[0] == "pred"]
 
         if gts and lts:
             return [_finite_check(sys, atoms, max(gts), min(lts), enum_bound)]
@@ -678,7 +671,7 @@ def _build_systems(conj, enum_bound: int) -> list[ConstraintSystem]:
             sys.log("sign-flip")
             lits = _flip_lits(lits)
             gts = [l[1] for l in lits if l[0] == "gt"]
-            atoms = [l for l in lits if l[0] in ("pow", "pred")]
+            atoms = [l for l in lits if l[0] == "pred"]
 
         if not gts:
             if not atoms:
@@ -726,35 +719,21 @@ def _assemble(sys: ConstraintSystem, lower: int, atoms, enum_bound: int):
     thresholds: list[tuple[int, tuple]] = []  # (threshold, literal) for disposable negatives
     kept = []
     for lit in atoms:
-        if lit[0] == "pow":
-            _, sign, k, a, b = lit
-            if a > 0:
-                kept.append(lit)
-                continue
-            if k % 2 == 1:
-                kept.append(("pow", sign, k, -a, -b))
-                continue
-            if sign > 0:
-                uppers.append(b // (-a))  # need a*y + b >= 0
-                kept.append(lit)
-            else:
-                thresholds.append((b // (-a), lit))
+        _, sign, asc, a, b, name = lit
+        if a > 0:
+            kept.append(lit)
+            continue
+        deg = len(asc) - 1
+        if deg % 2 == 1:
+            kept.append(("pred", sign, _flip_u(tuple(-c for c in asc)), -a, -b, name))
+            continue
+        vmin = _quad_min_value(asc) if deg == 2 else 0  # u^k for even k >= 4
+        bound = (vmin - b) // a  # a < 0: value floor turns into an upper bound
+        if sign > 0:
+            uppers.append(bound)
+            kept.append(lit)
         else:
-            _, sign, asc, a, b, name = lit
-            deg = len(asc) - 1
-            if a > 0:
-                kept.append(lit)
-                continue
-            if deg == 3:
-                kept.append(("pred", sign, _flip_cubic(tuple(-c for c in asc)), -a, -b, name))
-                continue
-            vmin = _quad_min_value(asc)
-            bound = (vmin - b) // a  # a < 0: value floor turns into an upper bound
-            if sign > 0:
-                uppers.append(bound)
-                kept.append(lit)
-            else:
-                thresholds.append((bound, lit))
+            thresholds.append((bound, lit))
 
     if uppers:
         all_lits = kept + [l for _, l in thresholds]
@@ -774,14 +753,10 @@ def _assemble(sys: ConstraintSystem, lower: int, atoms, enum_bound: int):
             sys.lower = T
         sys.log("negative-tail:discharged")
 
-    # Depress polynomial atoms and build the solver-facing atom lists.
-    for lit in kept:
-        if lit[0] == "pow":
-            _, sign, k, a, b = lit
-            atom = PowerAtom(k, a, b)
-        else:
-            _, sign, asc, a, b, name = lit
-            atom = poly_solver.depress_ascending(asc, a, b)
+    # Depress the atoms and build the solver-facing atom lists.
+    for _, sign, asc, a, b, name in kept:
+        atom = poly_solver.depress_ascending(asc, a, b)
+        if name is not None:
             sys.log(f"depress:{name}")
         (sys.positives if sign > 0 else sys.negatives).append(atom)
 
@@ -795,9 +770,10 @@ def normalize(f: Formula, enum_bound: int = 10**6) -> NormalForm:
     disjunctive normal form, modular coalescing by the extended CRT,
     equality substitution and bounded-interval finite checks, sign
     normalization (including the x -> -x flip and the three-way case split
-    when no inequality appears), depression of degree-2/3 predicates, and
-    redundancy/similarity processing (`poly_solver.prepare`), the only
-    preprocessing a system gets before `decide`.
+    when no inequality appears), depression of every atom into a
+    `PolyAtom` (a power atom is the monomial u^k), and redundancy and
+    similarity processing (`poly_solver.prepare`), the only preprocessing
+    a system gets before `decide`.
     """
     decls = f.decl_map()
     q = f.root

@@ -22,7 +22,6 @@ from ._ast import (
     Or,
     PolyAtom,
     PowAtomNode,
-    PowerAtom,
     PredAtomNode,
     PredicateDecl,
     Quant,
@@ -176,27 +175,23 @@ def scan(f: Formula, bound: int, witness_cap: int = 10_000) -> ScanReport:
 # Direct evaluation of solver-level atoms (for system-level differentials).
 
 
-def atom_eval(atom, x: int) -> bool:
+def atom_eval(atom: PolyAtom, x: int) -> bool:
     """Truth of a solver atom at x, by routes independent of the solvers."""
-    if isinstance(atom, PowerAtom):
-        return kth_root(atom.a * x + atom.b, atom.k) is not None
-    if isinstance(atom, PolyAtom):
-        v = atom.a * x + atom.b
-        if atom.degree == 2:
-            if v < 0:
-                return False
-            s = math.isqrt(v)
-            if s * s != v:
-                return False
-            return s % atom.stride == atom.offset or (-s) % atom.stride == atom.offset
-        if atom.degree == 3:
-            roots = _solve_poly([0, atom.lin, 0, 1], v)
-        else:
-            # u^d = v: no linear part above degree 3.
-            r = kth_root(v, atom.degree)
-            roots = [] if r is None else [r, -r] if atom.degree % 2 == 0 else [r]
-        return any(u % atom.stride == atom.offset for u in roots)
-    raise TypeError(f"not a solver atom: {atom!r}")
+    v = atom.a * x + atom.b
+    if atom.degree == 2:
+        if v < 0:
+            return False
+        s = math.isqrt(v)
+        if s * s != v:
+            return False
+        return s % atom.stride == atom.offset or (-s) % atom.stride == atom.offset
+    if atom.lin:
+        roots = _solve_poly([0, atom.lin, 0, 1], v)
+    else:
+        # u^d = v: only a cubic carries a linear part.
+        r = kth_root(v, atom.degree)
+        roots = [] if r is None else [r, -r] if atom.degree % 2 == 0 else [r]
+    return any(u % atom.stride == atom.offset for u in roots)
 
 
 class AtomSieve:
@@ -209,15 +204,12 @@ class AtomSieve:
 
     WHEEL = 2_520  # 2^3 * 3^2 * 5 * 7
 
-    def __init__(self, atom):
+    def __init__(self, atom: PolyAtom):
         w = self.WHEEL
-        if isinstance(atom, PowerAtom):
-            values = {pow(u, atom.k, w) for u in range(w)}
-        else:
-            values = set()
-            for u in range(w):
-                t = atom.offset + u * atom.stride
-                values.add((pow(t, atom.degree, w) + atom.lin * t) % w)
+        values = set()
+        for u in range(w):
+            t = atom.offset + u * atom.stride
+            values.add((pow(t, atom.degree, w) + atom.lin * t) % w)
         self.ok = bytearray(w)
         for xr in range(w):
             if (atom.a * xr + atom.b) % w in values:

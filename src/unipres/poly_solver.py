@@ -1,12 +1,12 @@
 """Polynomial atoms: depression, redundancy, preparation, and the curve cases.
 
-Predicates of degree 2 and 3 are held in depressed monic form: exists
-u = offset (mod stride) with u^2 = a*x + b or u^3 + lin*u = a*x + b.
-`prepare` is the one preprocessing pass of a normalized system: power
-atoms are coalesced by `power_solver.preprocess`, then every power atom
-u^k = a*x + b becomes a `PolyAtom` of degree k, and pairs of positive
-atoms are checked for redundancy (a failure of absolute irreducibility
-of the attendant curve) and merged.  `power_solver.solve_positive`
+Every atom is held in depressed monic form: exists u = offset (mod
+stride) with u^k = a*x + b, or u^3 + lin*u = a*x + b for a cubic; a
+power atom is the monomial u^k over stride 1.  `prepare` is the one
+preprocessing pass of a normalized system: atoms of power shape are
+coalesced by `power_solver.preprocess`, then pairs of positive atoms
+are checked for redundancy (a failure of absolute irreducibility of the
+attendant curve) and merged.  `power_solver.solve_positive`
 routes the positive atoms; this module holds the cases particular to
 degrees 2 and 3: a quadratic against a cubic whose curve has a double
 root, the derived Pell structure of two quadratics against a cubic, and
@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._ast import ConstraintSystem, PolyAtom, PowerAtom, PredicateDecl, Verdict, system_holds
+from ._ast import ConstraintSystem, PolyAtom, Verdict, system_holds
 from .lrbs import IndexSet
 from .numtheory import crt_extended, ResidueClass, integer_numerators, kth_root
 from .pell import QuadNum, fundamental, solve_generalized, squarefree_kernel, unit_exponent
@@ -48,10 +48,8 @@ from .power_solver import (
 )
 
 __all__ = [
-    "DepressedPred",
     "RedundancyData",
     "CurveCaseData",
-    "depress",
     "depress_ascending",
     "poly_redundant",
     "preprocess_poly",
@@ -110,16 +108,6 @@ def _peval(p, x):
 # Depression (complete the square / the cube).
 
 
-@dataclass(frozen=True)
-class DepressedPred:
-    """Depressed monic normal form of R(a*x + b) with its provenance."""
-
-    atom: PolyAtom
-    source: PredicateDecl
-    source_a: int
-    source_b: int
-
-
 def _reduce_atom(degree: int, lin: int, a: int, b: int, q: int, r: int) -> PolyAtom:
     # Divide out a common factor g of the witness lattice q*t + r when the
     # scaled coefficients allow it; keeps golden outputs small.
@@ -142,8 +130,14 @@ def _reduce_atom(degree: int, lin: int, a: int, b: int, q: int, r: int) -> PolyA
 
 
 def depress_ascending(asc, a: int, b: int) -> PolyAtom:
-    """Normalize f(u) = a*x + b (f by ascending integer or rational coeffs, lead > 0, a > 0)."""
+    """Normalize f(u) = a*x + b (f by ascending integer or rational coeffs, lead > 0, a > 0).
+
+    f has degree 2 or 3, or is a monomial u^k (k >= 2), which is already
+    depressed: PolyAtom(k, 0, a, b, 1, 0).
+    """
     degree = len(asc) - 1
+    if asc[-1] == 1 and a > 0 and not any(asc[:-1]):
+        return PolyAtom(degree, 0, a, b, 1, 0)
     if degree not in (2, 3):
         raise ValueError(f"degree must be 2 or 3, got {degree}")
     if asc[-1] <= 0 or a <= 0:
@@ -162,35 +156,6 @@ def depress_ascending(asc, a: int, b: int) -> PolyAtom:
     at = 27 * A * c3 * c3
     bt = 27 * B * c3 * c3 - 27 * c0 * c3 * c3 + 9 * c1 * c2 * c3 - 2 * c2**3
     return _reduce_atom(3, lin, at, bt, q, c2 % q)
-
-
-def depress(pred: PredicateDecl, a: int, b: int) -> DepressedPred:
-    """Depressed monic form of the predicate constraint R(a*x + b).
-
-    Degree 2 or 3 only; a != 0.  Negative leading coefficients and (for
-    cubics) negative a are folded away by value-set-preserving flips.
-    """
-    if pred.degree not in (2, 3):
-        raise ValueError(f"depress needs degree 2 or 3, got {pred.degree}")
-    if a == 0:
-        raise ValueError("need a != 0")
-    asc = list(pred.ascending())
-    if asc[-1] < 0:
-        if pred.degree == 3:
-            asc = [c if i % 2 == 0 else -c for i, c in enumerate(asc)]
-        else:
-            asc = [-c for c in asc]
-            a, b = -a, -b
-    if a < 0 and pred.degree == 3:
-        asc = [-c if i % 2 == 0 else c for i, c in enumerate(asc)]
-        a, b = -a, -b
-    if a < 0:
-        # A downward-facing image window; callers resolve it by finite
-        # inspection before depressing.  Normalize the polynomial side only.
-        atom = depress_ascending([-c for c in asc], -a, -b)
-        atom = PolyAtom(atom.degree, atom.lin, -atom.a, -atom.b, atom.stride, atom.offset)
-        return DepressedPred(atom, pred, a, b)
-    return DepressedPred(depress_ascending(asc, a, b), pred, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -441,29 +406,18 @@ def preprocess_poly(system: ConstraintSystem) -> list[ConstraintSystem]:
     return [system]
 
 
-def _as_poly(atom):
-    if isinstance(atom, PowerAtom):
-        return PolyAtom(atom.k, 0, atom.a, atom.b, 1, 0)
-    return atom
-
-
 def prepare(system: ConstraintSystem) -> list[ConstraintSystem]:
     """Preprocess one normalized system, once: the systems `decide` takes.
 
-    Power atoms go first (`power_solver.preprocess`).  Then every power
-    atom "a*x + b is a k-th power" becomes PolyAtom(k, 0, a, b, 1, 0), so
-    no solver below this point sees a `PowerAtom`, and a system with a
-    predicate atom goes through `preprocess_poly`.  A system that either
-    pass refutes stays as a resolved unsat, so its trace still names the
-    case that refuted it.
+    Atoms of power shape go first (`power_solver.preprocess`); a system
+    with any other atom then goes through `preprocess_poly`.  A system
+    that either pass refutes stays as a resolved unsat, so its trace
+    still names the case that refuted it.
     """
     subs = power_preprocess(system)
-    # `power_preprocess` has settled every pair of power atoms, so only a
-    # system with a predicate atom has pairs left to merge.
-    predicates = any(isinstance(a, PolyAtom) for a in system.positives + system.negatives)
-    system.positives = [_as_poly(a) for a in system.positives]
-    system.negatives = [_as_poly(a) for a in system.negatives]
-    if subs and system.resolved is None and predicates:
+    # `power_preprocess` has settled every pair of atoms of power shape,
+    # so only a system with another atom has pairs left to merge.
+    if subs and system.resolved is None and not all(a.is_power for a in system.positives + system.negatives):
         subs = preprocess_poly(system)
     if not subs:
         system.resolved = Verdict.unsat()

@@ -1,15 +1,14 @@
 """Decision procedure for one normalized system of value-set atoms.
 
 A normalized system holds one lower bound x > c and positive/negative
-atoms.  `preprocess` works on power atoms "a*x + b is a k-th power"
-(a > 0): it discards redundant ones and coalesces similar positives.
-`poly_solver.prepare` then rewrites every power atom as a `PolyAtom`
-u^k = a*x + b, so below it a single atom type remains, "a*x + b is in
-the value set of u^d (+ lin*u) over a lattice of u".  `solve_positive`
-routes the positive atoms by count and degree to polynomial images, Pell
-orbits, divisor factorizations, the double-root curve cases of
-`poly_solver`, or a bounded walk; negative atoms are filtered pointwise
-along a deterministic witness scan.
+atoms of one type, `PolyAtom`: "a*x + b is in the value set of
+u^d (+ lin*u) over a lattice of u".  `preprocess` works on the atoms of
+power shape, stride 1 and no linear part, which say "a*x + b is a d-th
+power" (a > 0): it discards redundant ones and coalesces similar
+positives.  `solve_positive` routes the positive atoms by count and
+degree to polynomial images, Pell orbits, divisor factorizations, the
+double-root curve cases of `poly_solver`, or a bounded walk; negative
+atoms are filtered pointwise along a deterministic witness scan.
 
 Verdicts are three-valued.  Paths whose finiteness rests on effective but
 astronomically-large bounds in the literature enumerate an auxiliary
@@ -25,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._ast import ConstraintSystem, PolyAtom, PowerAtom, Verdict, system_holds
+from ._ast import ConstraintSystem, PolyAtom, Verdict, system_holds
 from .lrbs import IndexSet, Lrbs, filter_congruence, growth_rank
 from .numtheory import (
     _poly_eval,
@@ -34,7 +33,6 @@ from .numtheory import (
     divisor_pairs,
     factor,
     integer_numerators,
-    integer_roots,
     is_kth_power,
     kth_root,
 )
@@ -83,30 +81,31 @@ DEFAULT_OPTIONS = SolveOptions()
 
 
 # ---------------------------------------------------------------------------
-# Redundancy and similarity (power atoms).
+# Redundancy and similarity (atoms of power shape).
 
 
-def is_redundant(c1: PowerAtom, c2: PowerAtom) -> bool | None:
+def is_redundant(c1: PolyAtom, c2: PolyAtom) -> bool | None:
     """Truth value of c1 forced by the positive truth of c2, or None.
 
-    c1 = Z^k(c x + d) is redundant with respect to c2 = Z^j(a x + b) when
-    k | j and a*d == b*c; the forced value is whether a*c^(k-1) is itself
-    a perfect k-th power.  (At the single point where both terms vanish
+    Both atoms have power shape (`PolyAtom.is_power`).  c1 = Z^k(c x + d)
+    is redundant with respect to c2 = Z^j(a x + b) when k | j and
+    a*d == b*c; the forced value is whether a*c^(k-1) is itself a perfect
+    k-th power.  (At the single point where both terms vanish
     the atom is trivially true; callers patch that point separately.)
     """
-    k, c, d = c1.k, c1.a, c1.b
-    j, a, b = c2.k, c2.a, c2.b
+    k, c, d = c1.degree, c1.a, c1.b
+    j, a, b = c2.degree, c2.a, c2.b
     if j % k != 0 or a * d != b * c:
         return None
     return is_kth_power(a * c ** (k - 1), k)
 
 
-def similar(c1: PowerAtom, c2: PowerAtom) -> bool:
+def similar(c1: PolyAtom, c2: PolyAtom) -> bool:
     return c1.a * c2.b == c1.b * c2.a
 
 
-def coalesce_similar(atoms: list[PowerAtom]) -> PowerAtom | None:
-    """Single atom equivalent to a conjunction of similar positive atoms.
+def coalesce_similar(atoms: list[PolyAtom]) -> PolyAtom | None:
+    """Single atom equivalent to a conjunction of similar positive atoms of power shape.
 
     Returns None when the valuation congruences clash, i.e. the atoms are
     never simultaneously satisfiable away from their common zero point.
@@ -122,7 +121,7 @@ def coalesce_similar(atoms: list[PowerAtom]) -> PowerAtom | None:
     a, b = atoms[0].a // g, atoms[0].b // g
     K = 1
     for atom in atoms:
-        K = K * atom.k // math.gcd(K, atom.k)
+        K = K * atom.degree // math.gcd(K, atom.degree)
     interesting: set[int] = set()
     for atom in atoms:
         interesting.update(p for p, _ in factor(atom.a).factors)
@@ -131,13 +130,13 @@ def coalesce_similar(atoms: list[PowerAtom]) -> PowerAtom | None:
         classes = []
         vp_a = _val(p, a)
         for atom in atoms:
-            classes.append(ResidueClass(atom.k, vp_a - _val(p, atom.a)))
+            classes.append(ResidueClass(atom.degree, vp_a - _val(p, atom.a)))
         merged = crt_extended(classes)
         if merged is None:
             return None
         r_p = (-merged.residue) % K
         multiplier *= p**r_p
-    return PowerAtom(K, a * multiplier, b * multiplier)
+    return PolyAtom(K, 0, a * multiplier, b * multiplier, 1, 0)
 
 
 def _val(p: int, n: int) -> int:
@@ -153,7 +152,7 @@ def _val(p: int, n: int) -> int:
 # System preprocessing: dedup, discard redundant, coalesce, discard again.
 
 
-def _zero_point(atom: PowerAtom) -> int | None:
+def _zero_point(atom: PolyAtom) -> int | None:
     return -atom.b // atom.a if atom.b % atom.a == 0 else None
 
 
@@ -170,9 +169,10 @@ def _resolve_at_point(system: ConstraintSystem, y0: int | None, note: str) -> li
 def preprocess(system: ConstraintSystem) -> list[ConstraintSystem]:
     """Discard redundant atoms, coalesce similar positives, discard again.
 
-    Operates on power atoms only (polynomial atoms pass through untouched;
-    `poly_solver.preprocess_poly` handles their redundancy).  May resolve
-    the system outright; returns the surviving disjuncts.
+    Operates on the atoms of power shape (`PolyAtom.is_power`); the others
+    pass through untouched, and `poly_solver.preprocess_poly` handles their
+    redundancy.  May resolve the system outright; returns the surviving
+    disjuncts.
     """
     if system.resolved is not None:
         return [system]
@@ -183,23 +183,23 @@ def preprocess(system: ConstraintSystem) -> list[ConstraintSystem]:
     changed = True
     while changed:
         changed = False
-        power_pos = [a for a in system.positives if isinstance(a, PowerAtom)]
+        power_pos = [a for a in system.positives if a.is_power]
         # Discard atoms whose truth is forced by some positive atom.
         for ref in power_pos:
             for target in list(system.positives):
-                if target is ref or not isinstance(target, PowerAtom):
+                if target is ref or not target.is_power:
                     continue
                 forced = is_redundant(target, ref)
                 if forced is None:
                     continue
                 if forced:
                     system.positives.remove(target)
-                    system.log(f"redundant:drop-positive:{target.k}:{target.a}:{target.b}")
+                    system.log(f"redundant:drop-positive:{target.degree}:{target.a}:{target.b}")
                 else:
                     return _resolve_at_point(system, _zero_point(ref), "redundant:forced-false-positive")
                 changed = True
             for target in list(system.negatives):
-                if not isinstance(target, PowerAtom):
+                if not target.is_power:
                     continue
                 forced = is_redundant(target, ref)
                 if forced is None:
@@ -211,14 +211,14 @@ def preprocess(system: ConstraintSystem) -> list[ConstraintSystem]:
                 y0 = _zero_point(ref)
                 if y0 is not None:
                     system.excluded.append(y0)
-                system.log(f"redundant:drop-negative:{target.k}:{target.a}:{target.b}")
+                system.log(f"redundant:drop-negative:{target.degree}:{target.a}:{target.b}")
                 changed = True
             if changed:
                 break
         if changed:
             continue
         # Coalesce groups of similar positive atoms.
-        groups: dict[Fraction, list[PowerAtom]] = {}
+        groups: dict[Fraction, list[PolyAtom]] = {}
         for atom in power_pos:
             groups.setdefault(Fraction(atom.b, atom.a), []).append(atom)
         for ratio, group in sorted(groups.items()):
@@ -233,7 +233,7 @@ def preprocess(system: ConstraintSystem) -> list[ConstraintSystem]:
                     system, int(y0) if y0 is not None else None, "coalesce:incompatible"
                 )
             system.positives.append(merged)
-            system.log(f"coalesce:Z^{merged.k}({merged.a}x+{merged.b})")
+            system.log(f"coalesce:Z^{merged.degree}({merged.a}x+{merged.b})")
             changed = True
             break
     return [system]
@@ -287,11 +287,6 @@ class ImagePoly:
             raise ArithmeticError(f"non-integer image at t={t}")
         return q
 
-    def contains(self, x: int) -> bool:
-        cs = list(self.nums)
-        cs[0] -= x * self.den
-        return bool(integer_roots(cs))
-
 
 @dataclass(frozen=True, init=False)
 class PolyValueMap:
@@ -344,26 +339,19 @@ class LrbsEntry:
 
 @dataclass(frozen=True)
 class SolutionSet:
-    """Base class: integers satisfying the positive constraints."""
+    """Base class: integers satisfying the positive constraints.
+
+    `members` streams the elements of every kind but `AllSolutions`.
+    """
 
     lower: int | None
     case: str
     complete: bool
 
-    def is_infinite(self) -> bool:
-        raise NotImplementedError
-
-    def contains(self, x: int) -> bool:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class AllSolutions(SolutionSet):
-    def is_infinite(self) -> bool:
-        return True
-
-    def contains(self, x: int) -> bool:
-        return self.lower is None or x > self.lower
+    pass
 
 
 @dataclass(frozen=True)
@@ -371,56 +359,21 @@ class PolyImages(SolutionSet):
     polys: tuple[ImagePoly, ...] = ()
     extra_values: tuple[int, ...] = ()
 
-    def is_infinite(self) -> bool:
-        return True
-
-    def contains(self, x: int) -> bool:
-        return x in self.extra_values or any(p.contains(x) for p in self.polys)
-
 
 @dataclass(frozen=True)
 class LrbsUnion(SolutionSet):
     entries: tuple[LrbsEntry, ...] = ()
     extra_values: tuple[int, ...] = ()
 
-    def is_infinite(self) -> bool:
-        return any(not e.indices.is_empty() for e in self.entries)
-
-    def contains(self, x: int, index_radius: int = 64) -> bool:
-        if x in self.extra_values:
-            return True
-        for e in self.entries:
-            for n in _outward(index_radius):
-                if n in e.indices and e.vmap.apply(e.value_seq.eval(n)) == x:
-                    return True
-        return False
-
 
 @dataclass(frozen=True)
 class FiniteSolutions(SolutionSet):
     values: tuple[int, ...] = ()
 
-    def is_infinite(self) -> bool:
-        return False
-
-    def contains(self, x: int) -> bool:
-        return x in self.values
-
 
 @dataclass(frozen=True)
 class EmptySolutions(SolutionSet):
-    def is_infinite(self) -> bool:
-        return False
-
-    def contains(self, x: int) -> bool:
-        return False
-
-
-def _outward(radius: int):
-    yield 0
-    for i in range(1, radius + 1):
-        yield i
-        yield -i
+    pass
 
 
 # ---------------------------------------------------------------------------
@@ -717,8 +670,8 @@ def _bounded_curve(walked: PolyAtom, rest, lower, options: SolveOptions, label: 
     at which every atom of `rest` holds.
 
     When f is even and the lattice is closed under negation, u and -u
-    give the same x, so the walk starts at the least u >= 0.  Atoms with
-    stride 1 and no linear part are tested by one root extraction.
+    give the same x, so the walk starts at the least u >= 0.  Atoms of
+    power shape are tested by one root extraction.
     """
     H = options.enum_bound
     d, lin, a, b, q, r = walked.degree, walked.lin, walked.a, walked.b, walked.stride, walked.offset
@@ -731,7 +684,7 @@ def _bounded_curve(walked: PolyAtom, rest, lower, options: SolveOptions, label: 
     else:
         xs = [n // a for u in us if (n := u**d - b) % a == 0]
     for at in rest:
-        if at.stride == 1 and not at.lin:
+        if at.is_power:
             a1, b1, k1 = at.a, at.b, at.degree
             xs = [x for x in xs if kth_root(a1 * x + b1, k1) is not None]
         else:

@@ -2,16 +2,17 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from unipres._ast import ConstraintSystem, PolyAtom, PowerAtom, PredicateDecl
+from unipres._ast import ConstraintSystem, PolyAtom, PredicateDecl
 from unipres import cli, oracle
-from unipres.poly_solver import depress, prepare
-from unipres.power_solver import decide
+from unipres.poly_solver import depress_ascending, prepare
+from unipres.power_solver import decide, members
 
 
 def brute_first_witness(system: ConstraintSystem, bound: int) -> int | None:
@@ -40,6 +41,22 @@ def decide_prepared(system: ConstraintSystem, options):
     return cli._combine([decide(s, options) for s in prepare(system)])
 
 
+def stream_prefix(solution_set, bound: int, options) -> list[int]:
+    """The members with |x| <= bound, from the (|x|, x)-ordered stream that `decide` draws."""
+    return list(itertools.takewhile(lambda x: abs(x) <= bound, members(solution_set, options)))
+
+
+def oracle_hits(atoms, lo: int, hi: int) -> list[int]:
+    """The x in [lo, hi] at which every atom holds, by the oracle."""
+    first, *rest = atoms
+    return [x for x in range(lo, hi + 1) if oracle.atom_eval(first, x) and all(oracle.atom_eval(a, x) for a in rest)]
+
+
+def pow_atom(k: int, a: int, b: int) -> PolyAtom:
+    """The atom "a*x + b is a perfect k-th power", as `normalize` builds it."""
+    return PolyAtom(k, 0, a, b, 1, 0)
+
+
 def eval_system_directly(system: ConstraintSystem, y: int) -> bool:
     if system.lower is not None and y <= system.lower:
         return False
@@ -56,7 +73,7 @@ def random_power_system(rng: random.Random, max_atoms: int = 4) -> ConstraintSys
     n_neg = rng.randint(0, max_atoms - n_pos)
 
     def atom():
-        return PowerAtom(rng.randint(2, 5), rng.randint(1, 30), rng.randint(-30, 30))
+        return pow_atom(rng.randint(2, 5), rng.randint(1, 30), rng.randint(-30, 30))
 
     return ConstraintSystem(
         lower=rng.randint(-30, 30),
@@ -91,7 +108,7 @@ def random_poly_system(rng: random.Random) -> ConstraintSystem:
     def atom():
         deg = rng.choice((2, 2, 3))
         pred = random_int_valued_pred(rng, f"P{rng.randrange(10**6)}", deg)
-        return depress(pred, rng.randint(1, 12), rng.randint(-20, 20)).atom
+        return depress_ascending(pred.ascending(), rng.randint(1, 12), rng.randint(-20, 20))
 
     return ConstraintSystem(
         lower=rng.randint(-20, 20),
@@ -104,11 +121,11 @@ def random_mixed_system(rng: random.Random) -> ConstraintSystem:
     """Random system whose positives mix a power atom (k = 2..6) with a predicate atom."""
 
     def power():
-        return PowerAtom(rng.randint(2, 6), rng.randint(1, 12), rng.randint(-20, 20))
+        return pow_atom(rng.randint(2, 6), rng.randint(1, 12), rng.randint(-20, 20))
 
     def pred():
         decl = random_int_valued_pred(rng, f"P{rng.randrange(10**6)}", rng.choice((2, 3)))
-        return depress(decl, rng.randint(1, 6), rng.randint(-20, 20)).atom
+        return depress_ascending(decl.ascending(), rng.randint(1, 6), rng.randint(-20, 20))
 
     positives = [power(), pred()] + [rng.choice((power, pred))() for _ in range(rng.randint(0, 1))]
     return ConstraintSystem(

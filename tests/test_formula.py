@@ -248,6 +248,34 @@ def test_semantic_preservation_smoke():
             assert covered == direct, (text, x)
 
 
+def test_power_atoms_of_every_degree_and_sign_against_the_oracle():
+    # (pow k t) for k = 2..6 and every x-coefficient a in -4..4: the
+    # odd-degree flip u -> -u and the even-degree upper bound reach u^5
+    # and u^6, which `_random_formula` never draws.
+    rng = random.Random(31)
+    opts = SolveOptions(enum_bound=200)
+    for k in range(2, 7):
+        for a in range(-4, 5):
+            for negated in (False, True):
+                for bounded in (False, True):
+                    body = f"(pow {k} (+ (* {a} x) {rng.randint(-20, 20)}))"
+                    if negated:
+                        body = f"(not {body})"
+                    if bounded:
+                        body = f"(and ({rng.choice('<>')} x {rng.randint(-30, 30)}) {body})"
+                    text = f"(exists x {body})"
+                    f = parse(text)
+                    nf = normalize(f)
+                    for x in range(-60, 61):
+                        covered = any(_system_satisfied_at(s, x) for s in nf.systems)
+                        assert covered == oracle.eval_at(f, x), (text, x)
+                    v = solve_formula(f, opts).verdict
+                    if v.is_sat:
+                        assert oracle.eval_at(f, v.witness), (text, v)
+                    elif v.is_unsat:
+                        assert oracle.scan(f, 200).witnesses == (), text
+
+
 def test_sentence_differential_against_the_oracle():
     # Every sat witness satisfies the sentence, and no unsat sentence has a
     # witness in |x| <= 200.
@@ -263,13 +291,13 @@ def test_sentence_differential_against_the_oracle():
             assert oracle.scan(f, 200).witnesses == (), text
 
 
-@pytest.mark.parametrize("body, preds", [
-    # finite check of a bounded interval
-    ("(and (> x 10) (< x 3000) (pred T (+ (* 2 x) 1)) (not (pred C x)) (not (pow 2 x)))", 2),
+@pytest.mark.parametrize("body, atoms", [
+    # finite check of a bounded interval; (pow 2 x) is an atom literal too
+    ("(and (> x 10) (< x 3000) (pred T (+ (* 2 x) 1)) (not (pred C x)) (not (pow 2 x)))", 3),
     # equality path
     ("(and (= (* 2 x) 12) (pred T x) (not (pred C (+ x 1))))", 2),
 ])
-def test_finite_checks_build_each_predicate_atom_once(monkeypatch, body, preds):
+def test_finite_checks_build_each_predicate_atom_once(monkeypatch, body, atoms):
     calls = []
     depress_ascending = poly_solver.depress_ascending
 
@@ -280,7 +308,7 @@ def test_finite_checks_build_each_predicate_atom_once(monkeypatch, body, preds):
     monkeypatch.setattr(poly_solver, "depress_ascending", counted)
     f = parse(f"(declare-pred T (coeffs 1/2 1/2 0)) (declare-pred C (coeffs 1 0 -3 0)) (exists x {body})")
     nf = normalize(f)
-    assert len(calls) <= preds
+    assert len(calls) <= atoms
     [system] = nf.systems
     assert system.resolved is not None and system.resolved.is_sat
     assert oracle.eval_at(f, system.resolved.witness)

@@ -22,7 +22,6 @@ from unipres.poly_solver import (
     _square_split,
     _triple_4c,
     _try_discard_sets,
-    depress,
     depress_ascending,
     poly_redundant,
     preprocess_poly,
@@ -35,8 +34,10 @@ from conftest import (
     brute_first_witness,
     decide_prepared,
     eval_system_directly,
+    oracle_hits,
     random_int_valued_pred,
     random_poly_system,
+    stream_prefix,
 )
 
 OPTS = SolveOptions(enum_bound=2000, scan_cap=20_000, value_bits=4000)
@@ -47,31 +48,29 @@ GESSEL_CUBIC = PredicateDecl("G", (Fraction(1), Fraction(0), Fraction(-3), Fract
 
 class TestDepress:
     def test_identity_square(self):
-        d = depress(PredicateDecl("S", (Fraction(1), Fraction(0), Fraction(0))), 1, 0)
-        assert d.atom == PolyAtom(2, 0, 1, 0, 1, 0)
+        square = PredicateDecl("S", (Fraction(1), Fraction(0), Fraction(0)))
+        assert depress_ascending(square.ascending(), 1, 0) == PolyAtom(2, 0, 1, 0, 1, 0)
 
     def test_triangular(self):
-        d = depress(TRIANGULAR, 1, 0)
-        assert d.atom == PolyAtom(2, 0, 8, 1, 2, 1)
+        assert depress_ascending(TRIANGULAR.ascending(), 1, 0) == PolyAtom(2, 0, 8, 1, 2, 1)
 
     def test_shifted_cube(self):
         pred = PredicateDecl("C", (Fraction(1), Fraction(3), Fraction(3), Fraction(1)))
-        d = depress(pred, 1, 0)
-        assert d.atom == PolyAtom(3, 0, 1, 0, 1, 0)
+        assert depress_ascending(pred.ascending(), 1, 0) == PolyAtom(3, 0, 1, 0, 1, 0)
 
     def test_pointwise_equivalence_random(self, rng):
         for _ in range(100):
             deg = rng.choice((2, 3))
             pred = random_int_valued_pred(rng, "P", deg)
             a, b = rng.randint(1, 9), rng.randint(-9, 9)
-            atom = depress(pred, a, b).atom
+            atom = depress_ascending(pred.ascending(), a, b)
             for x in range(-100, 101):
                 direct = oracle.value_set_member(pred, a * x + b)[0]
                 assert atom.holds(x) == direct, (pred.coeffs, a, b, x)
 
     def test_rejects_wrong_degree(self):
         with pytest.raises(ValueError):
-            depress(PredicateDecl("L", (Fraction(2), Fraction(1))), 1, 0)
+            depress_ascending(PredicateDecl("L", (Fraction(2), Fraction(1))).ascending(), 1, 0)
 
 
 class TestPolyRedundant:
@@ -134,14 +133,14 @@ class TestPolyRedundant:
 
 class TestSolvePositive:
     def test_triangular_images(self):
-        atom = depress(TRIANGULAR, 1, 0).atom
+        atom = depress_ascending(TRIANGULAR.ascending(), 1, 0)
         s = solve_positive([atom], options=OPTS)
         assert isinstance(s, PolyImages)
         first = sorted(x for _, x in zip(range(8), members(s, OPTS)))
         assert first == [0, 1, 3, 6, 10, 15, 21, 28]
 
     def test_fermat_elliptic(self):
-        atoms = [depress(TRIANGULAR, 1, 0).atom, PolyAtom(3, 0, 1, 0, 1, 0)]
+        atoms = [depress_ascending(TRIANGULAR.ascending(), 1, 0), PolyAtom(3, 0, 1, 0, 1, 0)]
         s = solve_positive(atoms, options=OPTS)
         assert isinstance(s, FiniteSolutions) and not s.complete
         assert s.values == (0, 1)
@@ -161,26 +160,24 @@ class TestSolvePositive:
             assert got == scan[: len(got)] == [4, 196, 6724, 228484], first
 
     def test_double_root_images(self):
-        # T(x) & G(x+2) with G = {u^3 - 3u}: the scaled curve acquires a
-        # double root, so x is parametrized by degree-6 images.
-        quad = depress(TRIANGULAR, 1, 0).atom
-        cub = depress(GESSEL_CUBIC, 1, 2).atom
-        s = solve_positive([quad, cub], options=OPTS)
-        scan = [x for x in range(-50, 4 * 10**6) if quad.holds(x) and cub.holds(x)]
-        if isinstance(s, PolyImages):
-            sample = sorted(x for _, x in zip(range(60), members(s, OPTS)))
-            for x in scan:
-                assert s.contains(x), x
-            for x in sample[:10]:
-                assert quad.holds(x) and cub.holds(x)
-        else:
-            for x in scan:
-                assert s.contains(x)
+        # Against G(x+2) with G = {u^3 - 3u}, a square x gives the scaled
+        # curve a double root, so x is parametrized by degree-6 images; T(x)
+        # gives none and takes the bounded walk.  Either way the members with
+        # |x| <= B are exactly the oracle's solutions there.
+        cub = depress_ascending(GESSEL_CUBIC.ascending(), 1, 2)
+        for quad, B, case, count in (
+            (PolyAtom(2, 0, 1, 0, 1, 0), 10**6, "poly:pair:double-root-images", 10),
+            (depress_ascending(TRIANGULAR.ascending(), 1, 0), 4 * 10**6, "poly:pair:elliptic:bounded", 2),
+        ):
+            s = solve_positive([quad, cub], options=OPTS)
+            got = sorted(stream_prefix(s, B, OPTS))
+            assert s.case == case and len(got) == count
+            assert got == oracle_hits([quad, cub], -B, B), case
 
     def test_residue_scan_matches_brute_force(self, rng):
         for _ in range(60):
             pred = random_int_valued_pred(rng, "P", rng.choice((2, 3)))
-            atom = depress(pred, rng.randint(1, 12), rng.randint(-50, 50)).atom
+            atom = depress_ascending(pred.ascending(), rng.randint(1, 12), rng.randint(-50, 50))
             # Brute force over three periods of the witness lattice, with the
             # polynomial evaluated in Fractions; the scan yields the lattice
             # points of the first period.
@@ -194,17 +191,16 @@ class TestSolvePositive:
     def test_single_images_are_the_atom_solutions(self, rng):
         for _ in range(12):
             pred = random_int_valued_pred(rng, "P", rng.choice((2, 3)))
-            atom = depress(pred, rng.randint(1, 12), rng.randint(-20, 20)).atom
+            atom = depress_ascending(pred.ascending(), rng.randint(1, 12), rng.randint(-20, 20))
             s = _single_poly_images(atom, _poly_residues(atom), None)
             for poly in s.polys:
                 for t in range(-4, 5):
                     assert oracle.atom_eval(atom, poly.eval(t)), (atom, t)
-            for x in range(-120, 121):
-                assert s.contains(x) == oracle.atom_eval(atom, x), (atom, x)
+            assert stream_prefix(s, 120, OPTS) == sorted(oracle_hits([atom], -120, 120), key=lambda x: (abs(x), x)), atom
 
     def test_mixed_power_poly(self):
-        # x a fourth power, as `prepare` rewrites PowerAtom(4, 1, 0).
-        atoms = [depress(TRIANGULAR, 1, 0).atom, PolyAtom(4, 0, 1, 0, 1, 0)]
+        # x a fourth power: the atom of (pow 4 x).
+        atoms = [depress_ascending(TRIANGULAR.ascending(), 1, 0), PolyAtom(4, 0, 1, 0, 1, 0)]
         s = solve_positive(atoms, options=OPTS)
         assert isinstance(s, FiniteSolutions)
         scan = [x for x in range(0, 2000) if all(oracle.atom_eval(a, x) for a in atoms)]
@@ -214,14 +210,14 @@ class TestSolvePositive:
 
 class TestPreprocess:
     def test_direct_contradiction(self):
-        atom = depress(TRIANGULAR, 1, 0).atom
+        atom = depress_ascending(TRIANGULAR.ascending(), 1, 0)
         sys_ = ConstraintSystem(lower=0, positives=[atom], negatives=[atom])
         assert preprocess_poly(sys_) == []
 
     def test_redundant_positive_pair_merges(self):
         # T(x) and T(9x+1) encode the same witnesses through u2 = 3u1.
-        a1 = depress(TRIANGULAR, 1, 0).atom
-        a2 = depress(TRIANGULAR, 9, 1).atom
+        a1 = depress_ascending(TRIANGULAR.ascending(), 1, 0)
+        a2 = depress_ascending(TRIANGULAR.ascending(), 9, 1)
         sys_ = ConstraintSystem(lower=-1, positives=[a1, a2])
         subs = preprocess_poly(sys_)
         assert subs
@@ -234,8 +230,8 @@ class TestPreprocess:
         # a line of a strided cubic merge.
         A = PredicateDecl("A", (Fraction(1), Fraction(1), Fraction(0), Fraction(0)))
         B = PredicateDecl("B", (Fraction(1), Fraction(2), Fraction(0), Fraction(0)))
-        a1 = depress(A, 1, 0).atom
-        a2 = depress(B, 8, 0).atom
+        a1 = depress_ascending(A.ascending(), 1, 0)
+        a2 = depress_ascending(B.ascending(), 8, 0)
         sys_ = ConstraintSystem(lower=-1, positives=[a1, a2])
         subs = preprocess_poly(sys_)
         assert subs
@@ -272,7 +268,7 @@ class Test4c:
     def setup_method(self):
         self.q1 = PolyAtom(2, 0, 1, 0, 1, 0)
         self.q3 = PolyAtom(2, 0, 2, 8, 1, 0)
-        self.neg = depress(GESSEL_CUBIC, 1, 2).atom
+        self.neg = depress_ascending(GESSEL_CUBIC.ascending(), 1, 2)
 
     def test_curve_case_split(self):
         d1 = _derive_curve_case(self.q1, self.neg)
@@ -391,18 +387,18 @@ class TestDecidePoly:
         assert oracle.eval_at(f, v.witness)
 
     def test_forced_contradiction(self):
-        atom = depress(TRIANGULAR, 1, 0).atom
+        atom = depress_ascending(TRIANGULAR.ascending(), 1, 0)
         sys_ = ConstraintSystem(lower=0, positives=[atom], negatives=[atom])
         assert decide_prepared(sys_, OPTS).is_unsat
 
     def test_fermat_never_sat(self):
-        atoms = [depress(TRIANGULAR, 1, 0).atom, PolyAtom(3, 0, 1, 0, 1, 0)]
+        atoms = [depress_ascending(TRIANGULAR.ascending(), 1, 0), PolyAtom(3, 0, 1, 0, 1, 0)]
         sys_ = ConstraintSystem(lower=1, positives=atoms)
         v = decide_prepared(sys_, OPTS)
         assert v.is_unknown
 
     def test_triangular_cube_below_threshold(self):
-        atoms = [depress(TRIANGULAR, 1, 0).atom, PolyAtom(3, 0, 1, 0, 1, 0)]
+        atoms = [depress_ascending(TRIANGULAR.ascending(), 1, 0), PolyAtom(3, 0, 1, 0, 1, 0)]
         sys_ = ConstraintSystem(lower=0, positives=list(atoms))
         v = decide_prepared(sys_, OPTS)
         assert v.is_sat and v.witness == 1
