@@ -127,7 +127,7 @@ class PredicateDecl:
     den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(c if type(c) is Fraction else Fraction(c) for c in self.coeffs))
         if not self.coeffs or self.coeffs[0] == 0:
             raise ParseError(f"predicate {self.name}: leading coefficient must be nonzero")
         if self.degree > 3:

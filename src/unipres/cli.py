@@ -212,17 +212,17 @@ def _encode_main(argv) -> int:
                                  description="Encode h(x1..xn) = 0 over <0,1,+,-,Z^2>.")
     ap.add_argument("poly", help="polynomial term or a file containing one")
     ap.add_argument("--chain", type=int, default=encoder.BUCHI_CHAIN,
-                    help="square-chain length (Buchi constant; default 5)")
+                    help="square-chain length, at least the Buchi constant 5 (the default)")
     args = ap.parse_args(argv)
     text = args.poly
     if os.path.exists(text):
-        text = open(text, "r", encoding="utf-8").read()
+        text = Path(text).read_text(encoding="utf-8")
     try:
-        h = encoder.parse_poly(text)
-    except ParseError as exc:
+        f = encoder.encode(encoder.parse_poly(text), chain_len=args.chain)
+    except ValueError as exc:  # a ParseError, or a chain below the Buchi constant
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    print(encoder.format_square_formula(encoder.encode(h, chain_len=args.chain)))
+    print(encoder.format_square_formula(f))
     return 0
 
 

@@ -91,12 +91,6 @@ class SLin:
             d[v] = d.get(v, 0) + c
         return SLin(tuple(sorted((v, c) for v, c in d.items() if c)), self.const + other.const)
 
-    def __neg__(self) -> "SLin":
-        return SLin(tuple((v, -c) for v, c in self.coeffs), -self.const)
-
-    def __sub__(self, other: "SLin") -> "SLin":
-        return self + (-other)
-
     def scale(self, k: int) -> "SLin":
         if k == 0:
             return SLin((), 0)
@@ -134,27 +128,35 @@ SquareFormula = object  # any of SEq / SSquare / SAnd / SExists
 
 
 def _chain(w: SLin, t: SLin, chain_len: int) -> list:
-    """Atoms pinning w = t^2 via squares in second-difference-2 progression."""
-    return [SSquare(w + t.scale(2 * i) + SLin.of(i * i)) for i in range(chain_len)]
+    """Atoms w + 2i*t + i^2 (i < chain_len), squares in second-difference-2
+    progression that pin w = t^2.
 
-
-def _square_def(target: str, head_sign: int, head_var: str, inner, chain_len: int):
-    """Formula asserting target = (head_sign*head_var + inner)^2.
-
-    inner is an SLin or a nonlinear monomial (coeff, vars) to be reduced
-    first with the complementary variable pair.
+    Each atom is one merge of w and t over their sorted key union: linear
+    in the atoms, plus one sort of that union.
     """
-    w = SLin.of(0, **{target: 1})
-    if isinstance(inner, SLin):
-        t = SLin.of(0, **{head_var: head_sign}) + inner
-        return SAnd(tuple(_chain(w, t, chain_len)))
-    coeff, vs = inner
-    pool = ("t0", "t1") if target in ("t2", "t3") else ("t2", "t3")
-    u, v = pool
+    wd, td = dict(w.coeffs), dict(t.coeffs)
+    pairs = [(v, wd.get(v, 0), td.get(v, 0)) for v in sorted(wd.keys() | td.keys())]
+    return [
+        SSquare(SLin(tuple([(v, c) for v, a, b in pairs if (c := a + 2 * i * b)]), w.const + 2 * i * t.const + i * i))
+        for i in range(chain_len)
+    ]
+
+
+def _square_def(target: str, head_sign: int, head_var: str, coeff: int, vs: tuple, chain_len: int):
+    """Formula asserting target = (head_sign*head_var + coeff*prod(vs))^2.
+
+    A product of two or more variables is first reduced with the
+    complementary variable pair.
+    """
+    w = SLin(((target, 1),))
+    if len(vs) == 1:
+        t = {head_var: head_sign}
+        t[vs[0]] = t.get(vs[0], 0) + coeff
+        return SAnd(tuple(_chain(w, SLin.of(0, **t), chain_len)))
+    u, v = ("t0", "t1") if target in ("t2", "t3") else ("t2", "t3")
     sub = _reduce_monomial(u, v, coeff, vs, chain_len)
-    t = SLin.of(0, **{head_var: head_sign}) + SLin.of(0, **{u: 1}) + SLin.of(0, **{v: -1})
-    body = SAnd(tuple(_chain(w, t, chain_len)) + sub)
-    return SExists(u, SExists(v, body))
+    t = SLin.of(0, **{head_var: head_sign, u: 1, v: -1})
+    return SExists(u, SExists(v, SAnd(tuple(_chain(w, t, chain_len)) + sub)))
 
 
 def _reduce_monomial(u: str, v: str, coeff: int, vs: tuple, chain_len: int):
@@ -163,64 +165,48 @@ def _reduce_monomial(u: str, v: str, coeff: int, vs: tuple, chain_len: int):
     coeff must carry the 4^(len(vs)-1) scaling so that u = (x + g)^2 and
     v = (-x + g)^2 with g = (coeff/4) * rest stay integral.
     """
-    head, rest = vs[0], vs[1:]
-    c4 = coeff // 4
-    if len(rest) == 1:
-        g = SLin.of(0, **{rest[0]: c4})
-        return (
-            _square_def(u, 1, head, g, chain_len),
-            _square_def(v, -1, head, g, chain_len),
-        )
-    return (
-        _square_def(u, 1, head, (c4, rest), chain_len),
-        _square_def(v, -1, head, (c4, rest), chain_len),
-    )
+    return tuple(_square_def(x, sign, vs[0], coeff // 4, vs[1:], chain_len) for x, sign in ((u, 1), (v, -1)))
 
 
 def encode(h: MultiPoly, chain_len: int = BUCHI_CHAIN) -> SquareFormula:
     """Formula over <0,1,+,-,Z^2> equivalent to h(x1..xn) = 0.
 
     Uses at most 4 bound variables t0..t3, all existentially quantified.
+    Each linear form is built once, so the cost is linear in the atoms,
+    plus a sort of each chain's key union.  A chain shorter than
+    BUCHI_CHAIN does not pin w = t^2 and is rejected.
     """
-    deg = h.degree
-    scale = 4 ** max(deg - 1, 0)
-    linear = SLin.of(0)
+    if chain_len < BUCHI_CHAIN:
+        raise ValueError(f"chain length {chain_len} is below the Buchi constant {BUCHI_CHAIN}")
+    scale = 4 ** max(h.degree - 1, 0)
+    linear: dict = {}
+    const = 0
     monos = []
     for expo, c in h.monomials:
         d = sum(expo)
-        if d <= 1:
-            sc = c * scale
-            if d == 0:
-                linear += SLin.of(sc)
-            else:
-                var = f"x{expo.index(max(expo)) + 1}"
-                linear += SLin.of(0, **{var: sc})
+        if d == 0:
+            const = c * scale
+        elif d == 1:
+            linear[f"x{expo.index(1) + 1}"] = c * scale
         else:
-            vs = []
-            for i, e in enumerate(expo):
-                vs.extend([f"x{i + 1}"] * e)
-            monos.append((c * scale, tuple(vs)))
+            monos.append((c * scale, tuple(f"x{i + 1}" for i, e in enumerate(expo) for _ in range(e))))
     if not monos:
-        return SEq(linear)
+        return SEq(SLin.of(const, **linear))
 
-    def rule1_name(r: int) -> str:
-        return "t0" if r % 2 == 1 else "t1"
-
+    rule1_name = ("t1", "t0")  # T_r is rule1_name[r % 2]
     p = len(monos)
     # Innermost conjunct: T_p = linear tail.
-    acc = SEq(SLin.of(0, **{rule1_name(p): 1}) - linear)
+    acc = SEq(SLin.of(-const, **{v: -c for v, c in linear.items()}, **{rule1_name[p % 2]: 1}))
     for r in range(p, 0, -1):
-        cur = rule1_name(r)
+        cur = rule1_name[r % 2]
         # Equation at level r: for r = 1:  g_1 + T_1 = 0
         # for r >= 2:          T_{r-1} = g_r + T_r, i.e. g_r + T_r - T_{r-1} = 0
-        eq_lin = SLin.of(0, **{cur: 1})
+        eq_lin = {cur: 1, "t2": 1, "t3": -1}
         if r >= 2:
-            eq_lin = eq_lin - SLin.of(0, **{rule1_name(r - 1): 1})
+            eq_lin[rule1_name[(r - 1) % 2]] = -1
         coeff, vs = monos[r - 1]
-        u, v = "t2", "t3"
-        sub = _reduce_monomial(u, v, coeff, vs, chain_len)
-        eq = SEq(eq_lin + SLin.of(0, **{u: 1}) + SLin.of(0, **{v: -1}))
-        level = SExists(u, SExists(v, SAnd((eq,) + sub)))
+        sub = _reduce_monomial("t2", "t3", coeff, vs, chain_len)
+        level = SExists("t2", SExists("t3", SAnd((SEq(SLin.of(0, **eq_lin)),) + sub)))
         acc = SExists(cur, SAnd((level, acc)))
     return acc
 
@@ -265,58 +251,66 @@ class _Compiled:
 
 
 def _compile(f, free: tuple) -> _Compiled:
-    """One walk of f; `free` names the free variables' columns in order."""
+    """One walk of f; `free` names the free variables' columns in order.
+
+    Each recipe counts the bound columns it still waits for, and a column
+    joins the frontier when one of its recipes reaches zero, so ordering
+    is linear in the recipes, and the compile linear in the atoms.
+    """
     nfree = ncols = len(free)
     atoms: list = []  # (is_square, {column: coefficient}, constant)
 
-    def walk(node, scope):
-        nonlocal ncols
-        if isinstance(node, SExists):
+    stack = [(f, {v: i for i, v in enumerate(free)})]
+    while stack:  # depth first, left to right
+        node, scope = stack.pop()
+        if isinstance(node, SAnd):
+            stack.extend((a, scope) for a in reversed(node.args))
+        elif isinstance(node, SSquare):
+            atoms.append((True, {scope[v]: c for v, c in node.arg.coeffs}, node.arg.const))
+        elif isinstance(node, SEq):
+            atoms.append((False, {scope[v]: c for v, c in node.lhs.coeffs}, node.lhs.const))
+        elif isinstance(node, SExists):
+            stack.append((node.body, {**scope, node.var: ncols}))
             ncols += 1
-            walk(node.body, {**scope, node.var: ncols - 1})
-        elif isinstance(node, SAnd):
-            for a in node.args:
-                walk(a, scope)
-        elif isinstance(node, (SEq, SSquare)):
-            sl = node.lhs if isinstance(node, SEq) else node.arg
-            atoms.append((isinstance(node, SSquare), {scope[v]: c for v, c in sl.coeffs}, sl.const))
         else:
             raise TypeError(f"not a square formula: {node!r}")
 
-    walk(f, {v: i for i, v in enumerate(free)})
-
-    # Recipes by column, equations first: (dependencies, atoms made true, recipe).
-    recipes: list = [[] for _ in range(ncols)]
+    # Recipes, equations first: (column, atoms made true, recipe, columns waited for).
+    recipes: list = []
     for i, (is_sq, lin, c) in enumerate(atoms):
         if not is_sq:
-            for j, cv in lin.items():
-                if j >= nfree:
-                    num = tuple((k, -a) for k, a in lin.items() if k != j)
-                    deps = {k for k, _ in num if k >= nfree}
-                    recipes[j].append((deps, (i,) if abs(cv) == 1 else (), (cv, (num, -c), None)))
+            bound = [k for k in lin if k >= nfree]
+            for j in bound:
+                cv = lin[j]
+                num = tuple((k, -a) for k, a in lin.items() if k != j)
+                recipes.append((j, (i,) if abs(cv) == 1 else (), (cv, (num, -c), None), [k for k in bound if k != j]))
     for i, ((sq0, a0, c0), (sq1, a1, c1)) in enumerate(zip(atoms, atoms[1:])):
-        if not (sq0 and sq1):
-            continue
-        diff = {k: d for k in a0.keys() | a1.keys() if (d := a1.get(k, 0) - a0.get(k, 0))}
-        dm1 = (tuple(diff.items()), c1 - c0 - 1)
-        for j, cv in a0.items():
-            if j >= nfree and j not in diff:
-                rest = tuple((k, a) for k, a in a0.items() if k != j)
-                deps = {k for k in itertools.chain(diff, a0) if k >= nfree and k != j}
-                recipes[j].append((deps, (i, i + 1), (cv, (rest, c0), dm1)))
+        # A column whose coefficient is the same in both atoms of a square pair.
+        cols = [j for j, cv in a0.items() if j >= nfree and a1.get(j) == cv] if sq0 and sq1 else ()
+        if cols:
+            keys = a0.keys() | a1.keys()
+            diff = {k: d for k in keys if (d := a1.get(k, 0) - a0.get(k, 0))}
+            dm1 = (tuple(diff.items()), c1 - c0 - 1)
+            bound = {k for k in keys if k >= nfree}
+            for j in cols:
+                rest = tuple([(k, a) for k, a in a0.items() if k != j])
+                recipes.append((j, (i, i + 1), (a0[j], (rest, c0), dm1), bound - {j}))
 
-    # The first remaining column with a ready recipe goes next.
+    missing = [len(waits) for _, _, _, waits in recipes]
+    by_col, users = [[] for _ in range(ncols)], [[] for _ in range(ncols)]
+    for r, (j, _, _, waits) in enumerate(recipes):
+        by_col[j].append(r)
+        for k in waits:
+            users[k].append(r)
+    frontier = {j for j, _, _, waits in recipes if not waits}
+
+    # The first unknown column with a ready recipe goes next.
     steps: list = []
     proven: set = set()
-    known: set = set()
-    remaining = list(range(nfree, ncols))
-    while True:
-        for j in remaining:
-            ready = [r for r in recipes[j] if r[0] <= known]
-            if ready:
-                break
-        else:
-            break
+    stage = [-1] * ncols  # step index of each known bound column
+    while frontier:
+        j = min(frontier)
+        ready = [recipes[r] for r in by_col[j] if not missing[r]]
         if ready[0][2][2] is None:
             proven.update(ready[0][1])
             steps.append((j, "eq", (ready[0][2],)))
@@ -325,23 +319,21 @@ def _compile(f, free: tuple) -> _Compiled:
             steps.append((j, "pinned", (ready[0][2],)))
         else:
             steps.append((j, "chain", tuple(r[2] for r in ready)))
-        known.add(j)
-        remaining.remove(j)
+        stage[j] = len(steps) - 1
+        frontier.discard(j)
+        for r in users[j]:
+            missing[r] -= 1
+            if not missing[r] and stage[recipes[r][0]] < 0:
+                frontier.add(recipes[r][0])
 
-    stage = {j: i for i, (j, _, _) in enumerate(steps)}
+    resolved = len(steps) == ncols - nfree
     checks: list = [[] for _ in range(len(steps) + 1)]
-    if not remaining:
+    if resolved:
         for i, (_, lin, _) in enumerate(atoms):
             if i not in proven:
-                checks[1 + max((stage[j] for j in lin if j >= nfree), default=-1)].append(i)
-    return _Compiled(
-        nfree,
-        ncols,
-        tuple((is_sq, (tuple(lin.items()), c)) for is_sq, lin, c in atoms),
-        tuple(steps),
-        tuple(tuple(c) for c in checks),
-        not remaining,
-    )
+                checks[1 + max(map(stage.__getitem__, lin), default=-1)].append(i)
+    forms = tuple((is_sq, (tuple(lin.items()), c)) for is_sq, lin, c in atoms)
+    return _Compiled(nfree, ncols, forms, tuple(steps), tuple(tuple(c) for c in checks), resolved)
 
 
 def _pinned(chains) -> bool:
@@ -354,15 +346,17 @@ def _pinned(chains) -> bool:
     """
     cv, (rest, c), (dm1, d) = chains[0]
     lin = dict(dm1)
+    if abs(cv) != 1 or any(a % 2 for a in lin.values()):
+        return False
     base = dict(rest)
+    keys = base.keys() | lin.keys()
     for cv_b, (rest_b, c_b), (dm1_b, d_b) in chains:
-        if cv_b != cv or abs(cv) != 1 or d_b % 2 or dict(dm1_b) != lin:
-            return False
         e = (d_b - d) // 2
-        want = {k: base.get(k, 0) + e * lin.get(k, 0) for k in base.keys() | lin.keys()}
-        if dict(rest_b) != {k: a for k, a in want.items() if a} or c_b != c + e * d + e * e:
+        if cv_b != cv or d_b % 2 or c_b != c + e * d + e * e or (dm1_b != dm1 and dict(dm1_b) != lin):
             return False
-    return not any(a % 2 for a in lin.values())
+        if dict(rest_b) != {k: a for k in keys if (a := base.get(k, 0) + e * lin.get(k, 0))}:
+            return False
+    return True
 
 
 def _lin(form, vals) -> int:
@@ -470,8 +464,8 @@ def _sweep(plan: _Compiled, points, np):
     width = plan.ncols
     vals = np.ones((width + 1, size))  # the last row is the constant 1
     vals[: plan.nfree] = points
-    dead = np.zeros(size, dtype=bool)
-    ambiguous = np.zeros(size, dtype=bool)
+    truth = np.ones(size, dtype=bool)
+    ambiguous = False  # where chain candidates disagree: an array after a "chain" level
 
     level = [0] * width
     levels: dict = {}
@@ -493,20 +487,19 @@ def _sweep(plan: _Compiled, points, np):
                 vals[cols] = np.floor(forms / cv)
                 continue
             half = forms[len(rs):] * 0.5
+            if kind == "pinned":  # dm1 is even, so half is t
+                vals[cols] = (half * half - forms[: len(rs)]) * cv
+                continue
             t = np.floor(half)
             num = t * t - forms[: len(rs)]
-            if kind == "pinned":
-                vals[cols] = num * cv
-                continue
             val = np.floor(num / cv)
             ok = ((t == half) & (val * cv == num)).reshape(len(cols), k, size)
             val = val.reshape(len(cols), k, size)
             chosen = np.take_along_axis(val, ok.argmax(axis=1)[:, None], axis=1)
-            dead |= ~ok.any(axis=1).all(axis=0)
+            truth &= ok.any(axis=1).all(axis=0)
             ambiguous |= (ok & (val != chosen)).any(axis=(0, 1))
             vals[cols] = chosen[:, 0]
 
-    truth = ~dead
     checked = [plan.atoms[i] for c in plan.checks for i in c]
     eqs = [form for is_sq, form in checked if not is_sq]
     squares = [form for is_sq, form in checked if is_sq]
@@ -516,8 +509,9 @@ def _sweep(plan: _Compiled, points, np):
         v = _matrix(squares, width, np) @ vals
         r = np.rint(np.sqrt(np.abs(v)))
         truth &= (r * r == v).all(axis=0)
-    for p in np.flatnonzero(ambiguous & ~truth):
-        truth[p] = _search(plan, [int(x) for x in points[:, p]])
+    if ambiguous is not False:
+        for p in np.flatnonzero(ambiguous & ~truth):
+            truth[p] = _search(plan, [int(x) for x in points[:, p]])
     return truth
 
 
@@ -595,6 +589,8 @@ def parse_poly(text: str) -> MultiPoly:
         head = node[0].text if isinstance(node[0], SToken) else None
         args = node[1:]
         if head == "+":
+            if not args:
+                raise ParseError("(+) needs arguments", *_tok_pos(node))
             out: dict = {}
             for a in args:
                 for k, v in walk(a).items():
@@ -610,11 +606,14 @@ def parse_poly(text: str) -> MultiPoly:
                 return out
             raise ParseError("(-) takes one or two arguments", *_tok_pos(node))
         if head == "*":
+            if len(args) < 2:
+                raise ParseError("(*) needs two or more arguments", *_tok_pos(node))
             out = {(): 1}
             for a in args:
                 nxt: dict = {}
+                terms = walk(a)
                 for k1, v1 in out.items():
-                    for k2, v2 in walk(a).items():
+                    for k2, v2 in terms.items():
                         k = _mul_keys(k1, k2)
                         nxt[k] = nxt.get(k, 0) + v1 * v2
                 out = nxt

@@ -12,7 +12,14 @@ import pytest
 from unipres._ast import ConstraintSystem, PolyAtom, PredicateDecl
 from unipres import cli, oracle
 from unipres.poly_solver import depress_ascending, prepare
-from unipres.power_solver import decide, members
+from unipres.power_solver import decide, members, similar
+
+
+def no_similar_powers(system: ConstraintSystem) -> bool:
+    """What `prepare` establishes: an open system keeps no two similar
+    positive atoms of power shape (a resolved one keeps its atoms)."""
+    powers = [a for a in system.positives if a.is_power] if system.resolved is None else []
+    return not any(similar(a, b) for a, b in itertools.combinations(powers, 2))
 
 
 def brute_first_witness(system: ConstraintSystem, bound: int) -> int | None:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,8 @@ import pytest
 
 import unipres
 
+from unipres import ParseError
+from unipres.cli import main as cli_main
 from unipres.encoder import (
     EquivReport,
     MultiPoly,
@@ -16,6 +19,7 @@ from unipres.encoder import (
     SExists,
     SLin,
     SSquare,
+    _compile,
     check_equiv,
     encode,
     eval_square_formula,
@@ -169,6 +173,23 @@ def test_values_past_the_float_range_take_the_exact_path():
     assert check_equiv(parse_poly("(- x1 x1)"), f, 5) == EquivReport(True, None, 11)
 
 
+def split_chain_formula():
+    """exists b. Z^2(b) & Z^2(b + 2 x1 + 1) & 0 = 0 & Z^2(b + 4 x1 + 1) & Z^2(b + 6 x1 + 4).
+
+    The two chain recipes for b have the same dm1 up to a constant and
+    fit its constant, but not its linear part: b = x1^2 and b = x1^2 - 2 x1,
+    so b is a "chain" column, not a pinned one.  On |x1| <= 6 the formula
+    holds only at x1 = 0.
+    """
+    return SExists("b", SAnd((
+        SSquare(SLin.of(0, b=1)),
+        SSquare(SLin.of(1, b=1, x1=2)),
+        SEq(SLin.of(0)),
+        SSquare(SLin.of(1, b=1, x1=4)),
+        SSquare(SLin.of(4, b=1, x1=6)),
+    )))
+
+
 def _agreement_cases():
     for text, grid in ROUND_TRIP[:5]:
         h = parse_poly(text)
@@ -180,6 +201,7 @@ def _agreement_cases():
     yield parse_poly("x1"), strided_chain_formula(), 4
     yield parse_poly("x1"), divisor_chain_formula(), 4
     yield parse_poly("(- (* x1 x1 x1) (* 4 x1))"), odd_step_chain_formula(), 2
+    yield parse_poly("x1"), split_chain_formula(), 4
 
 
 def test_exact_path_agrees_with_the_vectorised_path(monkeypatch):
@@ -217,3 +239,219 @@ def test_importing_the_cli_does_not_import_numpy():
     code = f"import sys; sys.path.insert(0, {src!r}); import unipres.cli; print('numpy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+# --- reference constructions ---------------------------------------------------
+# The encoder built with SLin arithmetic, and the compiler ordering columns by
+# rescanning the remaining ones; the module must give equal results.
+
+
+def _reference_chain(w, t, chain_len):
+    return [SSquare(w + t.scale(2 * i) + SLin.of(i * i)) for i in range(chain_len)]
+
+
+def _reference_square_def(target, head_sign, head_var, inner, chain_len):
+    w = SLin.of(0, **{target: 1})
+    if isinstance(inner, SLin):
+        t = SLin.of(0, **{head_var: head_sign}) + inner
+        return SAnd(tuple(_reference_chain(w, t, chain_len)))
+    coeff, vs = inner
+    u, v = ("t0", "t1") if target in ("t2", "t3") else ("t2", "t3")
+    sub = _reference_reduce_monomial(u, v, coeff, vs, chain_len)
+    t = SLin.of(0, **{head_var: head_sign}) + SLin.of(0, **{u: 1}) + SLin.of(0, **{v: -1})
+    return SExists(u, SExists(v, SAnd(tuple(_reference_chain(w, t, chain_len)) + sub)))
+
+
+def _reference_reduce_monomial(u, v, coeff, vs, chain_len):
+    head, rest = vs[0], vs[1:]
+    c4 = coeff // 4
+    inner = SLin.of(0, **{rest[0]: c4}) if len(rest) == 1 else (c4, rest)
+    return (
+        _reference_square_def(u, 1, head, inner, chain_len),
+        _reference_square_def(v, -1, head, inner, chain_len),
+    )
+
+
+def reference_encode(h: MultiPoly, chain_len: int):
+    scale = 4 ** max(h.degree - 1, 0)
+    linear = SLin.of(0)
+    monos = []
+    for expo, c in h.monomials:
+        d = sum(expo)
+        if d == 0:
+            linear += SLin.of(c * scale)
+        elif d == 1:
+            linear += SLin.of(0, **{f"x{expo.index(1) + 1}": c * scale})
+        else:
+            vs = []
+            for i, e in enumerate(expo):
+                vs.extend([f"x{i + 1}"] * e)
+            monos.append((c * scale, tuple(vs)))
+    if not monos:
+        return SEq(linear)
+
+    def rule1_name(r):
+        return "t0" if r % 2 == 1 else "t1"
+
+    p = len(monos)
+    acc = SEq(SLin.of(0, **{rule1_name(p): 1}) + linear.scale(-1))
+    for r in range(p, 0, -1):
+        cur = rule1_name(r)
+        eq_lin = SLin.of(0, **{cur: 1})
+        if r >= 2:
+            eq_lin = eq_lin + SLin.of(0, **{rule1_name(r - 1): -1})
+        coeff, vs = monos[r - 1]
+        sub = _reference_reduce_monomial("t2", "t3", coeff, vs, chain_len)
+        eq = SEq(eq_lin + SLin.of(0, t2=1) + SLin.of(0, t3=-1))
+        acc = SExists(cur, SAnd((SExists("t2", SExists("t3", SAnd((eq,) + sub))), acc)))
+    return acc
+
+
+def reference_compile(f, free):
+    nfree = ncols = len(free)
+    atoms = []
+
+    def walk(node, scope):
+        nonlocal ncols
+        if isinstance(node, SExists):
+            ncols += 1
+            walk(node.body, {**scope, node.var: ncols - 1})
+        elif isinstance(node, SAnd):
+            for a in node.args:
+                walk(a, scope)
+        else:
+            sl = node.lhs if isinstance(node, SEq) else node.arg
+            atoms.append((isinstance(node, SSquare), {scope[v]: c for v, c in sl.coeffs}, sl.const))
+
+    walk(f, {v: i for i, v in enumerate(free)})
+    recipes = [[] for _ in range(ncols)]
+    for i, (is_sq, lin, c) in enumerate(atoms):
+        if not is_sq:
+            for j, cv in lin.items():
+                if j >= nfree:
+                    num = tuple((k, -a) for k, a in lin.items() if k != j)
+                    deps = {k for k, _ in num if k >= nfree}
+                    recipes[j].append((deps, (i,) if abs(cv) == 1 else (), (cv, (num, -c), None)))
+    for i, ((sq0, a0, c0), (sq1, a1, c1)) in enumerate(zip(atoms, atoms[1:])):
+        if not (sq0 and sq1):
+            continue
+        diff = {k: d for k in a0.keys() | a1.keys() if (d := a1.get(k, 0) - a0.get(k, 0))}
+        dm1 = (tuple(diff.items()), c1 - c0 - 1)
+        for j, cv in a0.items():
+            if j >= nfree and j not in diff:
+                rest = tuple((k, a) for k, a in a0.items() if k != j)
+                deps = {k for k in itertools.chain(diff, a0) if k >= nfree and k != j}
+                recipes[j].append((deps, (i, i + 1), (cv, (rest, c0), dm1)))
+
+    steps, proven, known = [], set(), set()
+    remaining = list(range(nfree, ncols))
+    while True:
+        for j in remaining:
+            ready = [r for r in recipes[j] if r[0] <= known]
+            if ready:
+                break
+        else:
+            break
+        if ready[0][2][2] is None:
+            proven.update(ready[0][1])
+            steps.append((j, "eq", (ready[0][2],)))
+        elif _reference_pinned([r[2] for r in ready]):
+            proven.update(i for r in ready for i in r[1])
+            steps.append((j, "pinned", (ready[0][2],)))
+        else:
+            steps.append((j, "chain", tuple(r[2] for r in ready)))
+        known.add(j)
+        remaining.remove(j)
+
+    stage = {j: i for i, (j, _, _) in enumerate(steps)}
+    checks = [[] for _ in range(len(steps) + 1)]
+    if not remaining:
+        for i, (_, lin, _) in enumerate(atoms):
+            if i not in proven:
+                checks[1 + max((stage[j] for j in lin if j >= nfree), default=-1)].append(i)
+    forms = tuple((is_sq, (tuple(lin.items()), c)) for is_sq, lin, c in atoms)
+    return nfree, ncols, forms, tuple(steps), tuple(tuple(c) for c in checks), not remaining
+
+
+def _reference_pinned(chains):
+    cv, (rest, c), (dm1, d) = chains[0]
+    lin = dict(dm1)
+    base = dict(rest)
+    for cv_b, (rest_b, c_b), (dm1_b, d_b) in chains:
+        if cv_b != cv or abs(cv) != 1 or d_b % 2 or dict(dm1_b) != lin:
+            return False
+        e = (d_b - d) // 2
+        want = {k: base.get(k, 0) + e * lin.get(k, 0) for k in base.keys() | lin.keys()}
+        if dict(rest_b) != {k: a for k, a in want.items() if a} or c_b != c + e * d + e * e:
+            return False
+    return not any(a % 2 for a in lin.values())
+
+
+def seeded_polys(seed: int, count: int):
+    """Polynomials in 1-3 variables of degree <= 4, some of them linear."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        nvars = rng.randint(1, 3)
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            expo = [0] * nvars
+            for _ in range(rng.randint(0, 4)):
+                expo[rng.randrange(nvars)] += 1
+            terms[tuple(expo)] = rng.choice((-1, 1)) * rng.randint(1, 5)
+        yield MultiPoly.from_dict(nvars, terms)
+
+
+def test_encode_equals_the_slin_reference():
+    for i, h in enumerate(seeded_polys(3, 300)):
+        chain_len = 5 + i % 3
+        assert encode(h, chain_len) == reference_encode(h, chain_len), h
+
+
+def test_compile_order_equals_the_rescanning_reference():
+    formulas = [(encode(h, 5 + i % 3), h.nvars) for i, h in enumerate(seeded_polys(4, 150))]
+    hand_built = (ambiguous_formula, halving_formula, strided_chain_formula, divisor_chain_formula,
+                  odd_step_chain_formula, broken_chain_formula, split_chain_formula)
+    formulas += [(make(), 1) for make in hand_built]
+    kinds = set()
+    for f, nvars in formulas:
+        free = tuple(f"x{j + 1}" for j in range(nvars))
+        plan = _compile(f, free)
+        want = reference_compile(f, free)
+        assert (plan.nfree, plan.ncols, plan.atoms, plan.steps, plan.checks, plan.resolved) == want, f
+        kinds.update(kind for _, kind, _ in plan.steps)
+    assert kinds == {"eq", "pinned", "chain"}
+
+
+def square_chain(chain_len: int):
+    """Z^2(w + 2i T + i^2) for i < chain_len, over the free variables w and T."""
+    return SAnd(tuple(SSquare(SLin.of(i * i, w=1, T=2 * i)) for i in range(chain_len)))
+
+
+def test_a_chain_below_the_buchi_constant_is_rejected():
+    # With four atoms, w = 36 and T = 246 pass (6^2, 23^2, 32^2, 39^2) though T^2 != w.
+    assert 246**2 != 36
+    assert eval_square_formula(square_chain(4), {"w": 36, "T": 246})
+    assert not eval_square_formula(square_chain(5), {"w": 36, "T": 246})
+    h = parse_poly("(* x1 x1)")
+    for chain_len in (-1, 0, 4):
+        with pytest.raises(ValueError):
+            encode(h, chain_len)
+
+
+@pytest.mark.parametrize("chain", ["0", "-1", "4"])
+def test_cli_encode_rejects_a_short_chain(tmp_path, capsys, chain):
+    path = tmp_path / "square.txt"
+    path.write_text("(* x1 x1)\n")
+    assert cli_main(["encode", "--chain", chain, str(path)]) == 64
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(+)", r"\(\+\) needs arguments at 1:2"),
+    ("(*)", r"\(\*\) needs two or more arguments at 1:2"),
+    ("(+ 1\n  (* x1))", r"\(\*\) needs two or more arguments at 2:4"),
+])
+def test_parse_poly_follows_its_grammar(text, message):
+    with pytest.raises(ParseError, match=message):
+        parse_poly(text)

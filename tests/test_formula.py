@@ -14,6 +14,8 @@ from unipres.encoder import parse_poly
 from unipres.formula import _scaled_value_set_contains, parse_multi, read_sexprs
 from unipres.numtheory import integer_roots
 
+from conftest import no_similar_powers
+
 
 def test_parse_power_sentence():
     f = parse("(exists x (and (> x 8) (pow 2 x) (pow 3 (+ x 1))))")
@@ -192,9 +194,9 @@ def test_normalized_systems_hold_only_poly_atoms():
     degrees = set()
     for _ in range(300):
         for s in normalize(parse(_random_formula(rng))).systems:
-            atoms = s.positives + s.negatives
-            assert all(isinstance(a, PolyAtom) for a in atoms), s
-            degrees.update(a.degree for a in atoms)
+            degrees.update(a.degree for a in s.positives + s.negatives)
+            for p in poly_solver.prepare(s):
+                assert no_similar_powers(p), p
     assert degrees == {2, 3, 4}
 
 
@@ -454,6 +456,15 @@ def test_predicate_integer_numerators(coeffs, nums, den):
     assert (decl.nums, decl.den) == (nums, den)
     for u in range(-20, 21):
         assert Fraction(sum(n * u**i for i, n in enumerate(decl.nums)), decl.den) == decl.eval(u)
+
+
+def test_predicate_coefficients_become_fractions_once():
+    from_ints = PredicateDecl("P", (1, 0, -3, 0))
+    from_fractions = PredicateDecl("P", (Fraction(1), Fraction(0), Fraction(-3), Fraction(0)))
+    assert from_ints == from_fractions
+    assert all(type(c) is Fraction for c in from_ints.coeffs + from_fractions.coeffs)
+    kept = (Fraction(1, 2), Fraction(1, 2), Fraction(0))
+    assert all(a is b for a, b in zip(PredicateDecl("T", kept).coeffs, kept))
 
 
 _leading = st.integers(1, 12)

@@ -25,6 +25,7 @@ from conftest import (
     brute_first_witness,
     decide_prepared,
     eval_system_directly,
+    no_similar_powers,
     oracle_hits,
     pow_atom,
     random_mixed_system,
@@ -255,10 +256,14 @@ def test_prepare_leaves_only_poly_atoms(rng):
     seen = set()
     for _ in range(300):
         for s in prepare(random_power_system(rng)):
-            atoms = s.positives + s.negatives
-            assert all(isinstance(a, PolyAtom) for a in atoms), s
-            seen.update(a.degree for a in atoms)
+            assert no_similar_powers(s), s
+            seen.update(a.degree for a in s.positives + s.negatives)
     assert seen == {2, 3, 4, 5}
+    # Seed 5 draws systems in which only coalescing removes a similar pair.
+    seeded = random.Random(5)
+    for _ in range(2000):
+        for s in prepare(random_power_system(seeded)):
+            assert no_similar_powers(s), s
 
 
 class TestDecide:
