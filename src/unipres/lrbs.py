@@ -123,10 +123,6 @@ class IndexSet:
     removed: frozenset[int] = frozenset()
 
     @staticmethod
-    def everything() -> "IndexSet":
-        return IndexSet(aps=((0, 1),))
-
-    @staticmethod
     def nothing() -> "IndexSet":
         return IndexSet()
 

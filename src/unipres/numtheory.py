@@ -1,4 +1,5 @@
-"""Exact integer and rational kernels: CRT, valuations, roots, factoring.
+"""Exact integer and rational kernels: CRT, valuations, roots, factoring,
+polynomial congruences.
 
 Everything here operates on Python ints and Fractions.  The decision
 procedure uses no floating point anywhere; only the encoder's optional
@@ -20,11 +21,12 @@ __all__ = [
     "valuation",
     "kth_root",
     "is_kth_power",
-    "kth_power_residues",
     "is_prime",
     "factor",
     "divisors",
     "divisor_pairs",
+    "residue_classes",
+    "union_classes",
     "floor_root",
     "integer_numerators",
     "integer_roots",
@@ -166,13 +168,6 @@ def floor_root(n: int, k: int) -> int:
     return n if k == 1 else _floor_root(n, k)
 
 
-def kth_power_residues(k: int, m: int) -> frozenset[int]:
-    """{u**k mod m : 0 <= u < m}."""
-    if k < 1 or m < 1:
-        raise ValueError("need k >= 1 and m >= 1")
-    return frozenset(pow(u, k, m) for u in range(m))
-
-
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -284,6 +279,84 @@ def divisor_pairs(n: int) -> list[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
+# Polynomial congruences: solution classes at their least period.
+
+
+def residue_classes(conditions) -> tuple[int, tuple[int, ...]]:
+    """The u with f(u) = 0 (mod m) for every condition (f, m), as classes.
+
+    Each f lists ascending integer coefficients and each m is >= 1.
+    Returns (P, residues): u is a solution exactly when u mod P is in the
+    ascending `residues`, and no proper divisor of P is a period.  No
+    solution gives (1, ()).
+
+    Per prime p of the moduli the roots mod p are scanned, then lifted one
+    power q of p at a time: as p | q, f(r + q*t) = f(r) + q*t*f'(r)
+    (mod q*p), so a root r has one lift when f'(r) != 0 (mod p), all p
+    lifts when also f(r)/q = 0 (mod p), and none otherwise.  A condition is
+    checked only up to its own power of p.  The p-part of P is the least
+    p^j such that the roots mod the top power p^E are every lift of their
+    reductions mod p^j.  The primes combine by the Chinese remainder
+    theorem.
+    """
+    by_prime: dict[int, list] = {}
+    for f, m in conditions:
+        for p, e in factor(m).factors if m > 1 else ():
+            by_prime.setdefault(p, []).append((e, f))
+    period, residues = 1, [0]
+    for p, conds in sorted(by_prime.items()):
+        roots = _roots_mod_prime(conds[0][1], p)
+        for _, f in conds[1:]:
+            roots = [u for u in roots if _poly_eval(f, u) % p == 0]
+        q = p
+        for k in range(2, max(e for e, _ in conds) + 1):
+            live = [(f, [i * c for i, c in enumerate(f)][1:]) for e, f in conds if e >= k]
+            lifts = []
+            for r in roots:
+                ts = range(p)
+                for f, df in live:
+                    v, d = _poly_eval(f, r) // q % p, _poly_eval(df, r) % p
+                    if d:
+                        t = -v * pow(d, -1, p) % p
+                        ts = [t] if t in ts else []
+                    elif v:
+                        ts = []
+                lifts.extend(r + q * t for t in ts)
+            roots = lifts
+            q *= p
+        if not roots:
+            return 1, ()
+        pj = 1
+        while len(base := {r % pj for r in roots}) * (q // pj) != len(roots):
+            pj *= p
+        inv = pow(period, -1, pj)
+        residues = [r + period * ((s - r) * inv % pj) for r in residues for s in base]
+        period *= pj
+    return period, tuple(sorted(residues))
+
+
+def _roots_mod_prime(f, p: int) -> list[int]:
+    """The u in range(p) with f(u) = 0 (mod p); a binomial c*u^d + c0 costs one pow per u."""
+    f = [c % p for c in f]
+    d = len(f) - 1
+    if d >= 1 and f[d] and not any(f[1:d]):
+        target = -f[0] * pow(f[d], -1, p) % p
+        return [u for u in range(p) if pow(u, d, p) == target]
+    return [u for u in range(p) if _poly_eval(f, u) % p == 0]
+
+
+def union_classes(parts) -> tuple[int, tuple[int, ...]]:
+    """The union of the class sets (P_i, residues_i), at its least period."""
+    L = math.lcm(*(P for P, _ in parts))
+    union = {r + P * k for P, rs in parts for r in rs for k in range(L // P)}
+    period = L
+    for p, _ in factor(L).factors:
+        while period % p == 0 and all((r + period // p) % L in union for r in union):
+            period //= p
+    return period, tuple(sorted(r for r in union if r < period))
+
+
+# ---------------------------------------------------------------------------
 # Exact integer roots of rational-coefficient polynomials.
 
 
@@ -300,6 +373,15 @@ def _poly_eval(coeffs: Sequence[int], x: int) -> int:
     for c in reversed(coeffs):
         v = v * x + c
     return v
+
+
+def _taylor_shift(coeffs: Sequence[int], w: int, scale: int = 1) -> list[int]:
+    """Ascending coefficients in t of the polynomial at u = w + scale*t."""
+    cs = list(coeffs)
+    for i in range(len(cs) - 1):
+        for j in range(len(cs) - 2, i - 1, -1):
+            cs[j] += w * cs[j + 1]
+    return [c * scale**i for i, c in enumerate(cs)]
 
 
 def _cauchy_bound(coeffs: Sequence[int]) -> int:

@@ -27,7 +27,6 @@ __all__ = [
     "PellSolutionSet",
     "fundamental",
     "solve_generalized",
-    "expand",
     "unit_exponent",
     "squarefree_kernel",
 ]
@@ -311,15 +310,6 @@ def solve_generalized(n: int, N: int) -> PellSolutionSet:
         for rep in sorted(reps, key=lambda r: (_orbit_key(*r), r))
     )
     return PellSolutionSet(n, N, (w0, z0), classes)
-
-
-def expand(solutions: PellSolutionSet, index_range: tuple[int, int]) -> list[tuple[int, int]]:
-    """Concrete (w_m, z_m) for every class at indices lo..hi inclusive."""
-    lo, hi = index_range
-    out: list[tuple[int, int]] = []
-    for cls in solutions.classes:
-        out.extend(cls.pairs(lo, hi))
-    return out
 
 
 def unit_exponent(q: QuadNum, eps: QuadNum, limit: int = 512) -> int | None:

@@ -23,18 +23,26 @@ from fractions import Fraction
 
 from ._ast import ConstraintSystem, PolyAtom, Verdict, system_holds
 from .lrbs import IndexSet
-from .numtheory import crt_extended, ResidueClass, integer_numerators, kth_root
+from .numtheory import (
+    _taylor_shift,
+    crt_extended,
+    ResidueClass,
+    integer_numerators,
+    kth_root,
+    residue_classes,
+    union_classes,
+)
 from .pell import QuadNum, fundamental, solve_generalized, squarefree_kernel, unit_exponent
 from .power_solver import (
     EmptySolutions,
     FiniteSolutions,
-    ImagePoly,
     LrbsEntry,
     LrbsUnion,
     PolyImages,
     PolyValueMap,
     SolutionSet,
     SolveOptions,
+    _atom_classes,
     _bounded_curve,
     _filter_by_atoms,
     _pell_orbit_entries,
@@ -42,6 +50,7 @@ from .power_solver import (
     _survivors,
     _verified_sat,
     decide,
+    image_polys,
     least_witness,
     preprocess as power_preprocess,
     solve_positive,
@@ -61,43 +70,8 @@ __all__ = [
 ]
 
 
-# ---------------------------------------------------------------------------
-# Small exact polynomial toolkit (ascending Fraction coefficients).
-
-
-def _trim(p):
-    p = list(p)
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _padd(p, q):
-    n = max(len(p), len(q))
-    return _trim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)])
-
-
-def _pmul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return _trim(out)
-
-
-def _pscale(p, c):
-    return _trim([a * c for a in p])
-
-
-def _pcompose(p, q):
-    """p(q(t))."""
-    out = [Fraction(0)]
-    for c in reversed(p):
-        out = _padd(_pmul(out, q), [Fraction(c)])
-    return out
-
-
 def _peval(p, x):
+    """The polynomial with ascending coefficients p at x, in Fractions."""
     v = Fraction(0)
     for c in reversed(p):
         v = v * x + c
@@ -298,8 +272,7 @@ def _merge_line_branch(P: PolyAtom, Q: PolyAtom, num: int, den: int) -> PolyAtom
         w_stride = abs(num) * vq
         w_off = (num * v0) % w_stride
         return _reduce_atom(2, 0, P.a, P.b, w_stride, w_off)
-    g = [Fraction(0), Fraction(P.lin * num), Fraction(0), Fraction(num**3)]
-    comp = _pcompose(g, [Fraction(v0), Fraction(vq)])
+    comp = _taylor_shift([0, P.lin * num, 0, num**3], v0, vq)
     if comp[-1] < 0:
         comp = [c if i % 2 == 0 else -c for i, c in enumerate(comp)]
     return depress_ascending(comp, P.a, P.b)
@@ -390,14 +363,8 @@ def preprocess_poly(system: ConstraintSystem) -> list[ConstraintSystem]:
             classes = _branch_residues(P, Qn, data)
             if not classes:
                 continue
-            L = P.stride
-            for off, mod in classes:
-                L = L * mod // math.gcd(L, mod)
-            p_res = set(range(P.offset % P.stride, L, P.stride))
-            covered = set()
-            for off, mod in classes:
-                covered.update(range(off % mod, L, mod))
-            if p_res <= covered:
+            covered = union_classes([(mod, (off % mod,)) for off, mod in classes])
+            if union_classes([covered, (P.stride, (P.offset,))]) == covered:
                 # The negative rules out every branch witness; only the
                 # conic points may survive, and they satisfy the inner
                 # predicate, so they are excluded as well.
@@ -475,48 +442,34 @@ def _square_split(c3: int, c1: int, c0: int) -> tuple[int, int, int, int] | None
     return (alpha, beta, gamma, delta) if product == (c0, c1, 0, c3) else None
 
 
-def _derive_curve_case(quad: PolyAtom, cubic: PolyAtom, cap: int = 200_000) -> CurveCaseData | None:
-    """Double-root data for the pair (quadratic, cubic), or None (squarefree/oversized)."""
+def _derive_curve_case(quad: PolyAtom, cubic: PolyAtom) -> CurveCaseData | None:
+    """Double-root data for the pair (quadratic, cubic), or None (squarefree).
+
+    The classes of v are the rho with rho^2 = ac*(gamma*u_cub + delta) for
+    u_cub on the cubic's lattice, and g(rho) = K*u_quad for u_quad in a
+    witness class s of the quadratic, where K = ac^2*gamma and
+    g(rho) = alpha*rho^3 + ac*(beta*gamma - alpha*delta)*rho: the union over
+    s of two congruences each, at its least period.
+    """
     aq, bq = quad.a, quad.b
     ac, bc = cubic.a, cubic.b
     split = _square_split(aq, aq * cubic.lin, ac * bq - aq * bc)
     if split is None:
         return None
     alpha, beta, gamma, delta = split
-    u2_of_v = [Fraction(-delta, gamma), Fraction(0), Fraction(1, ac * gamma)]
-    image = _pcompose([Fraction(0), Fraction(cubic.lin), Fraction(0), Fraction(1)], u2_of_v)
-    image[0] -= bc
-    image = _pscale(image, Fraction(1, ac))
-    witness = _pscale(
-        [Fraction(0), Fraction(ac * (beta * gamma - alpha * delta)), Fraction(0), Fraction(alpha)],
-        Fraction(1, ac * ac * gamma),
+    # x = (u2^3 + lin*u2 - bc) / ac at u2 = (v^2 + c0) / D.
+    c0, D, lin = -ac * delta, ac * gamma, cubic.lin
+    image_nums = (c0**3 + lin * c0 * D * D - bc * D**3, 0, 3 * c0 * c0 + lin * D * D, 0, 3 * c0, 0, 1)
+    K = ac * ac * gamma
+    g = [0, ac * (beta * gamma - alpha * delta), 0, alpha]
+    on_cubic = ([-ac * (delta + gamma * cubic.offset), 0, 1], ac * gamma * cubic.stride)
+    period, quad_residues = _atom_classes(quad)
+    modulus, residues = union_classes(
+        [residue_classes([on_cubic, ([-K * s, *g[1:]], K * period)]) for s in quad_residues]
     )
-    m1 = ac * gamma * cubic.stride
-    m2 = ac * ac * gamma * quad.stride
-    m3 = aq * ac * ac * gamma
-    modulus = m1
-    for m in (m2, m3):
-        modulus = modulus * m // math.gcd(modulus, m)
-    if modulus > cap:
-        return None
-    residues = []
-    for rho in range(modulus):
-        t1 = rho * rho - ac * delta
-        if t1 % (ac * gamma):
-            continue
-        u2 = t1 // (ac * gamma)
-        if u2 % cubic.stride != cubic.offset:
-            continue
-        t2 = alpha * rho**3 + ac * (beta * gamma - alpha * delta) * rho
-        if t2 % (ac * ac * gamma):
-            continue
-        u1 = t2 // (ac * ac * gamma)
-        if u1 % quad.stride != quad.offset:
-            continue
-        if (u1 * u1 - bq) % aq:
-            continue
-        residues.append(rho)
-    return CurveCaseData(split, tuple(image), tuple(witness), modulus, tuple(residues), quad, cubic)
+    image = tuple(Fraction(c, ac * D**3) for c in image_nums)
+    witness = tuple(Fraction(c, K) for c in g)
+    return CurveCaseData(split, image, witness, modulus, residues, quad, cubic)
 
 
 def _curve_extra_points(data: CurveCaseData) -> tuple[int, ...]:
@@ -539,15 +492,10 @@ def _pair_mixed(quad: PolyAtom, cubic: PolyAtom, lower, options, label: str) -> 
     if data is None:
         return _bounded_curve(cubic, [quad], lower, options, label + ":elliptic:bounded")
     extras = _curve_extra_points(data)
-    polys = []
-    for rho in data.residues:
-        comp = _pcompose(list(data.image), [Fraction(rho), Fraction(data.modulus)])
-        polys.append(ImagePoly(tuple(comp)))
+    polys = image_polys(*integer_numerators(data.image), data.modulus, data.residues)
     if not polys and not extras:
         return EmptySolutions(lower, label + ":double-root:empty", True)
-    return PolyImages(
-        lower, label + ":double-root-images", True, polys=tuple(polys), extra_values=extras
-    )
+    return PolyImages(lower, label + ":double-root-images", True, polys=polys, extra_values=extras)
 
 
 def _triple_4c(
@@ -617,18 +565,6 @@ def _triple(atoms, lower, options) -> SolutionSet:
 # The exceptional negative case: removing Pell indices in progressions.
 
 
-def _phi_coeffs(data: CurveCaseData):
-    """u_quad = phi(v) with phi odd cubic: returns (c3, c1, denom) integers."""
-    alpha, beta, gamma, delta = data.split
-    ac = data.cubic.a
-    return alpha, ac * (beta * gamma - alpha * delta), ac * ac * gamma
-
-
-def _phi_eval(data: CurveCaseData, v: int) -> Fraction:
-    c3, c1, den = _phi_coeffs(data)
-    return Fraction(c3 * v**3 + c1 * v, den)
-
-
 def _closed_form_unit(cls) -> tuple[QuadNum, QuadNum, QuadNum]:
     """(eps, Bz1, Bz2) over the squarefree kernel, for the z-component."""
     _, _, B1, B2 = cls.closed_form()
@@ -659,9 +595,8 @@ def _match_batch(
     e4 = unit_exponent(eps4, epsD)
     if not eS or not e4 or eS < 0 or e4 < 0:
         return matched
-    c3, c1, den = _phi_coeffs(data)
-    # phi(v3_m) = C3 eps^{3m} + C1 eps^{m} + C-1 eps^{-m} + C-3 eps^{-3m}
-    C3 = Bp1 * Bp1 * Bp1 * Fraction(c3, den)
+    # u_quad = phi(v3_m) = C3 eps^{3m} + C1 eps^{m} + C-1 eps^{-m} + C-3 eps^{-3m}
+    C3 = Bp1 * Bp1 * Bp1 * data.witness[3]
     if C3.is_zero():
         return matched
     zseq = s_entry.value_seq
@@ -695,7 +630,7 @@ def _match_batch(
                 k = k0 + kstep * t
                 m = m0 + mstep * t
                 lhs = Fraction(zseq.eval(k))
-                rhs = sign * _phi_eval(data, vseq.eval(m))
+                rhs = sign * _peval(data.witness, vseq.eval(m))
                 if lhs != rhs:
                     ok = False
                     break

@@ -8,7 +8,10 @@ power" (a > 0): it discards redundant ones and coalesces similar
 positives.  `solve_positive` routes the positive atoms by count and
 degree to polynomial images, Pell orbits, divisor factorizations, the
 double-root curve cases of `poly_solver`, or a bounded walk; negative
-atoms are filtered pointwise along a deterministic witness scan.
+atoms are filtered pointwise along a deterministic witness scan.  Every
+residue question, "which witnesses u have f(u) = b (mod a)", goes to
+`numtheory.residue_classes`, which answers with classes at their least
+period.
 
 Verdicts are three-valued.  Paths whose finiteness rests on effective but
 astronomically-large bounds in the literature enumerate an auxiliary
@@ -28,13 +31,17 @@ from ._ast import ConstraintSystem, PolyAtom, Verdict, system_holds
 from .lrbs import IndexSet, Lrbs, filter_congruence, growth_rank
 from .numtheory import (
     _poly_eval,
+    _taylor_shift,
     crt_extended,
     ResidueClass,
     divisor_pairs,
     factor,
+    floor_root,
     integer_numerators,
     is_kth_power,
     kth_root,
+    residue_classes,
+    valuation,
 )
 from .pell import PellClass, PellSolutionSet, solve_generalized
 
@@ -128,24 +135,15 @@ def coalesce_similar(atoms: list[PolyAtom]) -> PolyAtom | None:
     multiplier = 1
     for p in sorted(interesting):
         classes = []
-        vp_a = _val(p, a)
+        vp_a = valuation(p, a)
         for atom in atoms:
-            classes.append(ResidueClass(atom.degree, vp_a - _val(p, atom.a)))
+            classes.append(ResidueClass(atom.degree, vp_a - valuation(p, atom.a)))
         merged = crt_extended(classes)
         if merged is None:
             return None
         r_p = (-merged.residue) % K
         multiplier *= p**r_p
     return PolyAtom(K, 0, a * multiplier, b * multiplier, 1, 0)
-
-
-def _val(p: int, n: int) -> int:
-    e = 0
-    n = abs(n)
-    while n % p == 0 and n:
-        n //= p
-        e += 1
-    return e
 
 
 # ---------------------------------------------------------------------------
@@ -244,17 +242,27 @@ def preprocess(system: ConstraintSystem) -> list[ConstraintSystem]:
 
 
 def _turn_bound(nums) -> int:
-    """|p| is strictly increasing in |t| at integers beyond this radius."""
+    """|p| is strictly increasing in |t| at integers beyond this radius.
+
+    The radius passes every real root of p and of p', each bounded by the
+    lesser of Cauchy's 1 + max|c_i/c_d| and Fujiwara's
+    2*max|c_(d-i)/c_d|^(1/i); a polynomial with a small leading coefficient
+    and a large constant term gets the d-th root of their ratio.
+    """
     deriv = [i * nums[i] for i in range(1, len(nums))]
 
-    def cauchy(cs):
+    def root_bound(cs):
         while cs and cs[-1] == 0:
             cs = cs[:-1]
-        if len(cs) <= 1:
+        d = len(cs) - 1
+        if d <= 0:
             return 1
-        return 2 + max(abs(c) for c in cs[:-1]) // abs(cs[-1])
+        lead = abs(cs[-1])
+        cauchy = 2 + max(abs(c) for c in cs[:-1]) // lead
+        fujiwara = 1 + 2 * max(floor_root(abs(cs[d - i]) // lead, i) + 1 for i in range(1, d + 1))
+        return min(cauchy, fujiwara)
 
-    return max(cauchy(list(nums)), cauchy(deriv))
+    return max(root_bound(list(nums)), root_bound(deriv))
 
 
 @dataclass(frozen=True, init=False)
@@ -531,45 +539,36 @@ def members(solution_set: SolutionSet, options: SolveOptions = DEFAULT_OPTIONS) 
 # Positive-constraint solution sets.
 
 
-def _poly_residues(atom: PolyAtom):
-    """The lattice points w in [offset, offset + stride*a) with f(w) = b (mod a).
+def _atom_poly(atom: PolyAtom) -> list[int]:
+    """f(u) - b, ascending: the atom says a*x equals it."""
+    return [-atom.b, atom.lin, *[0] * (atom.degree - 2), 1]
 
-    Ascending, as one lazy scan.
+
+def _atom_classes(atom: PolyAtom) -> tuple[int, tuple[int, ...]]:
+    """The witnesses u with f(u) = b (mod a) on the atom's lattice, as
+    (period, residues) at their least period (a >= 1)."""
+    return residue_classes([(_atom_poly(atom), atom.a), ([-atom.offset, 1], atom.stride)])
+
+
+def image_polys(nums, den, period: int, residues) -> tuple[ImagePoly, ...]:
+    """The images h(w + period*t), one per residue w, of h(u) = sum(nums[i] * u**i) / den.
+
+    Each shift is a Taylor shift in integers; the coefficients become
+    Fractions only when den does not divide them.  Every image must be
+    integer-valued, which `ImagePoly` checks.
     """
-    d, lin, a, b = atom.degree, atom.lin, atom.a, atom.b
-    ws = range(atom.offset, atom.offset + atom.stride * a, atom.stride)
-    if d == 2:
-        return (w for w in ws if (w * w - b) % a == 0)
-    if d == 3:
-        return (w for w in ws if (w * w * w + lin * w - b) % a == 0)
-    r = b % a
-    return (w for w in ws if pow(w, d, a) == r)
+    polys = []
+    for w in residues:
+        cs = _taylor_shift(nums, w, period)
+        exact = not any(c % den for c in cs)
+        polys.append(ImagePoly([c // den for c in cs] if exact else [Fraction(c, den) for c in cs]))
+    return tuple(polys)
 
 
-def _peek(scan):
-    """The scan with its first item put back, or None when it is empty."""
-    first = next(scan, None)
-    return None if first is None else itertools.chain((first,), scan)
-
-
-def _single_poly_images(atom: PolyAtom, residues, lower) -> SolutionSet:
-    """x = (f(w + stride*a*t) - b) / a, per residue lattice point w.
-
-    By the binomial expansion the coefficient of t^i (i >= 1) is
-    C(d, i) * w^(d-i) * stride^i * a^(i-1), plus lin*stride at i = 1, and
-    the constant (f(w) - b) / a is an integer because w is a residue.
-    """
-    d, lin, a, b, q = atom.degree, atom.lin, atom.a, atom.b, atom.stride
-    steps = [math.comb(d, i) * q**i * a ** (i - 1) for i in range(1, d + 1)]
-    if d == 2:
-        s1, s2 = steps
-        rows = ([(w * w - b) // a, s1 * w, s2] for w in residues)
-    elif d == 3:
-        s1, s2, s3 = steps
-        rows = ([(w * w * w + lin * w - b) // a, s1 * w * w + lin * q, s2 * w, s3] for w in residues)
-    else:
-        rows = ([(w**d - b) // a, *(s * w ** (d - i) for i, s in enumerate(steps, 1))] for w in residues)
-    polys = tuple(ImagePoly(coeffs) for coeffs in rows)
+def _single_poly_images(atom: PolyAtom, classes, lower) -> SolutionSet:
+    """x = (f(w + P*t) - b) / a, one image per class w of the witnesses
+    mod their least period P (`_atom_classes`)."""
+    polys = image_polys(_atom_poly(atom), atom.a, *classes)
     return PolyImages(lower, "poly:single:images", True, polys=polys)
 
 
@@ -614,25 +613,14 @@ def _pell_orbit_entries(
     return entries
 
 
-def _quad_residue_classes(atom: PolyAtom) -> list[tuple[int, int]]:
-    """Classes (offset, modulus) of witnesses u with u^2 = b (mod a) and the stride."""
-    out = []
-    for s in range(atom.a):
-        if (s * s - atom.b) % atom.a:
-            continue
-        merged = crt_extended([ResidueClass(atom.a, s), ResidueClass(atom.stride, atom.offset)])
-        if merged is not None:
-            out.append((merged.residue, merged.modulus))
-    return sorted(set(out))
-
-
 def _quad_pair_solution(first: PolyAtom, second: PolyAtom, lower, options, label: str) -> SolutionSet:
     """Two quadratic atoms: divisor factorization or Pell orbits.
 
     With w = a2*u1 and z = u2 the atoms give w^2 - a1*a2*z^2 = N, solved
-    by factoring N when a1*a2 is a square and by Pell orbits otherwise.
-    Precondition: the atoms are not proportional (N != 0); preprocessing
-    merges those.
+    by factoring N when a1*a2 is a square and by Pell orbits otherwise,
+    filtered by each atom's witness classes.  Precondition: the atoms are
+    not proportional (N != 0), which preprocessing merges, and each has a
+    witness class (`solve_positive` checks).
     """
     a1, b1, a2, b2 = first.a, first.b, second.a, second.b
     n = a1 * a2
@@ -649,15 +637,13 @@ def _quad_pair_solution(first: PolyAtom, second: PolyAtom, lower, options, label
             if first.holds(x) and second.holds(x):
                 vals.add(x)
         return FiniteSolutions(lower, label + ":divisor", True, values=tuple(sorted(vals)))
-    c1 = _quad_residue_classes(first)
-    c2 = _quad_residue_classes(second)
-    if not c1 or not c2:
-        return EmptySolutions(lower, label + ":empty-residues", True)
+    P1, c1 = _atom_classes(first)
+    P2, c2 = _atom_classes(second)
     sols = solve_generalized(n, N)
     if not sols.classes:
         return EmptySolutions(lower, label + ":pell-empty", True)
-    w_filter = sorted({(a2 * mod, (s * a2 * off) % (a2 * mod)) for off, mod in c1 for s in (1, -1)})
-    z_filter = sorted({(mod, (s * off) % mod) for off, mod in c2 for s in (1, -1)})
+    w_filter = sorted({(a2 * P1, (s * a2 * r) % (a2 * P1)) for r in c1 for s in (1, -1)})
+    z_filter = sorted({(P2, (s * r) % P2) for r in c2 for s in (1, -1)})
     vmap = PolyValueMap((Fraction(-b2, a2), 0, Fraction(1, a2)), 1)  # x = (z^2 - b2) / a2
     entries = _pell_orbit_entries(sols, w_filter, z_filter, vmap, "z")
     if not entries:
@@ -731,21 +717,22 @@ def solve_positive(
     are quadratic, to the curve-derived Pell structure for exactly
     (2, 2, 3), and otherwise to a bounded walk; the remaining atoms filter
     the result.  Preconditions: pairwise non-redundant (`prepare`), a > 0.
+
+    Certified emptiness comes first: some witness of each atom must have
+    f(u) = b (mod a), which `numtheory.residue_classes` decides.
     """
     atoms = sorted(positives)
     if not atoms:
         return AllSolutions(lower, "power:none", True)
-    # Cheap certified emptiness: some witness must satisfy f(u) = b (mod a).
-    scans = []
+    classes = []
     for atom in atoms:
         if atom.a <= 0:
             raise ValueError("positive atoms must have a > 0 after normalization")
-        scan = _peek(_poly_residues(atom))
-        if scan is None:
+        classes.append(_atom_classes(atom))
+        if not classes[-1][1]:
             return EmptySolutions(lower, "poly:empty-residues", True)
-        scans.append(scan)
     if len(atoms) == 1:
-        return _single_poly_images(atoms[0], scans[0], lower)
+        return _single_poly_images(atoms[0], classes[0], lower)
     degs = tuple(at.degree for at in atoms)
     if len(atoms) == 2:
         if degs == (2, 2):

@@ -57,6 +57,7 @@ def test_internal_error_has_its_own_exit_code_and_keeps_other_results(tmp_path, 
 # fixture -> (exit code, verdict, witness) at --bound 200
 GOLDEN = {
     "catalan": (2, "unknown", None),
+    "coalesced_power": (0, "sat", 30),
     "cubic_merge_sat": (0, "sat", 12),
     "fermat": (2, "unknown", None),
     "fibonacci_cube": (2, "unknown", None),
@@ -77,6 +78,13 @@ def test_fixture_golden(name, capsys):
     assert cli.main(["--bound", "200", "--format", "json-lines", path]) == code
     [record] = cli.read_records(capsys.readouterr().out)
     assert (record["verdict"], record["witness"]) == (verdict, witness)
+
+
+def test_coalesced_power_fixture_at_the_default_bound(capsys):
+    # Coalesced into one Z^15 atom whose 3^9 residues mod 3^10 are the one
+    # class of the multiples of 3: a single image polynomial.
+    assert cli.main([str(FIXTURES / "coalesced_power.sexp")]) == cli.EXIT_SAT
+    assert capsys.readouterr().out == "sat x=30\n"
 
 
 def test_malformed_fixture_is_an_input_error(capsys):

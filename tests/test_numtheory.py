@@ -15,8 +15,9 @@ from unipres.numtheory import (
     integer_roots,
     is_kth_power,
     is_prime,
-    kth_power_residues,
     kth_root,
+    residue_classes,
+    union_classes,
     valuation,
 )
 
@@ -125,12 +126,6 @@ def test_floor_root(n, k):
     assert r**k <= n < (r + 1) ** k
 
 
-def test_kth_power_residues():
-    assert kth_power_residues(2, 4) == {0, 1}
-    assert kth_power_residues(2, 1) == {0}
-    assert kth_power_residues(3, 9) == {0, 1, 8}
-
-
 def test_factor_examples():
     assert factor(500).factors == ((2, 2), (5, 3))
     assert factor(1).factors == ()
@@ -230,3 +225,70 @@ def test_depressed_cubic_double_roots():
     assert depressed_cubic_roots(-1, 0) == [-1, 0, 1]
     assert depressed_cubic_roots(-4, 0) == [-2, 0, 2]
     assert depressed_cubic_roots(0, -(10**60)) == [-(10**20)]
+
+
+def _random_conditions(rng):
+    """1-3 congruences f(u) = 0 (mod m) whose moduli have an lcm <= 20,000."""
+    while True:
+        conditions = []
+        for _ in range(rng.randint(1, 3)):
+            f = [rng.randint(-30, 30) for _ in range(rng.randint(1, 5))] + [rng.choice((1, 1, -1, 2, 3, 4, 9))]
+            m = rng.choice((rng.randint(1, 300), 2 ** rng.randint(0, 10), 3 ** rng.randint(0, 7), 5 ** rng.randint(0, 4),
+                            rng.choice((72, 100, 144, 216, 243, 512, 1000))))
+            conditions.append((f, m))
+        L = math.lcm(*(m for _, m in conditions))
+        if L <= 20_000:
+            return conditions, L
+
+
+def _assert_least_period(period, residues):
+    members = set(residues)
+    for p, _ in factor(period).factors:
+        assert any((r + period // p) % period not in members for r in residues), (period, p)
+
+
+def test_residue_classes_match_brute_force(rng):
+    for _ in range(2000):
+        conditions, L = _random_conditions(rng)
+        # Each condition's roots mod its own modulus, then every u mod L.
+        roots = [(m, {u for u in range(m) if sum(c * u**i for i, c in enumerate(f)) % m == 0}) for f, m in conditions]
+        want = [u for u in range(L) if all(u % m in rs for m, rs in roots)]
+        period, residues = residue_classes(conditions)
+        assert L % period == 0, conditions
+        if not want:
+            assert (period, residues) == (1, ()), conditions
+            continue
+        assert list(residues) == sorted(residues) and all(0 <= r < period for r in residues)
+        got = {r + period * k for r in residues for k in range(L // period)}
+        assert got == set(want), conditions
+        _assert_least_period(period, residues)
+
+
+def test_residue_classes_examples():
+    assert residue_classes([]) == (1, (0,))
+    assert residue_classes([([5, 0, 1], 1)]) == (1, (0,))
+    # u^2 = 5 (mod 8) has no root; u^2 = 1 (mod 8) holds on the odd u.
+    assert residue_classes([([-5, 0, 1], 8)]) == (1, ())
+    assert residue_classes([([-1, 0, 1], 8)]) == (2, (1,))
+    # The 3^9 roots of u^10 = 0 (mod 3^10) are the one class of 3.
+    assert residue_classes([([0] * 10 + [1], 3**10)]) == (3, (0,))
+    # Singular roots lift to every residue: 1 class mod 5 of u^2 = 0 (mod 25).
+    assert residue_classes([([0, 0, 1], 25)]) == (5, (0,))
+    # Two primes and a lattice: u = 1 (mod 3) with u^2 = 4 (mod 7).
+    assert residue_classes([([-4, 0, 1], 7), ([-1, 1], 3)]) == (21, (16, 19))
+
+
+def test_union_classes(rng):
+    assert union_classes([]) == (1, ())
+    assert union_classes([(4, (1,)), (4, (3,))]) == (2, (1,))
+    assert union_classes([(6, (0, 3)), (9, (0, 3, 6))]) == (3, (0,))
+    for _ in range(300):
+        parts = []
+        for _ in range(rng.randint(1, 3)):
+            P = rng.randint(1, 60)
+            parts.append((P, tuple(sorted(rng.sample(range(P), rng.randint(0, min(P, 4)))))))
+        period, residues = union_classes(parts)
+        L = math.lcm(period, *(P for P, _ in parts))
+        want = {u for u in range(L) if any(u % P in rs for P, rs in parts)}
+        assert {r + period * k for r in residues for k in range(L // period)} == want, parts
+        _assert_least_period(period, residues)

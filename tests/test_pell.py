@@ -6,7 +6,6 @@ import pytest
 from unipres.pell import (
     PellClass,
     QuadNum,
-    expand,
     fundamental,
     solve_generalized,
     squarefree_kernel,
@@ -87,13 +86,6 @@ def test_expand_recurrence_and_identity():
             assert pairs[i][1] == 2 * w0 * pairs[i - 1][1] - pairs[i - 2][1]
         for w, z in cls.pairs(-4, 4):
             assert w * w - 2 * z * z == 7
-
-
-def test_expand_function():
-    s = solve_generalized(2, 7)
-    pairs = expand(s, (0, 1))
-    assert len(pairs) == 2 * len(s.classes)
-    assert all(w * w - 2 * z * z == 7 for w, z in pairs)
 
 
 def test_closed_form_coefficients():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -11,7 +12,7 @@ from unipres.power_solver import (
     LrbsUnion,
     PolyImages,
     SolveOptions,
-    _poly_residues,
+    _atom_classes,
     _single_poly_images,
     members,
     solve_positive,
@@ -19,6 +20,7 @@ from unipres.power_solver import (
 from unipres.poly_solver import (
     RedundancyData,
     _derive_curve_case,
+    _pair_mixed,
     _square_split,
     _triple_4c,
     _try_discard_sets,
@@ -179,20 +181,21 @@ class TestSolvePositive:
             pred = random_int_valued_pred(rng, "P", rng.choice((2, 3)))
             atom = depress_ascending(pred.ascending(), rng.randint(1, 12), rng.randint(-50, 50))
             # Brute force over three periods of the witness lattice, with the
-            # polynomial evaluated in Fractions; the scan yields the lattice
-            # points of the first period.
-            hits = set()
-            for j in range(3 * atom.a):
-                w = Fraction(atom.offset + atom.stride * j)
-                if (w**atom.degree + atom.lin * w - atom.b) % atom.a == 0:
-                    hits.add(atom.offset + atom.stride * (j % atom.a))
-            assert list(_poly_residues(atom)) == sorted(hits), atom
+            # polynomial evaluated in Fractions; the classes hold exactly the
+            # hits, at a period dividing the lattice's stride*a.
+            period, residues = _atom_classes(atom)
+            L = atom.stride * atom.a
+            assert L % period == 0, atom
+            for u in range(-L, 2 * L):
+                w = Fraction(u)
+                hit = u % atom.stride == atom.offset and (w**atom.degree + atom.lin * w - atom.b) % atom.a == 0
+                assert hit == (u % period in residues), (atom, u)
 
     def test_single_images_are_the_atom_solutions(self, rng):
         for _ in range(12):
             pred = random_int_valued_pred(rng, "P", rng.choice((2, 3)))
             atom = depress_ascending(pred.ascending(), rng.randint(1, 12), rng.randint(-20, 20))
-            s = _single_poly_images(atom, _poly_residues(atom), None)
+            s = _single_poly_images(atom, _atom_classes(atom), None)
             for poly in s.polys:
                 for t in range(-4, 5):
                     assert oracle.atom_eval(atom, poly.eval(t)), (atom, t)
@@ -310,6 +313,32 @@ class Test4c:
             assert sympy.expand((alpha * u + beta) ** 2 * (gamma * u + delta) - cubic) == 0
             assert any(f.subs(u, sympy.Rational(-beta, alpha)) == 0 for f in repeated)
         assert repeated_seen > 100
+
+    def test_curve_classes_match_the_rho_scan(self, rng):
+        checked = 0
+        while checked < 150:
+            quad, cubic = _random_double_root_pair(rng)
+            reference = _reference_curve_residues(quad, cubic)
+            if reference is None:
+                continue
+            modulus, residues = reference
+            data = _derive_curve_case(quad, cubic)
+            assert modulus % data.modulus == 0, (quad, cubic)
+            expanded = {r + data.modulus * k for r in data.residues for k in range(modulus // data.modulus)}
+            assert expanded == set(residues), (quad, cubic)
+            checked += 1
+
+    def test_curve_case_above_the_former_scan_cap(self):
+        # u^2 = 64x + 5 has no witness (5 is not a square mod 8).  The scan
+        # modulus, 64^3 * 64, was past its 200,000 cap, which made the pair
+        # look squarefree; the classes now certify it empty.
+        quad = PolyAtom(2, 0, 64, 5, 1, 0)
+        cubic = depress_ascending(GESSEL_CUBIC.ascending(), 64, 7)
+        data = _derive_curve_case(quad, cubic)
+        assert data is not None and data.residues == ()
+        sol = _pair_mixed(quad, cubic, None, OPTS, "poly:pair")
+        assert isinstance(sol, EmptySolutions) and sol.complete
+        assert sol.case == "poly:pair:double-root:empty"
 
     def test_triple_4c_never_raises_on_probe_pairs(self):
         # Every ordered pair of distinct quadratics with a in 1..6, b in
@@ -506,3 +535,46 @@ def test_every_unsat_fixture_names_its_case():
             unsat += 1
             assert out.case_trace, path.name
     assert unsat >= 1
+
+
+def _random_double_root_pair(rng):
+    """A quadratic and a cubic atom whose curve aq*g = ... has a double root at rho."""
+    aq, rho, m = rng.randint(1, 12), rng.randint(-4, 4), rng.randint(1, 4)
+    if rng.random() < 0.5:
+        ac, bq = aq * m, rng.randint(-40, 40)
+        bc = m * bq - 2 * rho**3
+    else:
+        ac, k = rng.randint(1, 30), rng.randint(-5, 5)
+        bq, bc = aq * k, ac * k - 2 * rho**3
+    q1, q2 = rng.randint(1, 3), rng.randint(1, 3)
+    quad = PolyAtom(2, 0, aq, bq, q1, rng.randrange(q1))
+    cubic = PolyAtom(3, -3 * rho * rho, ac, bc, q2, rng.randrange(q2))
+    return quad, cubic
+
+
+def _reference_curve_residues(quad, cubic, cap=200_000):
+    """The rho classes of the curve case by the former scan over one full
+    modulus, or None when that modulus passes the cap."""
+    aq, bq, ac = quad.a, quad.b, cubic.a
+    alpha, beta, gamma, delta = _square_split(aq, aq * cubic.lin, ac * bq - aq * cubic.b)
+    modulus = math.lcm(ac * gamma * cubic.stride, ac * ac * gamma * quad.stride, aq * ac * ac * gamma)
+    if modulus > cap:
+        return None
+    residues = []
+    for rho in range(modulus):
+        t1 = rho * rho - ac * delta
+        if t1 % (ac * gamma):
+            continue
+        u2 = t1 // (ac * gamma)
+        if u2 % cubic.stride != cubic.offset:
+            continue
+        t2 = alpha * rho**3 + ac * (beta * gamma - alpha * delta) * rho
+        if t2 % (ac * ac * gamma):
+            continue
+        u1 = t2 // (ac * ac * gamma)
+        if u1 % quad.stride != quad.offset:
+            continue
+        if (u1 * u1 - bq) % aq:
+            continue
+        residues.append(rho)
+    return modulus, residues

@@ -15,11 +15,15 @@ from unipres.power_solver import (
     coalesce_similar,
     is_redundant,
     _bounded_curve,
+    _turn_bound,
+    image_polys,
     members,
     solve_positive,
 )
 from unipres.poly_solver import prepare
-from unipres import oracle
+from unipres import oracle, parse
+from unipres.cli import solve_formula
+from unipres.formula import normalize
 
 from conftest import (
     brute_first_witness,
@@ -133,6 +137,73 @@ class TestImagePoly:
             ImagePoly([Fraction(1, 2), 0, 1])
         with pytest.raises(ValueError):
             ImagePoly([0, 1, -1])
+
+    def test_image_polys_are_the_shifted_polynomial(self, rng):
+        for _ in range(200):
+            degree = rng.randint(2, 6)
+            nums = [rng.randint(-50, 50) for _ in range(degree)] + [rng.randint(1, 5)]
+            den = rng.randint(1, 12)
+            period = rng.randint(1, 3) * den  # h(w + period*t) is integer-valued in t
+            residues = [w for w in range(period) if sum(c * w**i for i, c in enumerate(nums)) % den == 0]
+            for w, poly in zip(residues, image_polys(nums, den, period, residues), strict=True):
+                for t in range(-5, 6):
+                    u = w + period * t
+                    assert poly.eval(t) * den == sum(c * u**i for i, c in enumerate(nums)), (nums, den, w, t)
+
+
+def _cauchy_turn_bound(nums):
+    """The former radius: Cauchy's bound on the roots of p and of p'."""
+
+    def cauchy(cs):
+        while cs and cs[-1] == 0:
+            cs = cs[:-1]
+        if len(cs) <= 1:
+            return 1
+        return 2 + max(abs(c) for c in cs[:-1]) // abs(cs[-1])
+
+    return max(cauchy(list(nums)), cauchy([i * nums[i] for i in range(1, len(nums))]))
+
+
+def test_turn_bound_is_a_monotone_radius_within_the_cauchy_bound(rng):
+    for _ in range(2000):
+        degree = rng.randint(2, 6)
+        spread = 10 ** rng.randint(1, 12)
+        nums = [rng.randint(-spread, spread) for _ in range(degree)] + [rng.choice((1, -1)) * rng.randint(1, 40)]
+        bound = _turn_bound(nums)
+        assert bound <= _cauchy_turn_bound(nums), nums
+
+        def size(t):
+            return abs(sum(c * t**i for i, c in enumerate(nums)))
+
+        for t in range(bound, bound + 30):
+            assert size(t + 1) > size(t) and size(-t - 1) > size(-t), (nums, bound, t)
+    # A small leading coefficient and a large constant term: the square root
+    # of their ratio, not the ratio.
+    assert _turn_bound([941184201, 0, 1]) == 1 + 2 * (30678 + 1)  # 30678 = isqrt(941184201)
+    assert _cauchy_turn_bound([941184201, 0, 1]) == 941184203
+
+
+# Coalesced power pairs whose one atom Z^k(a*x + b) has k-th power residues
+# that are a single class at their least period: (sentence, witness).
+COALESCED_POWERS = [
+    ("(exists x (and (> x 12) (pow 2 (+ (* 3 x) -156)) (pow 7 (+ x -52))))", 52),
+    ("(exists x (and (> x 14) (pow 3 (+ (* 3 x) 537)) (pow 5 (+ x 179))))", 64),
+    ("(exists x (and (> x 4) (pow 3 (+ (* 3 x) -90)) (pow 5 (+ x -30))))", 30),
+    ("(exists x (and (> x 9) (pow 3 (+ (* 2 x) 12)) (pow 5 (+ x 6))))", 26),
+]
+
+
+@pytest.mark.parametrize("text, witness", COALESCED_POWERS)
+def test_coalesced_power_pair_has_one_image(text, witness):
+    out = solve_formula(parse(text))
+    assert (out.verdict.status, out.verdict.witness) == ("sat", witness)
+    assert out.case_trace[1:] == ["poly:single:images", "witness-scan:hit"]
+    assert oracle.eval_at(parse(text), witness)
+    [system] = normalize(parse(text)).systems
+    [atom] = system.positives
+    assert atom.degree in (14, 15) and atom.is_power
+    sol = solve_positive(system.positives, system.lower)
+    assert isinstance(sol, PolyImages) and len(sol.polys) == 1
 
 
 class TestSolvePositive:
