@@ -7,7 +7,9 @@ multiplication-free square-predicate encoder, and the batch CLI in `cli`.
 `normalize` lowers every atom, a power (pow k t) as the monomial u^k, to
 one type, `PolyAtom`; `poly_solver.prepare` preprocesses each normalized
 system once; `decide` (power_solver) maps a prepared system to a
-verdict, and `solve_positive` routes its positive atoms.
+verdict, and `solve_positive` routes its positive atoms to one
+`SolutionSet`: families of image polynomials or Pell orbits, finitely
+many values, or every integer.
 """
 
 from ._ast import ConstraintSystem, Formula, ParseError, PolyAtom, Verdict

@@ -58,9 +58,6 @@ class LinTerm:
     def __neg__(self) -> "LinTerm":
         return LinTerm(-self.a, -self.b)
 
-    def scale(self, c: int) -> "LinTerm":
-        return LinTerm(c * self.a, c * self.b)
-
     def eval(self, x: int) -> int:
         return self.a * x + self.b
 

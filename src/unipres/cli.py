@@ -29,8 +29,6 @@ from . import encoder
 
 __all__ = ["RunConfig", "SolveOutcome", "solve_formula", "run", "read_records", "main"]
 
-ENV_PREFIX = "UNIPRES_"
-
 EXIT_SAT = 0
 EXIT_UNSAT = 1
 EXIT_UNKNOWN = 2
@@ -181,28 +179,16 @@ def read_records(text: str) -> list[dict]:
     return [json.loads(line) for line in text.splitlines() if line.strip()]
 
 
-def _env_default(name: str, cast, fallback):
-    raw = os.environ.get(ENV_PREFIX + name)
-    if raw is None:
-        return fallback
-    if cast is bool:
-        return raw.lower() in ("1", "true", "yes", "on")
-    return cast(raw)
-
-
 def _solve_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="unipres", description=__doc__)
     ap.add_argument("paths", nargs="+", help="input files ('-' for stdin)")
-    ap.add_argument("--bound", type=int, default=_env_default("BOUND", int, 10**6),
+    ap.add_argument("--bound", type=int, default=10**6,
                     help="auxiliary-unknown bound for finite-case enumeration")
-    ap.add_argument("--scan-cap", type=int, default=_env_default("SCAN_CAP", int, 10**6),
+    ap.add_argument("--scan-cap", type=int, default=10**6,
                     help="candidate cap for witness scans")
-    ap.add_argument("--format", dest="fmt", choices=("human", "json-lines"),
-                    default=_env_default("FORMAT", str, "human"))
-    ap.add_argument("--trace", action="store_true",
-                    default=_env_default("TRACE", bool, False))
+    ap.add_argument("--format", dest="fmt", choices=("human", "json-lines"), default="human")
+    ap.add_argument("--trace", action="store_true")
     ap.add_argument("--multi", action="store_true",
-                    default=_env_default("MULTI", bool, False),
                     help="allow several sentences per file")
     return ap
 

@@ -30,6 +30,7 @@ literal as a predicate and becomes the same kind of atom.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -546,6 +547,14 @@ def _lit_test(lit):
     raise ValueError(f"unknown literal {lit!r}")
 
 
+def _by_magnitude(lo: int, hi: int):
+    """The integers y with lo < y < hi in (|y|, y) order."""
+    for m in range(max(0, lo + 1, 1 - hi), max(-lo, hi)):
+        for y in (-m, m) if m else (0,):
+            if lo < y < hi:
+                yield y
+
+
 def _points_satisfying(lits, ys) -> list[int]:
     """The ys at which every literal holds."""
     tests = [_lit_test(lit) for lit in lits]
@@ -607,14 +616,21 @@ def _quad_min_value(asc: tuple[int, ...]) -> int:
 
 
 def _finite_check(sys: ConstraintSystem, lits, lo: int, hi: int, enum_bound: int):
-    """Resolve a bounded conjunct lo < y < hi by exhaustive evaluation."""
+    """Resolve a bounded conjunct lo < y < hi by exhaustive evaluation.
+
+    An interval wider than `enum_bound` has only its first `enum_bound`
+    points in (|y|, y) order tested; a hit there is still a witness, and
+    no hit answers Unknown.
+    """
     if hi - lo <= 1:
         raise _Dropped
-    if hi - lo - 1 > enum_bound:
+    wide = hi - lo - 1 > enum_bound
+    ys = itertools.islice(_by_magnitude(lo, hi), enum_bound) if wide else range(lo + 1, hi)
+    sat_ys = _points_satisfying(lits, ys)
+    if not sat_ys and wide:
         sys.resolved = Verdict.unknown("bounded interval wider than the enumeration bound", enum_bound)
         sys.log("interval:too-wide")
         return sys
-    sat_ys = _points_satisfying(lits, range(lo + 1, hi))
     if not sat_ys:
         raise _Dropped
     sys.resolved = Verdict.sat(power_solver.least_witness(sys.to_original(y) for y in sat_ys))

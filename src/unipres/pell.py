@@ -229,10 +229,6 @@ class PellClass:
         b2 = QuadNum(Fraction(z, 2), Fraction(-w, 2 * n), n)
         return a1, a2, b1, b2
 
-    def recurrence(self) -> tuple[int, int]:
-        """Coefficients (a1, a2) of u_{m+2} = a1*u_{m+1} + a2*u_m for both sequences."""
-        return 2 * self.fundamental[0], -1
-
     def pair_at(self, m: int) -> tuple[int, int]:
         """(w_m, z_m) by exact unit multiplication."""
         w, z = self.rep
@@ -254,20 +250,6 @@ class PellClass:
             w, z = _mul_unit(w, z, self.n, w0, z0, 1)
         return out
 
-    def contains(self, w: int, z: int, max_steps: int = 10_000) -> bool:
-        """Whether (w, z) lies in this class, up to the (w,z) ~ (-w,-z) identification."""
-        target = _sign_norm(w, z)
-        w0, z0 = self.fundamental
-        for direction in (1, -1):
-            cur = self.rep
-            for _ in range(max_steps):
-                if _sign_norm(*cur) == target:
-                    return True
-                if abs(cur[0]) > abs(target[0]) and abs(cur[1]) > abs(target[1]):
-                    break
-                cur = _mul_unit(cur[0], cur[1], self.n, w0, z0, direction)
-        return False
-
 
 @dataclass(frozen=True)
 class PellSolutionSet:
@@ -275,9 +257,6 @@ class PellSolutionSet:
     N: int
     fundamental: tuple[int, int]
     classes: tuple[PellClass, ...]
-
-    def contains(self, w: int, z: int) -> bool:
-        return any(c.contains(w, z) for c in self.classes)
 
 
 def solve_generalized(n: int, N: int) -> PellSolutionSet:

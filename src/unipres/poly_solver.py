@@ -9,16 +9,19 @@ are checked for redundancy (a failure of absolute irreducibility of the
 attendant curve) and merged.  `power_solver.solve_positive`
 routes the positive atoms; this module holds the cases particular to
 degrees 2 and 3: a quadratic against a cubic whose curve has a double
-root, the derived Pell structure of two quadratics against a cubic, and
-the one genuinely dense negative interaction (a Pell-parametrized
-quadratic pair against a cubic negative), which is removed exactly as
-arithmetic progressions of sequence indices.
+root (image polynomials), the derived Pell structure of two quadratics
+against a cubic (Pell orbits), and the one genuinely dense negative
+interaction (a Pell-parametrized quadratic pair against a cubic
+negative), which is removed exactly as arithmetic progressions of
+sequence indices.  Each case answers with the one record of
+`power_solver`, a `SolutionSet` whose families are those generators and
+whose values are the finitely many points outside them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from ._ast import ConstraintSystem, PolyAtom, Verdict, system_holds
@@ -34,11 +37,7 @@ from .numtheory import (
 )
 from .pell import QuadNum, fundamental, solve_generalized, squarefree_kernel, unit_exponent
 from .power_solver import (
-    EmptySolutions,
-    FiniteSolutions,
     LrbsEntry,
-    LrbsUnion,
-    PolyImages,
     PolyValueMap,
     SolutionSet,
     SolveOptions,
@@ -487,20 +486,18 @@ def _curve_extra_points(data: CurveCaseData) -> tuple[int, ...]:
     return (x,) if data.quad.holds(x) else ()
 
 
-def _pair_mixed(quad: PolyAtom, cubic: PolyAtom, lower, options, label: str) -> SolutionSet:
+def _pair_mixed(quad: PolyAtom, cubic: PolyAtom, options: SolveOptions, label: str) -> SolutionSet:
     data = _derive_curve_case(quad, cubic)
     if data is None:
-        return _bounded_curve(cubic, [quad], lower, options, label + ":elliptic:bounded")
+        return _bounded_curve(cubic, [quad], options, label + ":elliptic:bounded")
     extras = _curve_extra_points(data)
     polys = image_polys(*integer_numerators(data.image), data.modulus, data.residues)
     if not polys and not extras:
-        return EmptySolutions(lower, label + ":double-root:empty", True)
-    return PolyImages(lower, label + ":double-root-images", True, polys=polys, extra_values=extras)
+        return SolutionSet(label + ":double-root:empty", True)
+    return SolutionSet(label + ":double-root-images", True, polys, extras)
 
 
-def _triple_4c(
-    quad1: PolyAtom, cubic: PolyAtom, quad3: PolyAtom, lower, options, label: str
-) -> SolutionSet | None:
+def _triple_4c(quad1: PolyAtom, cubic: PolyAtom, quad3: PolyAtom, label: str) -> SolutionSet | None:
     """One cubic against two quadratics: the derived Pell structure, or None."""
     d1 = _derive_curve_case(quad1, cubic)
     d3 = _derive_curve_case(quad3, cubic)
@@ -529,7 +526,7 @@ def _triple_4c(
             x = _peval(d1.image, Wp // g3)
             if x.denominator == 1 and holds(int(x)):
                 vals.add(int(x))
-        return FiniteSolutions(lower, label + ":4c-divisor", True, values=tuple(sorted(vals)))
+        return SolutionSet(label + ":4c-divisor", True, values=tuple(sorted(vals)))
     sols = solve_generalized(n4, g3 * C)
     # W' = g3*v1 must land on residues where v1 passes the pair-1 checks and
     # Z' = v3 on residues passing the pair-3 checks.
@@ -538,26 +535,24 @@ def _triple_4c(
     z_filter = sorted({(MZ, (s * rho) % MZ) for rho in d3.residues for s in (1, -1)})
     entries = _pell_orbit_entries(sols, w_filter, z_filter, PolyValueMap(d1.image, g3), "w")
     if entries:
-        return LrbsUnion(
-            lower, label + ":4c-pell", True, entries=tuple(entries), extra_values=extras
-        )
+        return SolutionSet(label + ":4c-pell", True, tuple(entries), extras)
     if extras:
-        return FiniteSolutions(lower, label + ":4c-extras", True, values=extras)
+        return SolutionSet(label + ":4c-extras", True, values=extras)
     searched = sols.classes and w_filter and z_filter
-    return EmptySolutions(lower, label + (":4c-filtered-empty" if searched else ":4c-empty"), True)
+    return SolutionSet(label + (":4c-filtered-empty" if searched else ":4c-empty"), True)
 
 
-def _triple(atoms, lower, options) -> SolutionSet:
+def _triple(atoms, options: SolveOptions) -> SolutionSet:
     """Degrees (2, 2, 3): the derived Pell structure, or else a curve case
     filtered by the other quadratic."""
     q1, q2, cubic = atoms
-    sol = _triple_4c(q1, cubic, q2, lower, options, "poly:triple")
+    sol = _triple_4c(q1, cubic, q2, "poly:triple")
     if sol is not None:
         return sol
     # Prefer the quadratic whose pairing with the cubic is squarefree
     # (a genuinely bounded elliptic enumeration).
     quad, other = (q1, q2) if _derive_curve_case(q1, cubic) is None else (q2, q1)
-    mixed = _pair_mixed(quad, cubic, lower, options, "poly:triple")
+    mixed = _pair_mixed(quad, cubic, options, "poly:triple")
     return _filter_by_atoms(mixed, [other], options, mixed.case + ":filtered")
 
 
@@ -653,46 +648,34 @@ def _match_batch(
     return matched
 
 
-def subtract_discarded(S: LrbsUnion, discards) -> LrbsUnion:
-    """Remove from S the index progressions matched by each discard dataset.
+def subtract_discarded(S: SolutionSet, discards) -> SolutionSet:
+    """Remove from the Pell orbits of S the index progressions matched by each discard dataset.
 
-    `discards` holds (LrbsUnion, CurveCaseData) pairs describing the
+    `discards` holds (SolutionSet, CurveCaseData) pairs describing the
     solutions of S's pair of quadratics joined with a cubic negative.
     Matches are verified exactly (consecutive-sample identity) before any
     index is removed, so the subtraction never over-approximates.
     """
     new_entries = []
-    for entry in S.entries:
+    for entry in S.families:
         idx = entry.indices
         for sp_set, data in discards:
-            for sp_entry in sp_set.entries:
+            for sp_entry in sp_set.families:
                 matched = _match_batch(entry, sp_entry, data)
                 if not matched.is_empty():
                     idx = idx.subtract(matched)
-        new_entries.append(
-            LrbsEntry(
-                entry.value_seq,
-                entry.partner_seq,
-                idx,
-                entry.vmap,
-                pell_class=entry.pell_class,
-                component=entry.component,
-            )
-        )
-    return LrbsUnion(
-        S.lower, S.case + ":discard-subtracted", S.complete,
-        entries=tuple(new_entries), extra_values=S.extra_values,
-    )
+        new_entries.append(replace(entry, indices=idx))
+    return replace(S, case=S.case + ":discard-subtracted", families=tuple(new_entries))
 
 
-def _try_discard_sets(system: ConstraintSystem, quads, options):
-    """(LrbsUnion, CurveCaseData) pairs for cubic negatives forming Pell discards."""
+def _try_discard_sets(system: ConstraintSystem, quads):
+    """(SolutionSet, CurveCaseData) pairs for cubic negatives forming Pell discards."""
     out = []
     for neg in system.negatives:
         if neg.degree != 3:
             continue
-        sol = _triple_4c(quads[0], neg, quads[1], None, options, "discard")
-        if isinstance(sol, LrbsUnion):
+        sol = _triple_4c(quads[0], neg, quads[1], "discard")
+        if sol is not None and sol.families:
             # The S entries are parametrized by the second quadratic's
             # witness sequence, so the matcher needs that side's data.
             d3 = _derive_curve_case(quads[1], neg)
@@ -701,28 +684,28 @@ def _try_discard_sets(system: ConstraintSystem, quads, options):
     return out
 
 
-def discard_pell_indices(system: ConstraintSystem, sol: SolutionSet, options: SolveOptions):
+def discard_pell_indices(system: ConstraintSystem, sol: SolutionSet):
     """Remove the Pell indices that a cubic negative rules out of a quadratic pair.
 
-    Returns `sol` unchanged unless it is an `LrbsUnion` of two positive
-    quadratics next to a cubic negative that forms a discard set; then the
-    remaining set, or the verdict when its extra values hold a survivor
-    (sat) or no index is left (unsat).
+    Returns `sol` unchanged unless its families are Pell orbits
+    (`LrbsEntry`) of two positive quadratics next to a cubic negative that
+    forms a discard set; then the remaining set, or the verdict when its
+    values hold a survivor (sat) or no index is left (unsat).
     """
-    if not isinstance(sol, LrbsUnion) or not system.negatives:
+    if not sol.families or not isinstance(sol.families[0], LrbsEntry) or not system.negatives:
         return sol
     quads = [a for a in system.positives if a.degree == 2]
     if len(quads) != 2:
         return sol
-    discards = _try_discard_sets(system, sorted(quads), options)
+    discards = _try_discard_sets(system, sorted(quads))
     if not discards:
         return sol
     sol = subtract_discarded(sol, discards)
     system.log("discard:index-progressions")
-    y = least_witness(_survivors(system, sol.extra_values))
+    y = least_witness(_survivors(system, sol.values))
     if y is not None:
         return _verified_sat(system, y)
-    if all(e.indices.is_empty() for e in sol.entries):
+    if all(e.indices.is_empty() for e in sol.families):
         system.log("discard:all-indices-removed")
         return Verdict.unsat()
     return sol

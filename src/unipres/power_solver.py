@@ -7,11 +7,13 @@ power shape, stride 1 and no linear part, which say "a*x + b is a d-th
 power" (a > 0): it discards redundant ones and coalesces similar
 positives.  `solve_positive` routes the positive atoms by count and
 degree to polynomial images, Pell orbits, divisor factorizations, the
-double-root curve cases of `poly_solver`, or a bounded walk; negative
-atoms are filtered pointwise along a deterministic witness scan.  Every
-residue question, "which witnesses u have f(u) = b (mod a)", goes to
-`numtheory.residue_classes`, which answers with classes at their least
-period.
+double-root curve cases of `poly_solver`, or a bounded walk, and answers
+with one record, `SolutionSet`: families of image polynomials or Pell
+orbits, finitely many values, or every integer.  `MemberStream` merges
+its members in (|x|, x) order, and negative atoms are filtered pointwise
+along that deterministic witness scan.  Every residue question, "which
+witnesses u have f(u) = b (mod a)", goes to `numtheory.residue_classes`,
+which answers with classes at their least period.
 
 Verdicts are three-valued.  Paths whose finiteness rests on effective but
 astronomically-large bounds in the literature enumerate an auxiliary
@@ -52,11 +54,7 @@ __all__ = [
     "LrbsEntry",
     "PolyValueMap",
     "SolutionSet",
-    "AllSolutions",
-    "PolyImages",
-    "LrbsUnion",
-    "FiniteSolutions",
-    "EmptySolutions",
+    "MemberStream",
     "is_redundant",
     "coalesce_similar",
     "preprocess",
@@ -347,41 +345,20 @@ class LrbsEntry:
 
 @dataclass(frozen=True)
 class SolutionSet:
-    """Base class: integers satisfying the positive constraints.
+    """The integers satisfying the positive atoms of one system.
 
-    `members` streams the elements of every kind but `AllSolutions`.
+    The members are the values of the generators in `families`, image
+    polynomials (`ImagePoly`) or Pell orbits (`LrbsEntry`), together with
+    the finitely many `values`; `everything` marks a system without
+    positive atoms, whose members are all integers.  `complete` is False
+    when a bounded search built the set, which may then miss members.
     """
 
-    lower: int | None
     case: str
     complete: bool
-
-
-@dataclass(frozen=True)
-class AllSolutions(SolutionSet):
-    pass
-
-
-@dataclass(frozen=True)
-class PolyImages(SolutionSet):
-    polys: tuple[ImagePoly, ...] = ()
-    extra_values: tuple[int, ...] = ()
-
-
-@dataclass(frozen=True)
-class LrbsUnion(SolutionSet):
-    entries: tuple[LrbsEntry, ...] = ()
-    extra_values: tuple[int, ...] = ()
-
-
-@dataclass(frozen=True)
-class FiniteSolutions(SolutionSet):
+    families: tuple[ImagePoly, ...] | tuple[LrbsEntry, ...] = ()
     values: tuple[int, ...] = ()
-
-
-@dataclass(frozen=True)
-class EmptySolutions(SolutionSet):
-    pass
+    everything: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -468,36 +445,26 @@ class _LrbsSource:
         return self.entry.vmap.floor_abs(v_lo)
 
 
-class _FiniteSource:
-    def __init__(self, values):
-        self.values = list(values)
-        self.capped = False
-        self.done = False
-
-    def advance(self) -> list[int]:
-        if self.done:
-            return []
-        self.done = True
-        return self.values
-
-    def floor_abs(self) -> int | None:
-        return None
-
-
 class MemberStream:
-    """Merged members ordered by (|x|, x), with honesty bookkeeping.
+    """The members of a solution set (not `everything`) ordered by (|x|, x).
 
-    `capped` is set when some source stopped at the bit-size cap, meaning
-    the emitted prefix may be incomplete.
+    Each family is a source that widens its radius and certifies a floor
+    on the magnitude of the members it has not yet emitted; the finite
+    values seed the buffer.  `capped` is set when some source stopped at
+    the bit-size cap, meaning the emitted prefix may be incomplete.
     """
 
-    def __init__(self, sources):
-        self.sources = list(sources)
+    def __init__(self, sol: SolutionSet, options: SolveOptions = DEFAULT_OPTIONS):
+        bits = options.value_bits
+        self.sources = [
+            _PolySource(f, bits) if isinstance(f, ImagePoly) else _LrbsSource(f, bits) for f in sol.families
+        ]
+        self.values = sol.values
         self.capped = False
 
     def __iter__(self):
-        buffered: list[int] = []
-        seen: set[int] = set()
+        seen: set[int] = set(self.values)
+        buffered: list[int] = list(seen)
         while True:
             live = [s for s in self.sources if not s.done]
             for s in live:
@@ -506,7 +473,7 @@ class MemberStream:
                         seen.add(x)
                         buffered.append(x)
             floors = [f for s in self.sources if (f := s.floor_abs()) is not None]
-            self.capped = self.capped or any(getattr(s, "capped", False) for s in self.sources)
+            self.capped = self.capped or any(s.capped for s in self.sources)
             if not floors:
                 for x in sorted(buffered, key=lambda v: (abs(v), v)):
                     yield x
@@ -516,23 +483,6 @@ class MemberStream:
             buffered = [x for x in buffered if abs(x) >= floor]
             for x in sorted(ready, key=lambda v: (abs(v), v)):
                 yield x
-
-
-def members(solution_set: SolutionSet, options: SolveOptions = DEFAULT_OPTIONS) -> MemberStream:
-    """Stream of members ordered by (|x|, x) (not defined for AllSolutions)."""
-    if isinstance(solution_set, PolyImages):
-        sources = [_PolySource(p, options.value_bits) for p in solution_set.polys]
-        sources.append(_FiniteSource(solution_set.extra_values))
-        return MemberStream(sources)
-    if isinstance(solution_set, LrbsUnion):
-        sources = [_LrbsSource(e, options.value_bits) for e in solution_set.entries]
-        sources.append(_FiniteSource(solution_set.extra_values))
-        return MemberStream(sources)
-    if isinstance(solution_set, FiniteSolutions):
-        return MemberStream([_FiniteSource(solution_set.values)])
-    if isinstance(solution_set, EmptySolutions):
-        return MemberStream([])
-    raise TypeError(f"no member stream for {type(solution_set).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -565,11 +515,10 @@ def image_polys(nums, den, period: int, residues) -> tuple[ImagePoly, ...]:
     return tuple(polys)
 
 
-def _single_poly_images(atom: PolyAtom, classes, lower) -> SolutionSet:
+def _single_poly_images(atom: PolyAtom, classes) -> SolutionSet:
     """x = (f(w + P*t) - b) / a, one image per class w of the witnesses
     mod their least period P (`_atom_classes`)."""
-    polys = image_polys(_atom_poly(atom), atom.a, *classes)
-    return PolyImages(lower, "poly:single:images", True, polys=polys)
+    return SolutionSet("poly:single:images", True, image_polys(_atom_poly(atom), atom.a, *classes))
 
 
 def _square_factor_pairs(E: int, N: int):
@@ -613,7 +562,7 @@ def _pell_orbit_entries(
     return entries
 
 
-def _quad_pair_solution(first: PolyAtom, second: PolyAtom, lower, options, label: str) -> SolutionSet:
+def _quad_pair_solution(first: PolyAtom, second: PolyAtom, label: str) -> SolutionSet:
     """Two quadratic atoms: divisor factorization or Pell orbits.
 
     With w = a2*u1 and z = u2 the atoms give w^2 - a1*a2*z^2 = N, solved
@@ -636,22 +585,22 @@ def _quad_pair_solution(first: PolyAtom, second: PolyAtom, lower, options, label
             x = (z * z - b2) // a2
             if first.holds(x) and second.holds(x):
                 vals.add(x)
-        return FiniteSolutions(lower, label + ":divisor", True, values=tuple(sorted(vals)))
+        return SolutionSet(label + ":divisor", True, values=tuple(sorted(vals)))
     P1, c1 = _atom_classes(first)
     P2, c2 = _atom_classes(second)
     sols = solve_generalized(n, N)
     if not sols.classes:
-        return EmptySolutions(lower, label + ":pell-empty", True)
+        return SolutionSet(label + ":pell-empty", True)
     w_filter = sorted({(a2 * P1, (s * a2 * r) % (a2 * P1)) for r in c1 for s in (1, -1)})
     z_filter = sorted({(P2, (s * r) % P2) for r in c2 for s in (1, -1)})
     vmap = PolyValueMap((Fraction(-b2, a2), 0, Fraction(1, a2)), 1)  # x = (z^2 - b2) / a2
     entries = _pell_orbit_entries(sols, w_filter, z_filter, vmap, "z")
     if not entries:
-        return EmptySolutions(lower, label + ":pell-filtered-empty", True)
-    return LrbsUnion(lower, label + ":pell", True, entries=tuple(entries))
+        return SolutionSet(label + ":pell-filtered-empty", True)
+    return SolutionSet(label + ":pell", True, tuple(entries))
 
 
-def _bounded_curve(walked: PolyAtom, rest, lower, options: SolveOptions, label: str) -> FiniteSolutions:
+def _bounded_curve(walked: PolyAtom, rest, options: SolveOptions, label: str) -> SolutionSet:
     """The x of the walked atom's lattice points u with |u| <= enum_bound
     at which every atom of `rest` holds.
 
@@ -675,88 +624,85 @@ def _bounded_curve(walked: PolyAtom, rest, lower, options: SolveOptions, label: 
             xs = [x for x in xs if kth_root(a1 * x + b1, k1) is not None]
         else:
             xs = [x for x in xs if at.holds(x)]
-    return FiniteSolutions(lower, label, False, values=tuple(sorted(set(xs))))
+    return SolutionSet(label, False, values=tuple(sorted(set(xs))))
 
 
 def _filter_by_atoms(base: SolutionSet, extra, options: SolveOptions, label: str) -> SolutionSet:
     """Pointwise-filter a base set by further atoms; keeps exactness flags honest."""
-    if isinstance(base, EmptySolutions):
-        return EmptySolutions(base.lower, label + ":empty", base.complete)
-    if isinstance(base, FiniteSolutions):
+    if not base.families:
         vals = tuple(x for x in base.values if all(at.holds(x) for at in extra))
-        return FiniteSolutions(base.lower, label, base.complete, values=vals)
-    stream = members(base, options)
+        return SolutionSet(label, base.complete, values=vals)
     found = []
-    for i, x in enumerate(stream):
+    for i, x in enumerate(MemberStream(base, options)):
         if i >= options.scan_cap:
             break
         if all(at.holds(x) for at in extra):
             found.append(x)
             if len(found) >= 10_000:
                 break
-    return FiniteSolutions(base.lower, label + ":bounded", False, values=tuple(sorted(set(found))))
+    return SolutionSet(label + ":bounded", False, values=tuple(sorted(set(found))))
 
 
-def _walk(atoms, lower, options: SolveOptions, label: str) -> FiniteSolutions:
+def _walk(atoms, options: SolveOptions, label: str) -> SolutionSet:
     """Bounded walk of the last cubic with a linear part, whose membership
     test bisects, else of the last atom of highest degree; the rest filter."""
     walked = ([at for at in atoms if at.lin] or atoms)[-1]
-    return _bounded_curve(walked, [at for at in atoms if at is not walked], lower, options, label)
+    return _bounded_curve(walked, [at for at in atoms if at is not walked], options, label)
 
 
-def solve_positive(
-    positives, lower: int | None = None, options: SolveOptions = DEFAULT_OPTIONS
-) -> SolutionSet:
-    """Exact structure of the integers satisfying all positive atoms.
+def solve_positive(positives, options: SolveOptions = DEFAULT_OPTIONS) -> SolutionSet:
+    """The integers satisfying all positive atoms, as one `SolutionSet`.
 
-    The one router of the decide core; every atom is a `PolyAtom`.  Two
-    atoms go by degrees: (2, 2) to the square-pair solver, (2, 3) to the
-    double-root curve case, anything else to a bounded walk.  Three or
-    more go to the divisor solution of the first pair of quadratics with
-    a square product, to the Pell orbits of the first two atoms when all
-    are quadratic, to the curve-derived Pell structure for exactly
-    (2, 2, 3), and otherwise to a bounded walk; the remaining atoms filter
-    the result.  Preconditions: pairwise non-redundant (`prepare`), a > 0.
+    The one router of the decide core; every atom is a `PolyAtom`.  No
+    atom gives the set of `everything`, and one atom its image polynomials
+    as families.  Two atoms go by degrees: (2, 2) to the square-pair
+    solver, (2, 3) to the double-root curve case, anything else to a
+    bounded walk.  Three or more go to the divisor solution of the first
+    pair of quadratics with a square product, to the Pell orbits of the
+    first two atoms when all are quadratic, to the curve-derived Pell
+    structure for exactly (2, 2, 3), and otherwise to a bounded walk; the
+    remaining atoms filter the result.  Preconditions: pairwise
+    non-redundant (`prepare`), a > 0.
 
     Certified emptiness comes first: some witness of each atom must have
     f(u) = b (mod a), which `numtheory.residue_classes` decides.
     """
     atoms = sorted(positives)
     if not atoms:
-        return AllSolutions(lower, "power:none", True)
+        return SolutionSet("power:none", True, everything=True)
     classes = []
     for atom in atoms:
         if atom.a <= 0:
             raise ValueError("positive atoms must have a > 0 after normalization")
         classes.append(_atom_classes(atom))
         if not classes[-1][1]:
-            return EmptySolutions(lower, "poly:empty-residues", True)
+            return SolutionSet("poly:empty-residues", True)
     if len(atoms) == 1:
-        return _single_poly_images(atoms[0], classes[0], lower)
+        return _single_poly_images(atoms[0], classes[0])
     degs = tuple(at.degree for at in atoms)
     if len(atoms) == 2:
         if degs == (2, 2):
-            return _quad_pair_solution(atoms[0], atoms[1], lower, options, "poly:pair")
+            return _quad_pair_solution(atoms[0], atoms[1], "poly:pair")
         if degs == (2, 3):
             from .poly_solver import _pair_mixed
 
-            return _pair_mixed(atoms[0], atoms[1], lower, options, "poly:pair")
-        return _walk(atoms, lower, options, "poly:pair:bounded")
+            return _pair_mixed(atoms[0], atoms[1], options, "poly:pair")
+        return _walk(atoms, options, "poly:pair:bounded")
     quads = atoms[: degs.count(2)]
     for i, P in enumerate(quads):
         for Q in quads[i + 1 :]:
             if math.isqrt(P.a * Q.a) ** 2 == P.a * Q.a:
-                base = _quad_pair_solution(P, Q, lower, options, "poly:multi")
+                base = _quad_pair_solution(P, Q, "poly:multi")
                 rest = [at for at in atoms if at is not P and at is not Q]
                 return _filter_by_atoms(base, rest, options, base.case + ":filtered")
     if len(quads) == len(atoms):
-        base = _quad_pair_solution(atoms[0], atoms[1], lower, options, "poly:multi")
+        base = _quad_pair_solution(atoms[0], atoms[1], "poly:multi")
         return _filter_by_atoms(base, atoms[2:], options, base.case + ":filtered")
     if degs == (2, 2, 3):
         from .poly_solver import _triple
 
-        return _triple(atoms, lower, options)
-    return _walk(atoms, lower, options, "poly:multi:bounded")
+        return _triple(atoms, options)
+    return _walk(atoms, options, "poly:multi:bounded")
 
 
 # ---------------------------------------------------------------------------
@@ -824,8 +770,11 @@ def decide(system: ConstraintSystem, options: SolveOptions = DEFAULT_OPTIONS) ->
     hand-built one went through `poly_solver.prepare`, so it has been
     preprocessed exactly once.  A system resolved there (eagerly, or as a
     refuted unsat) returns its `resolved` verdict.  Otherwise the positive
-    atoms give the solution set (`solve_positive`), and the lower bound, the excluded points and the
-    negative atoms filter it.
+    atoms give one `SolutionSet` (`solve_positive`), and the lower bound,
+    the excluded points and the negative atoms filter it: a set of
+    `everything` by a scan of the integers above the bound, a set without
+    families by its least surviving value, and any other set by a scan of
+    its `MemberStream`.
 
     Witness rule: inside a system the witness is the first hit in (|y|, y)
     order of the working variable y; across systems (`cli.solve_formula`)
@@ -836,22 +785,21 @@ def decide(system: ConstraintSystem, options: SolveOptions = DEFAULT_OPTIONS) ->
         return system.resolved
     from .poly_solver import discard_pell_indices
 
-    sol = solve_positive(system.positives, system.lower, options)
+    sol = solve_positive(system.positives, options)
     system.log(sol.case)
-    sol = discard_pell_indices(system, sol, options)
+    sol = discard_pell_indices(system, sol)
     if isinstance(sol, Verdict):
         return sol
-    if isinstance(sol, EmptySolutions):
-        return Verdict.unsat() if sol.complete else Verdict.unknown(sol.case, options.enum_bound)
-    if isinstance(sol, AllSolutions):
+    if sol.everything:
         return _search(system, _above(system.lower), options)
-    if isinstance(sol, FiniteSolutions):
-        y = least_witness(_survivors(system, sol.values))
-        if y is not None:
-            system.log("finite:witness")
-            return _verified_sat(system, y)
-        if sol.complete:
-            system.log("finite:exhausted")
-            return Verdict.unsat()
+    if sol.families:
+        return _search(system, MemberStream(sol, options), options)
+    y = least_witness(_survivors(system, sol.values))
+    if y is not None:
+        system.log("finite:witness")
+        return _verified_sat(system, y)
+    if not sol.complete:
         return Verdict.unknown(f"bounded enumeration ({sol.case}) found no witness", options.enum_bound)
-    return _search(system, members(sol, options), options)
+    if sol.values:
+        system.log("finite:exhausted")
+    return Verdict.unsat()

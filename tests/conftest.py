@@ -12,7 +12,7 @@ import pytest
 from unipres._ast import ConstraintSystem, PolyAtom, PredicateDecl
 from unipres import cli, oracle
 from unipres.poly_solver import depress_ascending, prepare
-from unipres.power_solver import decide, members, similar
+from unipres.power_solver import MemberStream, decide, similar
 
 
 def no_similar_powers(system: ConstraintSystem) -> bool:
@@ -50,7 +50,7 @@ def decide_prepared(system: ConstraintSystem, options):
 
 def stream_prefix(solution_set, bound: int, options) -> list[int]:
     """The members with |x| <= bound, from the (|x|, x)-ordered stream that `decide` draws."""
-    return list(itertools.takewhile(lambda x: abs(x) <= bound, members(solution_set, options)))
+    return list(itertools.takewhile(lambda x: abs(x) <= bound, MemberStream(solution_set, options)))
 
 
 def oracle_hits(atoms, lo: int, hi: int) -> list[int]:

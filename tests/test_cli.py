@@ -64,6 +64,7 @@ GOLDEN = {
     "forced_unsat": (1, "unsat", None),
     "gessel_sat": (0, "sat", 169),
     "simple_sat": (0, "sat", 4),
+    "wide_interval": (0, "sat", 1),
 }
 
 

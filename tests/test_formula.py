@@ -198,6 +198,10 @@ def test_normalized_systems_hold_only_poly_atoms():
             for p in poly_solver.prepare(s):
                 assert no_similar_powers(p), p
     assert degrees == {2, 3, 4}
+    # Two similar powers coalesce into one: 2x a square and 4x a cube
+    # hold together exactly when 32x is a sixth power.
+    [system] = normalize(parse("(exists x (and (> x 0) (pow 2 (* 2 x)) (pow 3 (* 4 x))))")).systems
+    assert (system.positives, system.negatives) == ([PolyAtom(6, 0, 32, 0, 1, 0)], [])
 
 
 def _system_satisfied_at(system, x: int) -> bool:
@@ -280,7 +284,9 @@ def test_power_atoms_of_every_degree_and_sign_against_the_oracle():
 
 def test_sentence_differential_against_the_oracle():
     # Every sat witness satisfies the sentence, and no unsat sentence has a
-    # witness in |x| <= 200.
+    # witness in |x| <= 200.  Under forall, which decides the negated body,
+    # a sat sentence has no counterexample in |x| <= 200 and an unsat one
+    # carries a counterexample.
     rng = random.Random(20261018)
     opts = SolveOptions(enum_bound=200)
     for _ in range(1000):
@@ -291,6 +297,13 @@ def test_sentence_differential_against_the_oracle():
             assert oracle.eval_at(f, v.witness), (text, v)
         elif v.is_unsat:
             assert oracle.scan(f, 200).witnesses == (), text
+        text = text.replace("(exists x ", "(forall x ")
+        f = parse(text)
+        v = solve_formula(f, opts).verdict
+        if v.is_sat:
+            assert all(oracle.eval_at(f, x) for x in range(-200, 201)), text
+        elif v.is_unsat:
+            assert v.witness is not None and not oracle.eval_at(f, v.witness), (text, v)
 
 
 @pytest.mark.parametrize("body, atoms", [

@@ -7,14 +7,12 @@ import pytest
 
 from unipres._ast import ConstraintSystem, PolyAtom, PredicateDecl
 from unipres.power_solver import (
-    EmptySolutions,
-    FiniteSolutions,
-    LrbsUnion,
-    PolyImages,
+    ImagePoly,
+    LrbsEntry,
+    MemberStream,
     SolveOptions,
     _atom_classes,
     _single_poly_images,
-    members,
     solve_positive,
 )
 from unipres.poly_solver import (
@@ -137,14 +135,14 @@ class TestSolvePositive:
     def test_triangular_images(self):
         atom = depress_ascending(TRIANGULAR.ascending(), 1, 0)
         s = solve_positive([atom], options=OPTS)
-        assert isinstance(s, PolyImages)
-        first = sorted(x for _, x in zip(range(8), members(s, OPTS)))
+        assert s.families and all(isinstance(f, ImagePoly) for f in s.families)
+        first = sorted(x for _, x in zip(range(8), MemberStream(s, OPTS)))
         assert first == [0, 1, 3, 6, 10, 15, 21, 28]
 
     def test_fermat_elliptic(self):
         atoms = [depress_ascending(TRIANGULAR.ascending(), 1, 0), PolyAtom(3, 0, 1, 0, 1, 0)]
         s = solve_positive(atoms, options=OPTS)
-        assert isinstance(s, FiniteSolutions) and not s.complete
+        assert s.families == () and not s.complete
         assert s.values == (0, 1)
 
     def test_empty(self):
@@ -156,8 +154,9 @@ class TestSolvePositive:
         for first in (PolyAtom(2, 0, 1, 0, 1, 0), PolyAtom(2, 0, 1, 0, 3, 1)):
             atoms = [first, PolyAtom(2, 0, 2, 8, 1, 0)]
             s = solve_positive(atoms, options=OPTS)
-            assert isinstance(s, LrbsUnion) and s.case == "poly:pair:pell"
-            got = [x for _, x in zip(range(4), members(s, OPTS))]
+            assert s.families and all(isinstance(f, LrbsEntry) for f in s.families)
+            assert s.case == "poly:pair:pell"
+            got = [x for _, x in zip(range(4), MemberStream(s, OPTS))]
             scan = [x for x in range(0, 10**6) if all(oracle.atom_eval(a, x) for a in atoms)]
             assert got == scan[: len(got)] == [4, 196, 6724, 228484], first
 
@@ -195,8 +194,8 @@ class TestSolvePositive:
         for _ in range(12):
             pred = random_int_valued_pred(rng, "P", rng.choice((2, 3)))
             atom = depress_ascending(pred.ascending(), rng.randint(1, 12), rng.randint(-20, 20))
-            s = _single_poly_images(atom, _atom_classes(atom), None)
-            for poly in s.polys:
+            s = _single_poly_images(atom, _atom_classes(atom))
+            for poly in s.families:
                 for t in range(-4, 5):
                     assert oracle.atom_eval(atom, poly.eval(t)), (atom, t)
             assert stream_prefix(s, 120, OPTS) == sorted(oracle_hits([atom], -120, 120), key=lambda x: (abs(x), x)), atom
@@ -205,7 +204,7 @@ class TestSolvePositive:
         # x a fourth power: the atom of (pow 4 x).
         atoms = [depress_ascending(TRIANGULAR.ascending(), 1, 0), PolyAtom(4, 0, 1, 0, 1, 0)]
         s = solve_positive(atoms, options=OPTS)
-        assert isinstance(s, FiniteSolutions)
+        assert s.families == ()
         scan = [x for x in range(0, 2000) if all(oracle.atom_eval(a, x) for a in atoms)]
         for x in scan:
             assert x in s.values
@@ -336,8 +335,8 @@ class Test4c:
         cubic = depress_ascending(GESSEL_CUBIC.ascending(), 64, 7)
         data = _derive_curve_case(quad, cubic)
         assert data is not None and data.residues == ()
-        sol = _pair_mixed(quad, cubic, None, OPTS, "poly:pair")
-        assert isinstance(sol, EmptySolutions) and sol.complete
+        sol = _pair_mixed(quad, cubic, OPTS, "poly:pair")
+        assert (sol.families, sol.values, sol.complete) == ((), (), True)
         assert sol.case == "poly:pair:double-root:empty"
 
     def test_triple_4c_never_raises_on_probe_pairs(self):
@@ -351,17 +350,18 @@ class Test4c:
             for q3 in quads:
                 if q1 is q3:
                     continue
-                sol = _triple_4c(q1, self.neg, q3, None, OPTS, "probe")
-                if isinstance(sol, LrbsUnion):
+                sol = _triple_4c(q1, self.neg, q3, "probe")
+                if sol is not None and sol.families:
+                    assert all(isinstance(f, LrbsEntry) for f in sol.families)
                     pell += 1
-                    for _, x in zip(range(2), members(sol, OPTS)):
+                    for _, x in zip(range(2), MemberStream(sol, OPTS)):
                         assert q1.holds(x) and q3.holds(x) and self.neg.holds(x), (q1, q3, x)
         assert len(quads) * (len(quads) - 1) == 5112 and pell == 456
 
     def test_triple_4c_members(self):
         s = solve_positive([self.q1, self.q3, self.neg], options=OPTS)
-        assert isinstance(s, LrbsUnion) and "4c" in s.case
-        got = [x for _, x in zip(range(3), members(s, OPTS))]
+        assert s.families and all(isinstance(f, LrbsEntry) for f in s.families) and "4c" in s.case
+        got = [x for _, x in zip(range(3), MemberStream(s, OPTS))]
         for x in got:
             assert self.q1.holds(x) and self.q3.holds(x) and self.neg.holds(x), x
         assert got[0] == 196
@@ -369,10 +369,10 @@ class Test4c:
     def test_subtract_discarded_residual(self):
         S = solve_positive([self.q1, self.q3], options=OPTS)
         sys_ = ConstraintSystem(lower=4, positives=[self.q1, self.q3], negatives=[self.neg])
-        discards = _try_discard_sets(sys_, sorted([self.q1, self.q3]), OPTS)
+        discards = _try_discard_sets(sys_, sorted([self.q1, self.q3]))
         assert discards
         S2 = subtract_discarded(S, discards)
-        for old, new in zip(S.entries, S2.entries):
+        for old, new in zip(S.families, S2.families):
             for k in range(-50, 51):
                 if k not in old.indices:
                     assert k not in new.indices
@@ -401,9 +401,9 @@ class Test4c:
         other_neg = PolyAtom(3, 0, 1, 5, 1, 0)
         S = solve_positive([self.q1, self.q3], options=OPTS)
         sys_ = ConstraintSystem(lower=4, positives=[self.q1, self.q3], negatives=[other_neg])
-        discards = _try_discard_sets(sys_, sorted([self.q1, self.q3]), OPTS)
+        discards = _try_discard_sets(sys_, sorted([self.q1, self.q3]))
         S2 = subtract_discarded(S, discards)
-        for old, new in zip(S.entries, S2.entries):
+        for old, new in zip(S.families, S2.families):
             assert old.indices.aps == new.indices.aps
 
 

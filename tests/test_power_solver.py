@@ -5,19 +5,15 @@ import pytest
 
 from unipres._ast import ConstraintSystem, PolyAtom
 from unipres.power_solver import (
-    AllSolutions,
-    EmptySolutions,
-    FiniteSolutions,
     ImagePoly,
-    LrbsUnion,
-    PolyImages,
+    LrbsEntry,
+    MemberStream,
     SolveOptions,
     coalesce_similar,
     is_redundant,
     _bounded_curve,
     _turn_bound,
     image_polys,
-    members,
     solve_positive,
 )
 from unipres.poly_solver import prepare
@@ -202,28 +198,29 @@ def test_coalesced_power_pair_has_one_image(text, witness):
     [system] = normalize(parse(text)).systems
     [atom] = system.positives
     assert atom.degree in (14, 15) and atom.is_power
-    sol = solve_positive(system.positives, system.lower)
-    assert isinstance(sol, PolyImages) and len(sol.polys) == 1
+    sol = solve_positive(system.positives)
+    [poly] = sol.families
+    assert isinstance(poly, ImagePoly) and sol.values == ()
 
 
 class TestSolvePositive:
     def test_empty_list_is_everything(self):
-        s = solve_positive([], lower=3)
-        assert isinstance(s, AllSolutions) and s.lower == 3
+        s = solve_positive([])
+        assert s.everything and s.complete and s.case == "power:none"
 
     def test_empty_residues(self):
         s = solve_positive([pow_atom(2, 4, 2)])
-        assert isinstance(s, EmptySolutions) and s.complete
+        assert (s.families, s.values, s.everything, s.complete) == ((), (), False, True)
 
     def test_single_images(self):
         s = solve_positive([pow_atom(2, 1, 0)])
-        assert isinstance(s, PolyImages)
-        first = [x for _, x in zip(range(6), members(s))]
+        assert s.families and all(isinstance(f, ImagePoly) for f in s.families)
+        first = [x for _, x in zip(range(6), MemberStream(s))]
         assert first == [0, 1, 4, 9, 16, 25]
 
     def test_single_images_respect_congruence(self):
         s = solve_positive([pow_atom(3, 5, 2)])  # 5x+2 a cube
-        got = sorted(x for _, x in zip(range(30), members(s, OPTS)))
+        got = sorted(x for _, x in zip(range(30), MemberStream(s, OPTS)))
         scan = [x for x in range(-4000, 4001) if oracle.atom_eval(pow_atom(3, 5, 2), x)]
         assert set(scan) <= set(got) | {x for x in scan if abs(x) > max(abs(g) for g in got)}
         for x in got:
@@ -231,15 +228,15 @@ class TestSolvePositive:
 
     def test_pell_pair(self):
         s = solve_positive([pow_atom(2, 1, 0), pow_atom(2, 2, 1)], options=OPTS)
-        assert isinstance(s, LrbsUnion) and s.complete
-        got = [x for _, x in zip(range(4), members(s, OPTS))]
+        assert s.families and all(isinstance(f, LrbsEntry) for f in s.families) and s.complete
+        got = [x for _, x in zip(range(4), MemberStream(s, OPTS))]
         assert got == [0, 4, 144, 4900]
         scan = [x for x in range(0, 10**6) if oracle.atom_eval(pow_atom(2, 1, 0), x) and oracle.atom_eval(pow_atom(2, 2, 1), x)]
         assert scan == [0, 4, 144, 4900, 166464]
 
     def test_divisor_pair(self):
         s = solve_positive([pow_atom(2, 1, 0), pow_atom(2, 1, 1)], options=OPTS)
-        assert isinstance(s, FiniteSolutions) and s.complete
+        assert s.families == () and s.complete
         assert s.values == (0,)
         scan = [x for x in range(-(10**6), 10**6) if oracle.atom_eval(pow_atom(2, 1, 0), x) and oracle.atom_eval(pow_atom(2, 1, 1), x)]
         assert scan == [0]
@@ -271,8 +268,8 @@ class TestSolvePositive:
             subs = prepare(sys_)
             if len(subs) != 1 or subs[0].resolved is not None:
                 continue
-            s = solve_positive(subs[0].positives, subs[0].lower, OPTS)
-            if isinstance(s, AllSolutions):
+            s = solve_positive(subs[0].positives, OPTS)
+            if s.everything:
                 continue
             got, want = sorted(stream_prefix(s, B, OPTS)), oracle_hits(atoms, -B, B)
             # A bounded enumeration may miss solutions; it never adds one.
@@ -282,7 +279,7 @@ class TestSolvePositive:
 class TestBoundedWalk:
     def test_walk_reaches_the_far_negative_lattice_points(self):
         # u = 3 (mod 4) with |u| <= 9 is -9, -5, -1, 3, 7.
-        s = _bounded_curve(PolyAtom(3, 0, 1, 0, 4, 3), [], None, SolveOptions(enum_bound=9), "t")
+        s = _bounded_curve(PolyAtom(3, 0, 1, 0, 4, 3), [], SolveOptions(enum_bound=9), "t")
         assert s.values == (-729, -125, -1, 27, 343)
 
     def test_walk_covers_every_lattice_point(self, rng):
@@ -297,7 +294,7 @@ class TestBoundedWalk:
                 num = u**degree + lin * u - atom.b
                 if u % stride == atom.offset and num % atom.a == 0:
                     want.add(num // atom.a)
-            got = _bounded_curve(atom, [], None, SolveOptions(enum_bound=H), "t")
+            got = _bounded_curve(atom, [], SolveOptions(enum_bound=H), "t")
             assert got.values == tuple(sorted(want)), (atom, H)
 
     def test_walk_filters_by_the_rest(self, rng):
@@ -305,8 +302,8 @@ class TestBoundedWalk:
             walked = pow_atom(rng.randint(2, 6), rng.randint(1, 4), rng.randint(-10, 10))
             rest = [pow_atom(rng.randint(2, 3), rng.randint(1, 4), rng.randint(-10, 10)),
                     PolyAtom(3, rng.randint(-6, 6), rng.randint(1, 4), rng.randint(-10, 10), 2, 1)]
-            full = _bounded_curve(walked, [], None, SolveOptions(enum_bound=40), "t")
-            got = _bounded_curve(walked, rest, None, SolveOptions(enum_bound=40), "t")
+            full = _bounded_curve(walked, [], SolveOptions(enum_bound=40), "t")
+            got = _bounded_curve(walked, rest, SolveOptions(enum_bound=40), "t")
             assert got.values == tuple(x for x in full.values if all(oracle.atom_eval(a, x) for a in rest))
 
 
