@@ -4,18 +4,25 @@ A bi-sequence u is defined for every integer index by an order-d
 recurrence u_{n+d} = a_1 u_{n+d-1} + ... + a_d u_n together with an
 initial window.  Integrality at negative indices holds exactly when
 a_d = +-1 (Fatou), which is enforced at construction.
+
+Growth certificate.  For a nonzero order-2 sequence with |a_1| >= 3 (and
+|a_2| = 1), once |u_{n+1}| > |u_n| we have
+|u_{n+2}| >= |a_1|*|u_{n+1}| - |u_n| > (|a_1| - 1)*|u_{n+1}| > |u_{n+1}|,
+and the same holds backward.  So the indices where |u| rises form a
+half-line in each direction, and `growth_radius` walks from index 0 to
+the first rise each way.  Every Pell orbit has a_1 = 2*w0 >= 4.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from .pell import QuadNum
+from .numtheory import union_classes
 
-__all__ = ["Lrbs", "IndexSet", "GrowthRank", "period_mod", "filter_congruence", "growth_rank"]
+__all__ = ["Lrbs", "IndexSet", "period_mod", "filter_congruence", "growth_radius"]
 
 
 @dataclass(frozen=True)
@@ -34,15 +41,6 @@ class Lrbs:
     @property
     def order(self) -> int:
         return len(self.coeffs)
-
-    def is_simple(self) -> bool:
-        """Characteristic polynomial squarefree (orders 1 and 2 only)."""
-        if self.order == 1:
-            return True
-        if self.order == 2:
-            a1, a2 = self.coeffs
-            return a1 * a1 + 4 * a2 != 0
-        raise NotImplementedError("simplicity test implemented for order <= 2")
 
     def eval(self, n: int) -> int:
         """u_n by forward or backward recurrence."""
@@ -64,18 +62,9 @@ class Lrbs:
 
     def values(self, lo: int, hi: int) -> list[int]:
         """u_lo .. u_hi via a single sweep."""
-        if hi < lo:
-            return []
-        out = [self.eval(lo)]
-        d = self.order
-        window = [self.eval(lo + i) for i in range(d)]
-        for n in range(lo + 1, hi + 1):
-            if n < lo + d:
-                out.append(window[n - lo])
-                continue
-            nxt = sum(self.coeffs[i] * window[d - 1 - i] for i in range(d))
-            window = window[1:] + [nxt]
-            out.append(nxt)
+        out = [self.eval(lo + i) for i in range(min(self.order, hi - lo + 1))]
+        for _ in range(hi - lo + 1 - self.order):
+            out.append(sum(c * out[-1 - i] for i, c in enumerate(self.coeffs)))
         return out
 
 
@@ -111,16 +100,17 @@ def period_mod(seq: Lrbs, modulus: int) -> tuple[int, tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class IndexSet:
-    """(union of arithmetic progressions) + added points - removed points.
+    """The indices n with n mod `period` in `residues`, at the least period.
 
-    Progressions are (offset, modulus) with modulus >= 1 and reduced
-    offsets.  `added` and `removed` are disjoint from / contained in the
-    progression union, giving a representation closed under complement.
+    The same (period, residues) form that `numtheory.residue_classes`
+    returns: `residues` is ascending, and no proper divisor of `period` is
+    a period of the set.  The empty set is (1, ()).  Every operation
+    expands both sides to the lcm of their periods and reduces the result
+    through `numtheory.union_classes`.
     """
 
-    aps: tuple[tuple[int, int], ...] = ()
-    added: frozenset[int] = frozenset()
-    removed: frozenset[int] = frozenset()
+    period: int = 1
+    residues: tuple[int, ...] = ()
 
     @staticmethod
     def nothing() -> "IndexSet":
@@ -128,80 +118,39 @@ class IndexSet:
 
     @staticmethod
     def from_residues(modulus: int, residues) -> "IndexSet":
-        return IndexSet(aps=tuple(sorted((r % modulus, modulus) for r in set(residues))))
-
-    def _in_aps(self, n: int) -> bool:
-        return any(n % m == o for o, m in self.aps)
+        return IndexSet(*union_classes([(modulus, {r % modulus for r in residues})]))
 
     def __contains__(self, n: int) -> bool:
-        if n in self.removed:
-            return False
-        return n in self.added or self._in_aps(n)
+        return n % self.period in self.residues
 
     def is_empty(self) -> bool:
-        return not self.aps and not self.added
+        return not self.residues
 
-    def _lcm(self) -> int:
-        L = 1
-        for _, m in self.aps:
-            L = L * m // math.gcd(L, m)
-        return L
+    def _at(self, L: int) -> set[int]:
+        return {r + self.period * k for r in self.residues for k in range(L // self.period)}
 
-    def _residues(self, L: int) -> set[int]:
-        out: set[int] = set()
-        for o, m in self.aps:
-            out.update(range(o % m, L, m))
-        return out
-
-    def _canon(self, L: int, residues: set[int], added: set[int], removed: set[int]) -> "IndexSet":
-        added = {n for n in added if n % L not in residues}
-        removed = {n for n in removed if n % L in residues}
-        if len(residues) == L:
-            aps: tuple[tuple[int, int], ...] = ((0, 1),)
-        else:
-            aps = tuple(sorted((r, L) for r in residues))
-        return IndexSet(aps, frozenset(added), frozenset(removed))
+    def _combine(self, other: "IndexSet", op) -> "IndexSet":
+        L = math.lcm(self.period, other.period)
+        return IndexSet.from_residues(L, op(self._at(L), other._at(L)))
 
     def intersect(self, other: "IndexSet") -> "IndexSet":
-        L = self._lcm() * other._lcm() // math.gcd(self._lcm(), other._lcm())
-        res = self._residues(L) & other._residues(L)
-        added = {n for n in self.added | other.added if n in self and n in other}
-        removed = set(self.removed | other.removed)
-        return self._canon(L, res, added, removed)
+        return self._combine(other, operator.and_)
 
     def subtract(self, other: "IndexSet") -> "IndexSet":
-        L = self._lcm() * other._lcm() // math.gcd(self._lcm(), other._lcm())
-        res = self._residues(L) - other._residues(L)
-        added = {n for n in self.added if n not in other}
-        removed = set(self.removed) | {n for n in other.added if self._in_aps(n)}
-        return self._canon(L, res, added, removed)
+        return self._combine(other, operator.sub)
 
     def union(self, other: "IndexSet") -> "IndexSet":
-        L = self._lcm() * other._lcm() // math.gcd(self._lcm(), other._lcm())
-        res = self._residues(L) | other._residues(L)
-        added = set(self.added | other.added)
-        removed = {n for n in self.removed | other.removed if n not in self and n not in other}
-        return self._canon(L, res, added, removed)
-
-    def complement(self) -> "IndexSet":
-        L = self._lcm()
-        res = set(range(L)) - self._residues(L)
-        return self._canon(L, res, set(self.removed), set(self.added))
+        return self._combine(other, operator.or_)
 
     def map_affine(self, stride: int, offset: int) -> "IndexSet":
         """Image under n |-> stride*n + offset (stride != 0)."""
         if stride == 0:
             raise ValueError("stride must be nonzero")
-        aps = tuple(sorted(((stride * o + offset) % (abs(stride) * m), abs(stride) * m) for o, m in self.aps))
-        return IndexSet(
-            aps,
-            frozenset(stride * n + offset for n in self.added),
-            frozenset(stride * n + offset for n in self.removed),
-        )
+        return IndexSet.from_residues(abs(stride) * self.period, [stride * r + offset for r in self.residues])
 
 
 def filter_congruence(seq: Lrbs, modulus: int, residue: int) -> IndexSet:
-    """Exact set of indices n with u_n = residue (mod modulus), as progressions."""
+    """Exact set of indices n with u_n = residue (mod modulus), at its least period."""
     if modulus < 1 or not 0 <= residue < modulus:
         raise ValueError("need modulus >= 1 and 0 <= residue < modulus")
     period, table = period_mod(seq, modulus)
@@ -209,72 +158,25 @@ def filter_congruence(seq: Lrbs, modulus: int, residue: int) -> IndexSet:
     return IndexSet.from_residues(period, hits)
 
 
-@dataclass(frozen=True)
-class GrowthRank:
-    """Dominant characteristic-root magnitude, held exactly."""
-
-    rate: QuadNum | Fraction
-    degree: int            # degree of the polynomial factor; 0 for simple sequences
-    growing: bool          # |u_n| -> infinity in both directions
-    mono_fwd: int | None   # |u_{n+1}| > |u_n| for all n >= mono_fwd
-    mono_bwd: int | None   # |u_{n-1}| > |u_n| for all n <= mono_bwd
+def _first_rise(a1: int, a2: int, u: int, v: int) -> int:
+    """The least n >= 0 with |u_{n+1}| > |u_n|, from (u_0, u_1) = (u, v)."""
+    n = 0
+    while abs(v) <= abs(u):
+        n, u, v = n + 1, v, a1 * v + a2 * u
+    return n
 
 
-def _abs_quad(q: QuadNum) -> QuadNum:
-    return -q if q.sign() < 0 else q
+def growth_radius(seq: Lrbs) -> int:
+    """The least R >= 0 with |u_{n+1}| > |u_n| for every n >= R and
+    |u_{n-1}| > |u_n| for every n <= -R.
 
-
-def growth_rank(seq: Lrbs) -> GrowthRank:
-    """Exact dominant-root data for order <= 2 simple sequences."""
-    if seq.order > 2:
-        raise NotImplementedError("growth analysis implemented for order <= 2")
-    if not seq.is_simple():
-        raise ValueError("sequence is not simple")
-    if all(u == 0 for u in seq.initial):
-        return GrowthRank(Fraction(0), 0, False, None, None)
-    if seq.order == 1:
-        return GrowthRank(Fraction(1), 0, False, None, None)
-    a1, a2 = seq.coeffs
-    disc = a1 * a1 + 4 * a2
-    if disc < 0 or math.isqrt(max(disc, 0)) ** 2 == disc:
-        # Complex roots of modulus 1, or rational roots +-1: bounded orbit.
-        return GrowthRank(Fraction(1), 0, False, None, None)
-    # lam = (a1 + sqrt(disc))/2 and its conjugate; |dominant| = (|a1| + sqrt(disc))/2.
-    rate = QuadNum(Fraction(abs(a1), 2), Fraction(1, 2), disc)
-    one = QuadNum(Fraction(1), Fraction(0), disc)
-    if not one < rate:
-        return GrowthRank(rate, 0, False, None, None)
-    lam = QuadNum(Fraction(a1, 2), Fraction(1, 2), disc)
-    lam2 = QuadNum(Fraction(a1, 2), Fraction(-1, 2), disc)
-    u0, u1 = seq.initial
-    denom = lam - lam2
-    A = (QuadNum(Fraction(u1), Fraction(0), disc) - lam2 * u0) * denom.inverse()
-    B = (lam * u0 - QuadNum(Fraction(u1), Fraction(0), disc)) * denom.inverse()
-    # A, B nonzero for a nonzero integer bi-sequence: a vanishing coefficient
-    # would make the sequence decay to noninteger values in one direction.
-    absA, absB = _abs_quad(A), _abs_quad(B)
-    eps = rate
-    growth = eps - one
-    eps2 = eps * eps
-    eps2_inv = eps2.inverse()
-
-    def dominance_index(P: QuadNum, Q: QuadNum) -> int:
-        # Minimal n with P * eps^(2n) > 2 * Q; the condition is monotone in n.
-        target = Q * 2
-        n = 0
-        cur = P
-        if target < cur:
-            while target < cur * eps2_inv:
-                cur = cur * eps2_inv
-                n -= 1
-        else:
-            while not target < cur:
-                cur = cur * eps2
-                n += 1
-        return n
-
-    # |A| eps^n (eps-1) > 2 |B| eps^-n forces |u_{n+1}| > |u_n| from n on;
-    # the mirror-image condition bounds the backward direction.
-    fwd = dominance_index(absA * growth, absB)
-    bwd = -dominance_index(absB * growth, absA)
-    return GrowthRank(rate, 0, True, fwd, bwd)
+    Needs the growth certificate's precondition: order 2, |a_1| >= 3 and
+    a nonzero sequence.  The backward direction is the forward walk of the
+    mirrored sequence u_{-n}, whose recurrence is (-a_1*a_2, a_2).
+    """
+    if seq.order != 2 or abs(seq.coeffs[0]) < 3:
+        raise ValueError("the growth certificate needs order 2 and |a_1| >= 3")
+    if not any(seq.initial):
+        raise ValueError("the zero sequence does not grow")
+    (a1, a2), (u0, u1) = seq.coeffs, seq.initial
+    return max(_first_rise(a1, a2, u0, u1), _first_rise(-a1 * a2, a2, u0, a2 * (u1 - a1 * u0)))

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
-from .numtheory import factor, is_kth_power
+from .numtheory import factor
 
 __all__ = [
     "QuadNum",
@@ -126,9 +126,6 @@ class QuadNum:
             return 1 if big_a else -1
         return -1 if big_a else 1
 
-    def __lt__(self, other: "QuadNum") -> bool:
-        return (self - other).sign() < 0
-
     def reduce_radicand(self) -> "QuadNum":
         """Rewrite over the squarefree kernel of the radicand."""
         d, s = squarefree_kernel(self.n)
@@ -215,10 +212,6 @@ class PellClass:
         if w0 * w0 - self.n * z0 * z0 != 1:
             raise ValueError("fundamental pair does not satisfy the unit equation")
 
-    def unit(self) -> QuadNum:
-        w0, z0 = self.fundamental
-        return QuadNum(Fraction(w0), Fraction(z0), self.n)
-
     def closed_form(self) -> tuple[QuadNum, QuadNum, QuadNum, QuadNum]:
         """(A1, A2, B1, B2) with w_m = A1 e^m + A2 e^-m, z_m = B1 e^m + B2 e^-m."""
         w, z = self.rep
@@ -228,27 +221,6 @@ class PellClass:
         b1 = QuadNum(Fraction(z, 2), Fraction(w, 2 * n), n)
         b2 = QuadNum(Fraction(z, 2), Fraction(-w, 2 * n), n)
         return a1, a2, b1, b2
-
-    def pair_at(self, m: int) -> tuple[int, int]:
-        """(w_m, z_m) by exact unit multiplication."""
-        w, z = self.rep
-        w0, z0 = self.fundamental
-        direction = 1 if m >= 0 else -1
-        for _ in range(abs(m)):
-            w, z = _mul_unit(w, z, self.n, w0, z0, direction)
-        return w, z
-
-    def pairs(self, lo: int, hi: int) -> list[tuple[int, int]]:
-        """(w_m, z_m) for m in [lo, hi], stepped with the integer recurrence."""
-        if hi < lo:
-            return []
-        out = []
-        w, z = self.pair_at(lo)
-        w0, z0 = self.fundamental
-        for _ in range(lo, hi + 1):
-            out.append((w, z))
-            w, z = _mul_unit(w, z, self.n, w0, z0, 1)
-        return out
 
 
 @dataclass(frozen=True)

@@ -632,15 +632,9 @@ def _match_batch(
             if not ok:
                 continue
             # Restrict to m-values allowed by the discard set's own filters.
-            if sp_entry.indices.is_empty():
-                continue
-            if sp_entry.indices.added or sp_entry.indices.removed:
-                # Index sets with point corrections never arise from the
-                # congruence filters; skip rather than risk over-removal.
-                continue
             tset = IndexSet.nothing()
-            L = sp_entry.indices._lcm()
-            for res in sp_entry.indices._residues(L):
+            L = sp_entry.indices.period
+            for res in sp_entry.indices.residues:
                 sol_t = _lin_congruence(mstep, res - m0, L)
                 if sol_t is not None:
                     tset = tset.union(IndexSet.from_residues(sol_t[1], [sol_t[0]]))

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._ast import ConstraintSystem, PolyAtom, Verdict, system_holds
-from .lrbs import IndexSet, Lrbs, filter_congruence, growth_rank
+from .lrbs import IndexSet, Lrbs, filter_congruence, growth_radius
 from .numtheory import (
     _poly_eval,
     _taylor_shift,
@@ -41,7 +41,7 @@ from .numtheory import (
     floor_root,
     integer_numerators,
     is_kth_power,
-    kth_root,
+    kth_root,  # unused here; perfbench's tracer test reads power_solver.kth_root
     residue_classes,
     valuation,
 )
@@ -399,10 +399,18 @@ class _PolySource:
 
 
 class _LrbsSource:
+    """The members x = vmap(u_n) of one Pell orbit over its kept indices n.
+
+    Past the start radius |u_n| rises strictly outward in both directions
+    (`lrbs.growth_radius`; its precondition, order 2 with |a_1| >= 3,
+    holds as every orbit has a_1 = 2*w0 >= 4), and past `vmap.turn()` the
+    map is monotone in |u|, so the values at the next radius floor every
+    member not yet emitted.
+    """
+
     def __init__(self, entry: LrbsEntry, value_bits: int):
         self.entry = entry
-        g = growth_rank(entry.value_seq)
-        start = max(abs(g.mono_fwd or 0), abs(g.mono_bwd or 0), 4)
+        start = max(growth_radius(entry.value_seq), 4)
         seq = entry.value_seq
         turn = entry.vmap.turn()
         while max(abs(seq.eval(start)), abs(seq.eval(-start))) < turn and start < 10_000:
@@ -605,8 +613,9 @@ def _bounded_curve(walked: PolyAtom, rest, options: SolveOptions, label: str) ->
     at which every atom of `rest` holds.
 
     When f is even and the lattice is closed under negation, u and -u
-    give the same x, so the walk starts at the least u >= 0.  Atoms of
-    power shape are tested by one root extraction.
+    give the same x, so the walk starts at the least u >= 0.  Each atom of
+    `rest` is tested by `PolyAtom.holds`, one root extraction for an atom
+    of power shape.
     """
     H = options.enum_bound
     d, lin, a, b, q, r = walked.degree, walked.lin, walked.a, walked.b, walked.stride, walked.offset
@@ -619,11 +628,7 @@ def _bounded_curve(walked: PolyAtom, rest, options: SolveOptions, label: str) ->
     else:
         xs = [n // a for u in us if (n := u**d - b) % a == 0]
     for at in rest:
-        if at.is_power:
-            a1, b1, k1 = at.a, at.b, at.degree
-            xs = [x for x in xs if kth_root(a1 * x + b1, k1) is not None]
-        else:
-            xs = [x for x in xs if at.holds(x)]
+        xs = [x for x in xs if at.holds(x)]
     return SolutionSet(label, False, values=tuple(sorted(set(xs))))
 
 

@@ -1,9 +1,12 @@
+import math
 import random
 
 import pytest
 
-from unipres.lrbs import GrowthRank, IndexSet, Lrbs, filter_congruence, growth_rank, period_mod
-from unipres.pell import QuadNum
+from unipres.lrbs import IndexSet, Lrbs, filter_congruence, growth_radius, period_mod
+from unipres.numtheory import factor
+from unipres.pell import solve_generalized
+from unipres.power_solver import _pell_orbit_entries
 
 
 PELL = Lrbs((6, -1), (1, 3))      # 1, 3, 17, 99, ...
@@ -69,38 +72,64 @@ def test_filter_congruence_everything_and_nothing():
     assert filter_congruence(const, 5, 1).is_empty()
 
 
-def test_growth_rank_pell():
-    g = growth_rank(PELL)
-    assert g.growing and isinstance(g.rate, QuadNum)
-    # 3 + 2*sqrt(2), possibly expressed over a non-reduced radicand
-    reduced = g.rate.reduce_radicand()
-    assert (reduced.a, reduced.b, reduced.n) == (3, 2, 2)
-    n0, n1 = g.mono_fwd, g.mono_bwd
-    vals = PELL.values(n1 - 5, n0 + 40)
-    offset = -(n1 - 5)
-    for n in range(n0, n0 + 35):
-        assert abs(vals[n + offset + 1]) > abs(vals[n + offset])
-    for n in range(n1 - 3, n1 + 1):
-        assert abs(vals[n + offset - 1]) > abs(vals[n + offset])
+def _orbit_sequences():
+    """The w- and z-sequence of every class of w^2 - n*z^2 = N for non-square
+    n < 160 and 0 < |N| <= 40, as the solver builds and streams them."""
+    for n in range(2, 160):
+        if math.isqrt(n) ** 2 == n:
+            continue
+        for N in range(-40, 41):
+            if N:
+                for entry in _pell_orbit_entries(solve_generalized(n, N), [(1, 0)], [(1, 0)], None, "w"):
+                    yield entry.value_seq
+                    yield entry.partner_seq
 
 
-def test_growth_rank_non_growing():
-    assert not growth_rank(Lrbs((1,), (5,))).growing
-    assert not growth_rank(Lrbs((1, -1), (1, 1))).growing  # sixth roots of unity
-    assert not growth_rank(Lrbs((0, 1), (1, 2))).growing   # roots +-1
+def _random_growing_sequences(count):
+    """Nonzero sequences under the certificate with either sign of a_1 and a_2."""
+    rng = random.Random(21)
+    for _ in range(count):
+        initial = (rng.randint(-50, 50), rng.randint(-50, 50))
+        yield Lrbs((rng.choice((1, -1)) * rng.randint(3, 7), rng.choice((1, -1))), initial if any(initial) else (1, 0))
 
 
-def test_growth_rank_generic_quadratic():
-    for w0 in (2, 3, 5, 9):
-        seq = Lrbs((2 * w0, -1), (1, w0))
-        g = growth_rank(seq)
-        # rate = w0 + sqrt(w0^2 - 1), held exactly
-        assert g.rate.a == w0 and g.rate.b * g.rate.b * g.rate.n == w0 * w0 - 1
+@pytest.mark.slow
+def test_growth_radius_on_pell_orbits():
+    # The z-window scan of `solve_generalized` for n = 109 and 157, whose
+    # fundamental units exceed 10^13, takes most of this test's time.
+    orbits = list(_orbit_sequences())
+    assert len(orbits) > 10_000
+    for seq in orbits + list(_random_growing_sequences(500)):
+        R = growth_radius(seq)
+        vals = seq.values(-R - 31, R + 31)
+
+        def mag(n):
+            return abs(vals[n + R + 31])
+
+        assert all(mag(m + 1) > mag(m) for m in range(R, R + 31)), seq
+        assert all(mag(m - 1) > mag(m) for m in range(-R - 30, -R + 1)), seq
+        # R is least: at R - 1 one of the two directions does not yet rise.
+        assert R == 0 or mag(R) <= mag(R - 1) or mag(-R) <= mag(-R + 1), seq
 
 
-def test_growth_rank_rejects_higher_order():
-    with pytest.raises(NotImplementedError):
-        growth_rank(Lrbs((1, 1, 1), (0, 0, 1)))
+def test_growth_radius_examples():
+    assert growth_radius(PELL) == 0                       # ..., 3, 1, 3, 17, ...
+    assert growth_radius(Lrbs((6, -1), (3, 17))) == 1     # least at u_-1 = 1
+    assert growth_radius(Lrbs((6, -1), (99, 17))) == 3    # 99, 17, 3, 1, 3: least at u_3
+    assert growth_radius(Lrbs((3, 1), (1, -1))) == 1      # -4, 1, -1, -2: |u_0| = |u_1|
+
+
+def test_growth_radius_rejects_sequences_without_the_certificate():
+    for seq in (
+        Lrbs((-1,), (3,)),              # order 1
+        Lrbs((1, 1, 1), (0, 0, 1)),     # order 3
+        Lrbs((2, -1), (1, 2)),          # |a_1| < 3: u_n = n + 1
+        Lrbs((1, -1), (1, 1)),          # sixth roots of unity
+        Lrbs((0, 1), (1, 2)),           # roots +-1
+        Lrbs((6, -1), (0, 0)),          # the zero sequence
+    ):
+        with pytest.raises(ValueError):
+            growth_radius(seq)
 
 
 def test_fatou_integrality_window():
@@ -120,9 +149,6 @@ def test_index_set_algebra():
     diff = a.subtract(b)
     for n in range(-30, 31):
         assert (n in diff) == (n % 3 == 1 and n % 2 == 1)
-    comp = a.complement()
-    for n in range(-30, 31):
-        assert (n in comp) == (n % 3 != 1)
     union = a.union(b)
     for n in range(-30, 31):
         assert (n in union) == (n % 3 == 1 or n % 2 == 0)
@@ -134,3 +160,34 @@ def test_index_set_map_affine_exact():
     members = {2 * n + 5 for n in range(-100, 101) if n in a}
     for n in range(-60, 61):
         assert (n in mapped) == (n in members)
+
+
+def _random_index_set(rng):
+    period = rng.randint(1, 36)
+    return IndexSet.from_residues(period, rng.sample(range(period), rng.randint(0, period)))
+
+
+def _assert_least_period(s):
+    assert s.residues == tuple(sorted(set(s.residues))) and all(0 <= r < s.period for r in s.residues)
+    for p, _ in factor(s.period).factors if s.period > 1 else ():
+        shift = s.period // p
+        assert not all((n in s) == (n + shift in s) for n in range(s.period)), (s, p)
+
+
+def test_index_set_operations_match_membership():
+    rng = random.Random(13)
+    for _ in range(400):
+        a, b = _random_index_set(rng), _random_index_set(rng)
+        stride, offset = rng.choice((-4, -3, -2, -1, 1, 2, 3, 6)), rng.randint(-40, 40)
+        cases = (
+            (a.union(b), lambda n: n in a or n in b),
+            (a.intersect(b), lambda n: n in a and n in b),
+            (a.subtract(b), lambda n: n in a and n not in b),
+            (a.map_affine(stride, offset), lambda n: (n - offset) % stride == 0 and (n - offset) // stride in a),
+        )
+        L = math.lcm(a.period, b.period, abs(stride) * a.period)
+        for got, member in cases:
+            _assert_least_period(got)
+            assert all((n in got) == member(n) for n in range(-L, 2 * L)), (a, b, stride, offset, got)
+    assert IndexSet.from_residues(12, []) == IndexSet.nothing() == IndexSet(1, ())
+    assert IndexSet.from_residues(12, [1, 5, 9, 13]) == IndexSet(4, (1,))

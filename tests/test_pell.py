@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from unipres.pell import (
-    PellClass,
     QuadNum,
     _canonical,
     fundamental,
@@ -12,6 +11,7 @@ from unipres.pell import (
     squarefree_kernel,
     unit_exponent,
 )
+from unipres.power_solver import _pell_orbit_entries
 
 
 def in_classes(s, w: int, z: int) -> bool:
@@ -83,30 +83,37 @@ def test_generalized_examples():
     assert [c.rep for c in s1.classes] == [(1, 0)]
 
 
+ORBIT_EQUATIONS = ((2, 7), (3, -2), (13, -4), (6, 10), (7, 2))
+
+
+def orbit_pairs(n, N, lo, hi):
+    """(class, [(w_m, z_m) for m in lo..hi]) along the w- and z-sequences
+    that `_pell_orbit_entries` builds for each class of w^2 - n*z^2 = N."""
+    for entry in _pell_orbit_entries(solve_generalized(n, N), [(1, 0)], [(1, 0)], None, "w"):
+        yield entry.pell_class, list(zip(entry.value_seq.values(lo, hi), entry.partner_seq.values(lo, hi)))
+
+
 def test_expand_recurrence_and_identity():
-    s = solve_generalized(2, 7)
-    for cls in s.classes:
-        pairs = cls.pairs(0, 4)
-        assert pairs[0] == cls.rep
-        w0, _ = cls.fundamental
-        for i in range(2, len(pairs)):
-            assert pairs[i][0] == 2 * w0 * pairs[i - 1][0] - pairs[i - 2][0]
-            assert pairs[i][1] == 2 * w0 * pairs[i - 1][1] - pairs[i - 2][1]
-        for w, z in cls.pairs(-4, 4):
-            assert w * w - 2 * z * z == 7
+    for n, N in ORBIT_EQUATIONS:
+        classes = list(orbit_pairs(n, N, -4, 4))
+        assert len(classes) == len(solve_generalized(n, N).classes) > 0, (n, N)
+        for cls, pairs in classes:
+            assert pairs[4] == cls.rep
+            w0, z0 = cls.fundamental
+            assert all(w * w - n * z * z == N for w, z in pairs)
+            for (w, z), step in zip(pairs, pairs[1:]):
+                assert step == (w * w0 + n * z * z0, w * z0 + z * w0)  # one unit multiplication
 
 
 def test_closed_form_coefficients():
-    s = solve_generalized(2, 7)
-    cls = s.classes[0]
-    a1, a2, b1, b2 = cls.closed_form()
-    eps = cls.unit()
-    for m in range(-3, 4):
-        w, z = cls.pair_at(m)
-        wq = a1 * eps**m + a2 * eps**-m
-        zq = b1 * eps**m + b2 * eps**-m
-        assert wq.a == w and wq.b == 0
-        assert zq.a == z and zq.b == 0
+    for n, N in ORBIT_EQUATIONS:
+        for cls, pairs in orbit_pairs(n, N, -3, 3):
+            a1, a2, b1, b2 = cls.closed_form()
+            eps = QuadNum(*cls.fundamental, n)
+            for m, (w, z) in zip(range(-3, 4), pairs):
+                wq = a1 * eps**m + a2 * eps**-m
+                zq = b1 * eps**m + b2 * eps**-m
+                assert (wq.a, wq.b) == (w, 0) and (zq.a, zq.b) == (z, 0), (n, N, m)
 
 
 def test_desk_scale_completeness():

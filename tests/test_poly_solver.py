@@ -404,7 +404,7 @@ class Test4c:
         discards = _try_discard_sets(sys_, sorted([self.q1, self.q3]))
         S2 = subtract_discarded(S, discards)
         for old, new in zip(S.families, S2.families):
-            assert old.indices.aps == new.indices.aps
+            assert old.indices == new.indices
 
 
 class TestDecidePoly:
