@@ -119,10 +119,10 @@ def test_growth_radius_examples():
     assert growth_radius(Lrbs((3, 1), (1, -1))) == 1      # -4, 1, -1, -2: |u_0| = |u_1|
 
 
-def test_growth_radius_rejects_sequences_without_the_certificate():
+def test_growth_radius_rejects_non_growing():
     for seq in (
-        Lrbs((-1,), (3,)),              # order 1
-        Lrbs((1, 1, 1), (0, 0, 1)),     # order 3
+        Lrbs((1,), (5,)),               # order 1, constant
+        Lrbs((-1,), (3,)),              # order 1, alternating
         Lrbs((2, -1), (1, 2)),          # |a_1| < 3: u_n = n + 1
         Lrbs((1, -1), (1, 1)),          # sixth roots of unity
         Lrbs((0, 1), (1, 2)),           # roots +-1
@@ -130,6 +130,11 @@ def test_growth_radius_rejects_sequences_without_the_certificate():
     ):
         with pytest.raises(ValueError):
             growth_radius(seq)
+
+
+def test_growth_radius_rejects_higher_order():
+    with pytest.raises(ValueError):
+        growth_radius(Lrbs((1, 1, 1), (0, 0, 1)))
 
 
 def test_fatou_integrality_window():
