@@ -7,7 +7,7 @@ between the normalizer and the solvers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .numtheory import _poly_eval, depressed_cubic_roots, integer_numerators, kth_root
@@ -171,9 +171,12 @@ class PolyAtom:
     """Exists u = offset (mod stride) with f(u) = a*x + b.
 
     f is the depressed monic form u^degree + lin*u, where only a cubic
-    carries a linear part (constants live in b).  This is the one solver
-    atom: `normalize` depresses every predicate of degree 2 or 3 into one,
-    and a power atom "a*x + b is a k-th power" is PolyAtom(k, 0, a, b, 1, 0).
+    carries a linear part (constants live in b).  This is the one atom, and
+    `holds` the one way to evaluate it: `normalize` builds one for every
+    predicate and power literal as it lowers it, by depressing a predicate
+    of degree 2 or 3, and a power atom "a*x + b is a k-th power" is
+    PolyAtom(k, 0, a, b, 1, 0).  While normalizing, a may be zero or
+    negative; the systems handed to the solvers carry a > 0.
     """
 
     degree: int    # >= 2
@@ -252,14 +255,13 @@ class Verdict:
 class ConstraintSystem:
     """One conjunct after normalization, over the working variable y.
 
-    The original variable is x = M*y + r, negated once more when
-    sign_flipped is set: x = -(M*y + r).
+    The original variable is x = M*y + r for `substitution` = (M, r); M is
+    negative when the sign of y was flipped.
     """
 
     lower: int | None = None
     positives: list = field(default_factory=list)
     negatives: list = field(default_factory=list)
-    sign_flipped: bool = False
     substitution: tuple[int, int] = (1, 0)
     excluded: list = field(default_factory=list)      # y-points carved out exactly
     resolved: Verdict | None = None                   # eager resolution marker
@@ -269,23 +271,17 @@ class ConstraintSystem:
 
     def to_original(self, y: int) -> int:
         m, r = self.substitution
-        v = m * y + r
-        return -v if self.sign_flipped else v
+        return m * y + r
 
     def log(self, event: str) -> None:
         self.trace.append(event)
 
     def clone(self) -> "ConstraintSystem":
-        return ConstraintSystem(
-            lower=self.lower,
+        return replace(
+            self,
             positives=list(self.positives),
             negatives=list(self.negatives),
-            sign_flipped=self.sign_flipped,
-            substitution=self.substitution,
             excluded=list(self.excluded),
-            resolved=self.resolved,
-            resolved_points=self.resolved_points,
-            resolved_all=self.resolved_all,
             trace=list(self.trace),
         )
 

@@ -23,9 +23,12 @@ declarations before it.
 `normalize` rewrites a sentence into a disjunction of constraint systems
 of the shape the solvers consume: exactly one lower bound, positive and
 negative `PolyAtom`s with positive x-coefficients, modular constraints
-folded into an affine substitution x = +-(M*y + r).  A power atom
-(pow k t) is the value set of the monomial u^k, so it lowers to the same
-literal as a predicate and becomes the same kind of atom.
+folded into a signed affine substitution x = M*y + r (M < 0 after the
+sign of y is flipped).  Each predicate literal gets its `PolyAtom` as it
+is lowered, and every later stage (substitution, sign flip, point checks)
+acts on that atom; a point is checked only through `PolyAtom.holds`.  A
+power atom (pow k t) is the value set of the monomial u^k, so it lowers
+to the same literal as a predicate and becomes the same kind of atom.
 """
 
 from __future__ import annotations
@@ -46,13 +49,15 @@ from ._ast import (
     Not,
     Or,
     ParseError,
+    PolyAtom,
     PowAtomNode,
     PredAtomNode,
     PredicateDecl,
     Quant,
     Verdict,
 )
-from .numtheory import ResidueClass, crt_extended, kth_root
+from .numtheory import ResidueClass, crt_extended
+from .numtheory import kth_root  # unused here; perfbench's tracer test reads formula.kth_root
 from . import poly_solver, power_solver
 
 __all__ = [
@@ -368,6 +373,12 @@ def format_formula(f: Formula) -> str:
 
 # ---------------------------------------------------------------------------
 # Normalization.
+#
+# A conjunct is a list of literals over the working variable y:
+#     ("eq", c), ("lt", c), ("gt", c)   y = c, y < c, y > c
+#     ("mod", m, r)                     y = r (mod m)
+#     ("pred", sign, atom, name)        the PolyAtom holds at y (sign 1) or fails (sign -1)
+# and a disjunctive form is a list of conjuncts: [] is false, [[]] is true.
 
 
 @dataclass
@@ -381,20 +392,13 @@ class NormalForm:
     negated: bool
     systems: list
 
-    def __iter__(self):
-        return iter(self.systems)
-
-
-_TRUE = ("true",)
-_FALSE = ("false",)
-
 
 def _ceil_div(p: int, q: int) -> int:
     return -((-p) // q)
 
 
 def _const(flag: bool):
-    return [[_TRUE]] if flag else [[_FALSE]]
+    return [[]] if flag else []
 
 
 def _lower_eq(a: int, b: int, positive: bool):
@@ -450,14 +454,9 @@ def _lower_mod(term: LinTerm, m: int, r: int, positive: bool):
     return [[("mod", m2, (y0 + s) % m2)] for s in range(1, m2)]
 
 
-def _flip_u(asc: tuple[int, ...]) -> tuple[int, ...]:
-    # u -> -u: same value set for odd degree; fixes a negative leading coefficient
-    return tuple(c if i % 2 == 0 else -c for i, c in enumerate(asc))
-
-
 def _lower_pred(decl: PredicateDecl, term: LinTerm, positive: bool):
-    # f(u) = a*y + b exactly when den*f(u) = den*a*y + den*b, so the literal
-    # carries f's integer numerators and the term scaled by den.  An
+    # f(u) = a*y + b exactly when den*f(u) = den*a*y + den*b, so the atom
+    # depresses f's integer numerators against the term scaled by den.  An
     # integer-valued f of degree <= 1 has integer coefficients: den == 1.
     asc, den = decl.nums, decl.den
     d = decl.degree
@@ -471,19 +470,18 @@ def _lower_pred(decl: PredicateDecl, term: LinTerm, positive: bool):
     a, b = den * term.a, den * term.b
     if asc[-1] < 0:
         if d == 3:
-            asc = _flip_u(asc)
+            asc = poly_solver._flip_u(asc)
         else:
             asc = tuple(-c for c in asc)
             a, b = -a, -b
-    if a == 0:
-        return _const(_scaled_value_set_contains(asc, b) == positive)
-    sign = 1 if positive else -1
-    return [[("pred", sign, asc, a, b, decl.name)]]
+    return _atom_literal(poly_solver.depress_ascending(asc, a, b), positive, decl.name)
 
 
-def _scaled_value_set_contains(asc: tuple[int, ...], v: int) -> bool:
-    """Whether asc(u) = v for some integer u; asc has degree 2 or 3 and a positive lead."""
-    return poly_solver.depress_ascending(asc, 1, 0).holds(v)
+def _atom_literal(atom: PolyAtom, positive: bool, name: str | None):
+    # A constant term (a = 0) is decided here, by the atom at any point.
+    if atom.a == 0:
+        return _const(atom.holds(0) == positive)
+    return [[("pred", 1 if positive else -1, atom, name)]]
 
 
 def _lower_atom(node, positive: bool, decls):
@@ -492,11 +490,9 @@ def _lower_atom(node, positive: bool, decls):
     if isinstance(node, ModAtomNode):
         return _lower_mod(node.term, node.modulus, node.residue, positive)
     if isinstance(node, PowAtomNode):
-        a, b = node.term.a, node.term.b
-        if a == 0:
-            return _const((kth_root(b, node.k) is not None) == positive)
         # The value set of u^k: a predicate literal with no name.
-        return [[("pred", 1 if positive else -1, (0,) * node.k + (1,), a, b, None)]]
+        atom = poly_solver.depress_ascending((0,) * node.k + (1,), node.term.a, node.term.b)
+        return _atom_literal(atom, positive, None)
     if isinstance(node, PredAtomNode):
         return _lower_pred(decls[node.name], node.term, positive)
     raise TypeError(f"not an atom: {node!r}")
@@ -518,33 +514,12 @@ def _to_dnf(node, positive: bool, decls):
             nxt = []
             for left in acc:
                 for right in p:
-                    if _FALSE in left or _FALSE in right:
-                        continue
                     nxt.append(left + right)
                     if len(nxt) > _DNF_CAP:
                         raise ParseError(f"formula expands to more than {_DNF_CAP} disjuncts")
             acc = nxt
         return acc
     return _lower_atom(node, positive, decls)
-
-
-# --- direct evaluation of canonical literals (for eager finite checks) ---
-
-
-def _lit_test(lit):
-    """The literal as a test of the point y; an atom is built here, once."""
-    tag = lit[0]
-    if tag == "lt":
-        c = lit[1]
-        return lambda y: y < c
-    if tag == "gt":
-        c = lit[1]
-        return lambda y: y > c
-    if tag == "pred":
-        _, sign, asc, a, b, _name = lit
-        atom = poly_solver.depress_ascending(asc, 1, 0)
-        return lambda y: atom.holds(a * y + b) == (sign > 0)
-    raise ValueError(f"unknown literal {lit!r}")
 
 
 def _by_magnitude(lo: int, hi: int):
@@ -555,42 +530,36 @@ def _by_magnitude(lo: int, hi: int):
                 yield y
 
 
-def _points_satisfying(lits, ys) -> list[int]:
-    """The ys at which every literal holds."""
-    tests = [_lit_test(lit) for lit in lits]
-    return [y for y in ys if all(t(y) for t in tests)]
-
-
-class _Dropped(Exception):
-    """The conjunct is unsatisfiable; contribute nothing."""
+def _substitute_atom(atom: PolyAtom, M: int, r: int) -> PolyAtom:
+    """The atom at y = M*y' + r: (a, b) -> (a*M, a*r + b), its lattice re-reduced."""
+    return poly_solver._reduce_atom(
+        atom.degree, atom.lin, atom.a * M, atom.a * r + atom.b, atom.stride, atom.offset
+    )
 
 
 def _substitute_lits(lits, M: int, r0: int):
+    """The literals at y = M*y' + r0, or None when an equality misses the lattice."""
     out = []
     for lit in lits:
         tag = lit[0]
-        if tag in ("true", "false"):
-            out.append(lit)
-        elif tag == "eq":
+        if tag == "eq":
             c = lit[1]
             if (c - r0) % M != 0:
-                raise _Dropped
+                return None
             out.append(("eq", (c - r0) // M))
         elif tag == "gt":
             out.append(("gt", (lit[1] - r0) // M))
         elif tag == "lt":
             # y' < (c - r0)/M  <=>  y' < ceil((c - r0)/M) adjusted for integrality
-            c = lit[1]
-            out.append(("lt", _ceil_div(c - r0, M)))
-        elif tag == "pred":
-            _, sign, asc, a, b, name = lit
-            out.append(("pred", sign, asc, a * M, a * r0 + b, name))
-        else:  # pragma: no cover
-            raise AssertionError(f"unexpected literal {lit!r} after CRT stage")
+            out.append(("lt", _ceil_div(lit[1] - r0, M)))
+        else:
+            _, sign, atom, name = lit
+            out.append(("pred", sign, _substitute_atom(atom, M, r0), name))
     return out
 
 
 def _flip_lits(lits):
+    """The bounds and atom literals at y -> -y."""
     out = []
     for lit in lits:
         tag = lit[0]
@@ -598,56 +567,44 @@ def _flip_lits(lits):
             out.append(("lt", -lit[1]))
         elif tag == "lt":
             out.append(("gt", -lit[1]))
-        elif tag == "eq":
-            out.append(("eq", -lit[1]))
-        elif tag == "pred":
-            _, sign, asc, a, b, name = lit
-            out.append(("pred", sign, asc, -a, b, name))
         else:
-            out.append(lit)
+            _, sign, atom, name = lit
+            out.append(("pred", sign, _substitute_atom(atom, -1, 0), name))
     return out
 
 
-def _quad_min_value(asc: tuple[int, ...]) -> int:
-    # Minimum of c2 u^2 + c1 u + c0 (c2 > 0) over the integers.
-    c0, c1, c2 = asc
-    lo = (-c1) // (2 * c2)
-    return min(c2 * u * u + c1 * u + c0 for u in (lo, lo + 1))
-
-
-def _finite_check(sys: ConstraintSystem, lits, lo: int, hi: int, enum_bound: int):
-    """Resolve a bounded conjunct lo < y < hi by exhaustive evaluation.
+def _finite_check(sys: ConstraintSystem, atoms, lo: int, hi: int, enum_bound: int,
+                  label: str = "interval:enumerated"):
+    """Resolve a bounded conjunct lo < y < hi by checking each atom at each
+    point: [sys] resolved, or [] when no point satisfies it.
 
     An interval wider than `enum_bound` has only its first `enum_bound`
     points in (|y|, y) order tested; a hit there is still a witness, and
     no hit answers Unknown.
     """
     if hi - lo <= 1:
-        raise _Dropped
+        return []
     wide = hi - lo - 1 > enum_bound
     ys = itertools.islice(_by_magnitude(lo, hi), enum_bound) if wide else range(lo + 1, hi)
-    sat_ys = _points_satisfying(lits, ys)
+    sat_ys = [y for y in ys if all(atom.holds(y) == (sign > 0) for _, sign, atom, _ in atoms)]
     if not sat_ys and wide:
         sys.resolved = Verdict.unknown("bounded interval wider than the enumeration bound", enum_bound)
         sys.log("interval:too-wide")
-        return sys
+        return [sys]
     if not sat_ys:
-        raise _Dropped
+        return []
     sys.resolved = Verdict.sat(power_solver.least_witness(sys.to_original(y) for y in sat_ys))
     sys.resolved_points = tuple(sat_ys)
-    sys.log("interval:enumerated")
-    return sys
+    sys.log(label)
+    return [sys]
 
 
 def _build_systems(conj, enum_bound: int) -> list[ConstraintSystem]:
     sys = ConstraintSystem()
-    lits = [l for l in conj if l[0] != "true"]
-    if any(l[0] == "false" for l in lits):
-        return []
 
     # Fold modular constraints into the substitution x = M*y + r.
-    mods = [ResidueClass(l[1], l[2]) for l in lits if l[0] == "mod"]
-    lits = [l for l in lits if l[0] != "mod"]
+    mods = [ResidueClass(l[1], l[2]) for l in conj if l[0] == "mod"]
+    lits = [l for l in conj if l[0] != "mod"]
     if mods:
         merged = crt_extended(mods)
         if merged is None:
@@ -655,105 +612,81 @@ def _build_systems(conj, enum_bound: int) -> list[ConstraintSystem]:
         M, r0 = merged.modulus, merged.residue
         sys.substitution = (M, r0)
         sys.log(f"crt:{M}+{r0}")
-        try:
-            lits = _substitute_lits(lits, M, r0)
-        except _Dropped:
+        lits = _substitute_lits(lits, M, r0)
+        if lits is None:
             return []
 
-    try:
-        # Equality pins the variable: evaluate everything at the point.
-        eqs = [l[1] for l in lits if l[0] == "eq"]
-        if eqs:
-            if len(set(eqs)) > 1:
-                raise _Dropped
-            y = eqs[0]
-            rest = [l for l in lits if l[0] != "eq"]
-            if _points_satisfying(rest, (y,)):
-                sys.resolved = Verdict.sat(sys.to_original(y))
-                sys.resolved_points = (y,)
-                sys.log("equality:substituted")
-                return [sys]
-            raise _Dropped
+    eqs = {l[1] for l in lits if l[0] == "eq"}
+    gts = [l[1] for l in lits if l[0] == "gt"]
+    lts = [l[1] for l in lits if l[0] == "lt"]
+    atoms = [l for l in lits if l[0] == "pred"]
 
+    if eqs:
+        # Equality pins the variable: check the one point it leaves.
+        if len(eqs) > 1:
+            return []
+        [y] = eqs
+        lo, hi = max([y - 1, *gts]), min([y + 1, *lts])
+        return _finite_check(sys, atoms, lo, hi, enum_bound, "equality:substituted")
+    if gts and lts:
+        return _finite_check(sys, atoms, max(gts), min(lts), enum_bound)
+    if lts:
+        sys.substitution = (-sys.substitution[0], sys.substitution[1])
+        sys.log("sign-flip")
+        lits = _flip_lits(lits)
         gts = [l[1] for l in lits if l[0] == "gt"]
-        lts = [l[1] for l in lits if l[0] == "lt"]
         atoms = [l for l in lits if l[0] == "pred"]
 
-        if gts and lts:
-            return [_finite_check(sys, atoms, max(gts), min(lts), enum_bound)]
-        if lts and not gts:
-            sys.sign_flipped = True
-            sys.substitution = (sys.substitution[0], -sys.substitution[1])
-            sys.log("sign-flip")
-            lits = _flip_lits(lits)
-            gts = [l[1] for l in lits if l[0] == "gt"]
-            atoms = [l for l in lits if l[0] == "pred"]
-
-        if not gts:
-            if not atoms:
-                # Pure congruence talk: satisfiable everywhere it parses.
-                x = power_solver.least_witness(sys.to_original(y) for y in range(-1, 2))
-                sys.resolved = Verdict.sat(x)
-                sys.resolved_all = True
-                sys.log("unconstrained")
-                return [sys]
-            # No inequality at all: split y < 0, y = 0, y > 0.
-            out = []
-            zero = sys.clone()
-            if _points_satisfying(atoms, (0,)):
-                zero.resolved = Verdict.sat(zero.to_original(0))
-                zero.resolved_points = (0,)
-                zero.log("case-split:zero")
-                out.append(zero)
-            pos = sys.clone()
-            pos.log("case-split:positive")
-            try:
-                out.extend(_assemble(pos, 0, atoms, enum_bound))
-            except _Dropped:
-                pass
-            neg = sys.clone()
-            neg.sign_flipped = not neg.sign_flipped
-            neg.substitution = (neg.substitution[0], -neg.substitution[1])
-            neg.log("case-split:negative")
-            try:
-                out.extend(_assemble(neg, 0, _flip_lits(atoms), enum_bound))
-            except _Dropped:
-                pass
-            return out
-
+    if gts:
         return _assemble(sys, max(gts), atoms, enum_bound)
-    except _Dropped:
-        return []
+    if not atoms:
+        # Pure congruence talk: satisfiable everywhere it parses.
+        x = power_solver.least_witness(sys.to_original(y) for y in range(-1, 2))
+        sys.resolved = Verdict.sat(x)
+        sys.resolved_all = True
+        sys.log("unconstrained")
+        return [sys]
+    # No inequality at all: split y < 0, y = 0, y > 0.
+    out = _finite_check(sys.clone(), atoms, -1, 1, enum_bound, "case-split:zero")
+    pos = sys.clone()
+    pos.log("case-split:positive")
+    out.extend(_assemble(pos, 0, atoms, enum_bound))
+    neg = sys.clone()
+    neg.substitution = (-neg.substitution[0], neg.substitution[1])
+    neg.log("case-split:negative")
+    out.extend(_assemble(neg, 0, _flip_lits(atoms), enum_bound))
+    return out
 
 
 def _assemble(sys: ConstraintSystem, lower: int, atoms, enum_bound: int):
-    """Sign handling, depression, and redundancy processing under one lower bound."""
+    """Sign handling and redundancy processing under one lower bound."""
     sys.lower = lower
 
-    # Fix coefficient signs atom by atom; collect upper bounds and thresholds.
+    # Make each atom's x-coefficient positive; collect upper bounds and thresholds.
     uppers: list[int] = []
     thresholds: list[tuple[int, tuple]] = []  # (threshold, literal) for disposable negatives
     kept = []
     for lit in atoms:
-        _, sign, asc, a, b, name = lit
+        _, sign, atom, name = lit
+        d, a, b, q, r = atom.degree, atom.a, atom.b, atom.stride, atom.offset
         if a > 0:
             kept.append(lit)
-            continue
-        deg = len(asc) - 1
-        if deg % 2 == 1:
-            kept.append(("pred", sign, _flip_u(tuple(-c for c in asc)), -a, -b, name))
-            continue
-        vmin = _quad_min_value(asc) if deg == 2 else 0  # u^k for even k >= 4
-        bound = (vmin - b) // a  # a < 0: value floor turns into an upper bound
-        if sign > 0:
-            uppers.append(bound)
-            kept.append(lit)
+        elif d % 2 == 1:
+            # f(-u) = -f(u) for the odd depressed f: u -> -u negates a and b.
+            kept.append(("pred", sign, PolyAtom(d, atom.lin, -a, -b, q, -r % q), name))
         else:
-            thresholds.append((bound, lit))
+            # u^d >= min(r, q - r)^d on the lattice u = r (mod q); with a < 0
+            # that floor on a*y + b is an upper bound on y.
+            bound = (min(r, q - r) ** d - b) // a
+            if sign > 0:
+                uppers.append(bound)
+                kept.append(lit)
+            else:
+                thresholds.append((bound, lit))
 
+    all_lits = kept + [l for _, l in thresholds]
     if uppers:
-        all_lits = kept + [l for _, l in thresholds]
-        return [_finite_check(sys, all_lits, sys.lower, min(uppers) + 1, enum_bound)]
+        return _finite_check(sys, all_lits, sys.lower, min(uppers) + 1, enum_bound)
 
     out = []
     if thresholds:
@@ -761,17 +694,11 @@ def _assemble(sys: ConstraintSystem, lower: int, atoms, enum_bound: int):
         if T > sys.lower:
             head = sys.clone()
             head.log("negative-tail:bounded-part")
-            all_lits = kept + [l for _, l in thresholds]
-            try:
-                out.append(_finite_check(head, all_lits, sys.lower, T + 1, enum_bound))
-            except _Dropped:
-                pass
+            out = _finite_check(head, all_lits, sys.lower, T + 1, enum_bound)
             sys.lower = T
         sys.log("negative-tail:discharged")
 
-    # Depress the atoms and build the solver-facing atom lists.
-    for _, sign, asc, a, b, name in kept:
-        atom = poly_solver.depress_ascending(asc, a, b)
+    for _, sign, atom, name in kept:
         if name is not None:
             sys.log(f"depress:{name}")
         (sys.positives if sign > 0 else sys.negatives).append(atom)
@@ -782,14 +709,17 @@ def _assemble(sys: ConstraintSystem, lower: int, atoms, enum_bound: int):
 def normalize(f: Formula, enum_bound: int = 10**6) -> NormalForm:
     """Rewrite a sentence into solver-ready disjuncts.
 
-    Performs, in order: forall-to-exists negation, literal rewriting and
-    disjunctive normal form, modular coalescing by the extended CRT,
-    equality substitution and bounded-interval finite checks, sign
-    normalization (including the x -> -x flip and the three-way case split
-    when no inequality appears), depression of every atom into a
-    `PolyAtom` (a power atom is the monomial u^k), and redundancy and
-    similarity processing (`poly_solver.prepare`), the only preprocessing
-    a system gets before `decide`.
+    Performs, in order: forall-to-exists negation; literal rewriting and
+    disjunctive normal form, where each predicate or power literal gets
+    its `PolyAtom` (a power atom is the monomial u^k) and a constant term
+    is decided by that atom; modular coalescing by the extended CRT into
+    x = M*y + r, which maps each atom's (a, b) to (a*M, a*r + b);
+    equality substitution and bounded-interval finite checks, which test
+    points only through `PolyAtom.holds`; sign normalization (the y -> -y
+    flip, which negates M, and the three-way case split when no
+    inequality appears, then a positive x-coefficient on every atom); and
+    redundancy and similarity processing (`poly_solver.prepare`), the only
+    preprocessing a system gets before `decide`.
     """
     decls = f.decl_map()
     q = f.root

@@ -369,6 +369,7 @@ def integer_numerators(coeffs: Sequence[Fraction | int]) -> tuple[list[int], int
 
 
 def _poly_eval(coeffs: Sequence[int], x: int) -> int:
+    """Horner at x of ascending coefficients; a Fraction if they are Fractions."""
     v = 0
     for c in reversed(coeffs):
         v = v * x + c

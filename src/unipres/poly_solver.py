@@ -27,6 +27,7 @@ from fractions import Fraction
 from ._ast import ConstraintSystem, PolyAtom, Verdict, system_holds
 from .lrbs import IndexSet
 from .numtheory import (
+    _poly_eval,
     _taylor_shift,
     crt_extended,
     ResidueClass,
@@ -69,14 +70,6 @@ __all__ = [
 ]
 
 
-def _peval(p, x):
-    """The polynomial with ascending coefficients p at x, in Fractions."""
-    v = Fraction(0)
-    for c in reversed(p):
-        v = v * x + c
-    return v
-
-
 # ---------------------------------------------------------------------------
 # Depression (complete the square / the cube).
 
@@ -102,19 +95,27 @@ def _reduce_atom(degree: int, lin: int, a: int, b: int, q: int, r: int) -> PolyA
     return PolyAtom(degree, lin, a, b, q, r % q)
 
 
+def _flip_u(asc):
+    """f(-u) by ascending coefficients: the same value set, so for odd
+    degree it turns a negative leading coefficient positive."""
+    return tuple(c if i % 2 == 0 else -c for i, c in enumerate(asc))
+
+
 def depress_ascending(asc, a: int, b: int) -> PolyAtom:
-    """Normalize f(u) = a*x + b (f by ascending integer or rational coeffs, lead > 0, a > 0).
+    """Normalize f(u) = a*x + b (f by ascending integer or rational coeffs, lead > 0).
 
     f has degree 2 or 3, or is a monomial u^k (k >= 2), which is already
-    depressed: PolyAtom(k, 0, a, b, 1, 0).
+    depressed: PolyAtom(k, 0, a, b, 1, 0).  Any integer a is accepted: with
+    a = 0, `holds(0)` says whether b is a value of f, and `normalize` turns
+    an atom with a < 0 to a > 0 once the sign of x is fixed.
     """
     degree = len(asc) - 1
-    if asc[-1] == 1 and a > 0 and not any(asc[:-1]):
+    if asc[-1] == 1 and not any(asc[:-1]):
         return PolyAtom(degree, 0, a, b, 1, 0)
     if degree not in (2, 3):
         raise ValueError(f"degree must be 2 or 3, got {degree}")
-    if asc[-1] <= 0 or a <= 0:
-        raise ValueError("need a positive leading coefficient and a > 0")
+    if asc[-1] <= 0:
+        raise ValueError("need a positive leading coefficient")
     F, lcm = integer_numerators(asc)
     A, B = lcm * a, lcm * b
     if degree == 2:
@@ -272,9 +273,7 @@ def _merge_line_branch(P: PolyAtom, Q: PolyAtom, num: int, den: int) -> PolyAtom
         w_off = (num * v0) % w_stride
         return _reduce_atom(2, 0, P.a, P.b, w_stride, w_off)
     comp = _taylor_shift([0, P.lin * num, 0, num**3], v0, vq)
-    if comp[-1] < 0:
-        comp = [c if i % 2 == 0 else -c for i, c in enumerate(comp)]
-    return depress_ascending(comp, P.a, P.b)
+    return depress_ascending(_flip_u(comp) if comp[-1] < 0 else comp, P.a, P.b)
 
 
 def _common_point_systems(base: ConstraintSystem, P: PolyAtom, Q: PolyAtom, points, note: str):
@@ -523,7 +522,7 @@ def _triple_4c(quad1: PolyAtom, cubic: PolyAtom, quad3: PolyAtom, label: str) ->
         for Wp, _ in _square_factor_pairs(E, g3 * C):
             if Wp % g3:
                 continue
-            x = _peval(d1.image, Wp // g3)
+            x = _poly_eval(d1.image, Wp // g3)
             if x.denominator == 1 and holds(int(x)):
                 vals.add(int(x))
         return SolutionSet(label + ":4c-divisor", True, values=tuple(sorted(vals)))
@@ -625,7 +624,7 @@ def _match_batch(
                 k = k0 + kstep * t
                 m = m0 + mstep * t
                 lhs = Fraction(zseq.eval(k))
-                rhs = sign * _peval(data.witness, vseq.eval(m))
+                rhs = sign * _poly_eval(data.witness, vseq.eval(m))
                 if lhs != rhs:
                     ok = False
                     break

@@ -63,6 +63,7 @@ GOLDEN = {
     "fibonacci_cube": (2, "unknown", None),
     "forced_unsat": (1, "unsat", None),
     "gessel_sat": (0, "sat", 169),
+    "sign_paths": (0, "sat", 1),
     "simple_sat": (0, "sat", 4),
     "wide_interval": (0, "sat", 1),
 }

@@ -11,7 +11,7 @@ from unipres.cli import solve_formula
 from unipres._ast import Cmp, LinTerm, PredAtomNode, PredicateDecl, Quant
 from unipres import oracle
 from unipres.encoder import parse_poly
-from unipres.formula import _scaled_value_set_contains, parse_multi, read_sexprs
+from unipres.formula import parse_multi, read_sexprs
 from unipres.numtheory import integer_roots
 
 from conftest import no_similar_powers
@@ -205,8 +205,6 @@ def test_normalized_systems_hold_only_poly_atoms():
 
 
 def _system_satisfied_at(system, x: int) -> bool:
-    if system.sign_flipped:
-        x = -x
     m, r = system.substitution
     if (x - r) % m:
         return False
@@ -282,6 +280,23 @@ def test_power_atoms_of_every_degree_and_sign_against_the_oracle():
                         assert oracle.scan(f, 200).witnesses == (), text
 
 
+def test_sign_fix_keeps_each_atom_on_its_lattice():
+    # An odd atom with a < 0 turns by u -> -u, which moves its witness
+    # class: C(u) = u^3 + u^2 at 7 - x lands on u = 2 (mod 3).
+    f = parse("(declare-pred C (coeffs 1 1 0 0)) (exists x (and (> x 0) (pred C (- 7 x))))")
+    [system] = normalize(f).systems
+    assert system.positives == [PolyAtom(3, -3, 27, -187, 3, 2)]
+    assert [x for x in range(1, 80) if system.positives[0].holds(x)] == [
+        x for x in range(1, 80) if oracle.eval_at(f, x)
+    ]
+    # An even atom with a < 0 is bounded by its least value on the witness
+    # lattice: 12u^2 + 12u >= 0, so not P(5 - x) holds for every x > 5.
+    f = parse("(declare-pred P (coeffs 12 12 0)) (exists x (and (> x 0) (not (pred P (- 5 x)))))")
+    head, tail = normalize(f).systems
+    assert head.resolved_points == (1, 2, 3, 4)
+    assert (tail.lower, tail.positives, tail.negatives) == (5, [], [])
+
+
 def test_sentence_differential_against_the_oracle():
     # Every sat witness satisfies the sentence, and no unsat sentence has a
     # witness in |x| <= 200.  Under forall, which decides the negated body,
@@ -311,6 +326,8 @@ def test_sentence_differential_against_the_oracle():
     ("(and (> x 10) (< x 3000) (pred T (+ (* 2 x) 1)) (not (pred C x)) (not (pow 2 x)))", 3),
     # equality path
     ("(and (= (* 2 x) 12) (pred T x) (not (pred C (+ x 1))))", 2),
+    # unbounded: the case split checks y = 0 and hands y > 0 on unresolved
+    ("(and (pred T x) (not (pred C (+ x 1))))", 2),
 ])
 def test_finite_checks_build_each_predicate_atom_once(monkeypatch, body, atoms):
     calls = []
@@ -323,10 +340,11 @@ def test_finite_checks_build_each_predicate_atom_once(monkeypatch, body, atoms):
     monkeypatch.setattr(poly_solver, "depress_ascending", counted)
     f = parse(f"(declare-pred T (coeffs 1/2 1/2 0)) (declare-pred C (coeffs 1 0 -3 0)) (exists x {body})")
     nf = normalize(f)
-    assert len(calls) <= atoms
-    [system] = nf.systems
+    assert len(calls) == atoms
+    system, *rest = nf.systems
     assert system.resolved is not None and system.resolved.is_sat
     assert oracle.eval_at(f, system.resolved.witness)
+    assert all(s.resolved is None and "case-split:positive" in s.trace for s in rest)
 
 
 def test_parse_multi():
@@ -490,12 +508,15 @@ _lower = st.integers(-300, 300)
     st.integers(-(10**6), 10**6),
 )
 @settings(max_examples=600, deadline=None)
-def test_scaled_value_set_contains_matches_integer_roots(asc, u, v):
+def test_constant_term_atom_matches_integer_roots(asc, u, v):
+    # A constant term (a = 0) is decided by its atom: f(u) = value has an
+    # integer root exactly when the atom holds at any point.
     hit = sum(c * u**i for i, c in enumerate(asc))
     for value in (hit, v):
         cs = [asc[0] - value, *asc[1:]]
-        assert _scaled_value_set_contains(asc, value) == bool(integer_roots(cs)), (asc, value)
-    assert _scaled_value_set_contains(asc, hit)
+        atom = poly_solver.depress_ascending(asc, 0, value)
+        assert atom.holds(0) == bool(integer_roots(cs)), (asc, value)
+    assert poly_solver.depress_ascending(asc, 0, hit).holds(0)
 
 
 @pytest.mark.parametrize(

@@ -508,8 +508,6 @@ def check_poly_differential(rng, count, bound):
         v = decide_prepared(sys_.clone(), opts)
         if v.is_sat:
             x = v.witness
-            if sys_.sign_flipped:
-                x = -x
             m, r = sys_.substitution
             assert (x - r) % m == 0
             assert eval_system_directly(sys_, (x - r) // m), (i, sys_, v)

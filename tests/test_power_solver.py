@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from unipres._ast import ConstraintSystem, PolyAtom
+from unipres._ast import ConstraintSystem, PolyAtom, Verdict
 from unipres.power_solver import (
     ImagePoly,
     LrbsEntry,
     MemberStream,
     SolveOptions,
     coalesce_similar,
+    decide,
     is_redundant,
     _bounded_curve,
     _turn_bound,
@@ -372,13 +373,28 @@ class TestDecide:
         assert sys_.trace == ["power:none", "witness-scan:hit"]
 
     def test_substitution_mapping(self):
-        sys_ = ConstraintSystem(
-            lower=0, positives=[pow_atom(2, 1, 0)], substitution=(3, 1), sign_flipped=True
-        )
+        sys_ = ConstraintSystem(lower=0, positives=[pow_atom(2, 1, 0)], substitution=(-3, -1))
         v = decide_prepared(sys_, OPTS)
         assert v.is_sat
-        # witness x = -(3y + 1) for the smallest square y > 0
+        # witness x = -3y - 1 for the smallest square y > 0
         assert v.witness == -(3 * 1 + 1)
+
+    def test_scan_cap_answers_unknown(self):
+        # y = 1, 2, 3 each make one of y, y + 2, y + 6 a square; the cap
+        # stops the scan before y = 5, the first survivor.
+        negatives = [pow_atom(2, 1, 0), pow_atom(2, 1, 2), pow_atom(2, 1, 6)]
+        [sys_] = prepare(ConstraintSystem(lower=0, negatives=negatives))
+        v = decide(sys_, SolveOptions(scan_cap=3))
+        assert v == Verdict.unknown("witness scan cap reached", 3)
+        assert sys_.trace[-1] == "witness-scan:capped"
+
+    def test_value_cap_answers_unknown(self):
+        # Unprepared, the direct contradiction is never seen: every square
+        # is scanned and rejected until the values pass 8 bits.
+        sys_ = ConstraintSystem(positives=[pow_atom(2, 1, 0)], negatives=[pow_atom(2, 1, 0)])
+        v = decide(sys_, SolveOptions(value_bits=8))
+        assert v == Verdict.unknown("candidate values exceeded the size cap", 8)
+        assert sys_.trace[-1] == "witness-scan:value-cap"
 
 
 @pytest.mark.slow
@@ -402,8 +418,6 @@ def check_differential_batch(rng, count, bound):
 
 
 def _pullback(system, x):
-    if system.sign_flipped:
-        x = -x
     m, r = system.substitution
     assert (x - r) % m == 0
     return (x - r) // m
