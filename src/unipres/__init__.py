@@ -4,10 +4,12 @@ and degree-at-most-3 polynomial-value-set predicates.
 The public surface: parse/normalize (formula), exact kernels (numtheory,
 pell, lrbs), one decide core, a brute-force oracle, the
 multiplication-free square-predicate encoder, and the batch CLI in `cli`.
-`normalize` lowers every atom, a power (pow k t) as the monomial u^k, to
-one type, `PolyAtom`; `poly_solver.prepare` preprocesses each normalized
-system once; `decide` (power_solver) maps a prepared system to a
-verdict, and `solve_positive` routes its positive atoms to one
+`normalize` only rewrites: it lowers every atom, a power (pow k t) as the
+monomial u^k, to one type, `PolyAtom`, and a bounded conjunct to a
+system with an upper bound; `poly_solver.prepare` preprocesses each
+unbounded system once.  `decide` (power_solver) is the one function
+that maps a system to a verdict: it scans a bounded system point by
+point, and otherwise `solve_positive` routes the positive atoms to one
 `SolutionSet`: families of image polynomials or Pell orbits, finitely
 many values, or every integer.
 """

@@ -176,7 +176,8 @@ class PolyAtom:
     predicate and power literal as it lowers it, by depressing a predicate
     of degree 2 or 3, and a power atom "a*x + b is a k-th power" is
     PolyAtom(k, 0, a, b, 1, 0).  While normalizing, a may be zero or
-    negative; the systems handed to the solvers carry a > 0.
+    negative, and a bounded system keeps such atoms; the systems without
+    an `upper`, which `prepare` and `solve_positive` see, carry a > 0.
     """
 
     degree: int    # >= 2
@@ -256,17 +257,20 @@ class ConstraintSystem:
     """One conjunct after normalization, over the working variable y.
 
     The original variable is x = M*y + r for `substitution` = (M, r); M is
-    negative when the sign of y was flipped.
+    negative when the sign of y was flipped.  It holds at y when
+    lower < y < upper (None is open), y is not excluded, every positive
+    atom holds and every negative one fails.  `resolved` is set only on the
+    unconstrained system (sat) and on a system that `prepare` refuted
+    (unsat, kept so that its trace names the case).
     """
 
     lower: int | None = None
+    upper: int | None = None
     positives: list = field(default_factory=list)
     negatives: list = field(default_factory=list)
     substitution: tuple[int, int] = (1, 0)
     excluded: list = field(default_factory=list)      # y-points carved out exactly
-    resolved: Verdict | None = None                   # eager resolution marker
-    resolved_points: tuple | None = None              # y-points a resolution stands for
-    resolved_all: bool = False                        # resolution covers every lattice point
+    resolved: Verdict | None = None
     trace: list = field(default_factory=list)
 
     def to_original(self, y: int) -> int:
@@ -289,6 +293,8 @@ class ConstraintSystem:
 def system_holds(system: ConstraintSystem, y: int) -> bool:
     """Direct semantics of an unresolved system at the working-variable point y."""
     if system.lower is not None and y <= system.lower:
+        return False
+    if system.upper is not None and y >= system.upper:
         return False
     if y in system.excluded:
         return False

@@ -39,20 +39,14 @@ EXIT_INTERNAL = 70
 @dataclass
 class RunConfig:
     paths: list
-    bound: int = 10**6
-    scan_cap: int = 10**6
+    options: SolveOptions = field(default_factory=SolveOptions)
     fmt: str = "human"
     trace: bool = False
     multi: bool = False
 
     def __post_init__(self) -> None:
-        if self.bound < 1 or self.scan_cap < 1:
-            raise ValueError("bounds must be >= 1")
         if self.fmt not in ("human", "json-lines"):
             raise ValueError(f"unknown format {self.fmt!r}")
-
-    def options(self) -> SolveOptions:
-        return SolveOptions(enum_bound=self.bound, scan_cap=self.scan_cap)
 
 
 @dataclass
@@ -87,7 +81,7 @@ def _combine(verdicts) -> Verdict:
 def solve_formula(f: Formula, options: SolveOptions | None = None) -> SolveOutcome:
     """Decide a sentence: normalize, decide each disjunct, combine, negate."""
     options = options or SolveOptions()
-    nf = normalize(f, enum_bound=options.enum_bound)
+    nf = normalize(f)
     verdicts = []
     trace: list = []
     for system in nf.systems:
@@ -131,7 +125,7 @@ def _solve_file(path: str, config: RunConfig):
     out = []
     for i, f in enumerate(formulas):
         t0 = time.perf_counter()
-        outcome = solve_formula(f, config.options())
+        outcome = solve_formula(f, config.options)
         ms = (time.perf_counter() - t0) * 1000.0
         out.append((i, outcome, ms))
     return out
@@ -182,9 +176,9 @@ def read_records(text: str) -> list[dict]:
 def _solve_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="unipres", description=__doc__)
     ap.add_argument("paths", nargs="+", help="input files ('-' for stdin)")
-    ap.add_argument("--bound", type=int, default=10**6,
+    ap.add_argument("--bound", type=int, default=SolveOptions.enum_bound,
                     help="auxiliary-unknown bound for finite-case enumeration")
-    ap.add_argument("--scan-cap", type=int, default=10**6,
+    ap.add_argument("--scan-cap", type=int, default=SolveOptions.scan_cap,
                     help="candidate cap for witness scans")
     ap.add_argument("--format", dest="fmt", choices=("human", "json-lines"), default="human")
     ap.add_argument("--trace", action="store_true")
@@ -218,7 +212,8 @@ def main(argv=None) -> int:
         return _encode_main(argv[1:])
     args = _solve_parser().parse_args(argv)
     try:
-        config = RunConfig(args.paths, args.bound, args.scan_cap, args.fmt, args.trace, args.multi)
+        options = SolveOptions(enum_bound=args.bound, scan_cap=args.scan_cap)
+        config = RunConfig(args.paths, options, args.fmt, args.trace, args.multi)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

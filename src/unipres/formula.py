@@ -20,21 +20,20 @@ A declaration lists the coefficients c_d ... c_0 of f(u) = c_d u^d + ... +
 c_0, with d <= 3, c_d != 0 and f integer-valued; a sentence sees the
 declarations before it.
 
-`normalize` rewrites a sentence into a disjunction of constraint systems
-of the shape the solvers consume: exactly one lower bound, positive and
-negative `PolyAtom`s with positive x-coefficients, modular constraints
-folded into a signed affine substitution x = M*y + r (M < 0 after the
-sign of y is flipped).  Each predicate literal gets its `PolyAtom` as it
-is lowered, and every later stage (substitution, sign flip, point checks)
-acts on that atom; a point is checked only through `PolyAtom.holds`.  A
-power atom (pow k t) is the value set of the monomial u^k, so it lowers
-to the same literal as a predicate and becomes the same kind of atom.
+`normalize` only rewrites a sentence into a disjunction of constraint
+systems of the shape the solvers consume: exactly one lower bound,
+positive and negative `PolyAtom`s, modular constraints folded into a
+signed affine substitution x = M*y + r (M < 0 after the sign of y is
+flipped).  A bounded conjunct also gets an upper bound and keeps its
+atoms, for `decide` to scan; every other system has atoms with positive
+x-coefficients.  Each predicate literal gets its `PolyAtom` as it is
+lowered, and every later stage acts on that atom.  A power atom (pow k t)
+is the value set of the monomial u^k, so it lowers to the same literal as
+a predicate and becomes the same kind of atom.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -439,16 +438,12 @@ def _lower_mod(term: LinTerm, m: int, r: int, positive: bool):
     a, b = term.a, term.b
     if a == 0:
         return _const(((b - r) % m == 0) == positive)
-    c = (r - b) % m
-    if a < 0:
-        a, c = -a, (-c) % m
-    g = math.gcd(a, m)
-    if c % g != 0:
+    solution = poly_solver._lin_congruence(a, r - b, m)
+    if solution is None:
         return _const(not positive)
-    m2 = m // g
+    y0, m2 = solution
     if m2 == 1:
         return _const(positive)
-    y0 = (c // g * pow(a // g, -1, m2)) % m2
     if positive:
         return [[("mod", m2, y0)]]
     return [[("mod", m2, (y0 + s) % m2)] for s in range(1, m2)]
@@ -522,14 +517,6 @@ def _to_dnf(node, positive: bool, decls):
     return _lower_atom(node, positive, decls)
 
 
-def _by_magnitude(lo: int, hi: int):
-    """The integers y with lo < y < hi in (|y|, y) order."""
-    for m in range(max(0, lo + 1, 1 - hi), max(-lo, hi)):
-        for y in (-m, m) if m else (0,):
-            if lo < y < hi:
-                yield y
-
-
 def _substitute_atom(atom: PolyAtom, M: int, r: int) -> PolyAtom:
     """The atom at y = M*y' + r: (a, b) -> (a*M, a*r + b), its lattice re-reduced."""
     return poly_solver._reduce_atom(
@@ -573,33 +560,20 @@ def _flip_lits(lits):
     return out
 
 
-def _finite_check(sys: ConstraintSystem, atoms, lo: int, hi: int, enum_bound: int,
-                  label: str = "interval:enumerated"):
-    """Resolve a bounded conjunct lo < y < hi by checking each atom at each
-    point: [sys] resolved, or [] when no point satisfies it.
-
-    An interval wider than `enum_bound` has only its first `enum_bound`
-    points in (|y|, y) order tested; a hit there is still a witness, and
-    no hit answers Unknown.
-    """
+def _bounded(sys: ConstraintSystem, atoms, lo: int, hi: int, label: str = "interval:enumerated"):
+    """The conjunct lo < y < hi as one bounded system, [] when no integer
+    lies between; `decide` scans its points.  Its atoms stay as they are
+    and it never goes through `prepare`."""
     if hi - lo <= 1:
         return []
-    wide = hi - lo - 1 > enum_bound
-    ys = itertools.islice(_by_magnitude(lo, hi), enum_bound) if wide else range(lo + 1, hi)
-    sat_ys = [y for y in ys if all(atom.holds(y) == (sign > 0) for _, sign, atom, _ in atoms)]
-    if not sat_ys and wide:
-        sys.resolved = Verdict.unknown("bounded interval wider than the enumeration bound", enum_bound)
-        sys.log("interval:too-wide")
-        return [sys]
-    if not sat_ys:
-        return []
-    sys.resolved = Verdict.sat(power_solver.least_witness(sys.to_original(y) for y in sat_ys))
-    sys.resolved_points = tuple(sat_ys)
+    sys.lower, sys.upper = lo, hi
+    for _, sign, atom, _ in atoms:
+        (sys.positives if sign > 0 else sys.negatives).append(atom)
     sys.log(label)
     return [sys]
 
 
-def _build_systems(conj, enum_bound: int) -> list[ConstraintSystem]:
+def _build_systems(conj) -> list[ConstraintSystem]:
     sys = ConstraintSystem()
 
     # Fold modular constraints into the substitution x = M*y + r.
@@ -627,9 +601,9 @@ def _build_systems(conj, enum_bound: int) -> list[ConstraintSystem]:
             return []
         [y] = eqs
         lo, hi = max([y - 1, *gts]), min([y + 1, *lts])
-        return _finite_check(sys, atoms, lo, hi, enum_bound, "equality:substituted")
+        return _bounded(sys, atoms, lo, hi, "equality:substituted")
     if gts and lts:
-        return _finite_check(sys, atoms, max(gts), min(lts), enum_bound)
+        return _bounded(sys, atoms, max(gts), min(lts))
     if lts:
         sys.substitution = (-sys.substitution[0], sys.substitution[1])
         sys.log("sign-flip")
@@ -638,27 +612,26 @@ def _build_systems(conj, enum_bound: int) -> list[ConstraintSystem]:
         atoms = [l for l in lits if l[0] == "pred"]
 
     if gts:
-        return _assemble(sys, max(gts), atoms, enum_bound)
+        return _assemble(sys, max(gts), atoms)
     if not atoms:
         # Pure congruence talk: satisfiable everywhere it parses.
         x = power_solver.least_witness(sys.to_original(y) for y in range(-1, 2))
         sys.resolved = Verdict.sat(x)
-        sys.resolved_all = True
         sys.log("unconstrained")
         return [sys]
     # No inequality at all: split y < 0, y = 0, y > 0.
-    out = _finite_check(sys.clone(), atoms, -1, 1, enum_bound, "case-split:zero")
+    out = _bounded(sys.clone(), atoms, -1, 1, "case-split:zero")
     pos = sys.clone()
     pos.log("case-split:positive")
-    out.extend(_assemble(pos, 0, atoms, enum_bound))
+    out.extend(_assemble(pos, 0, atoms))
     neg = sys.clone()
     neg.substitution = (-neg.substitution[0], neg.substitution[1])
     neg.log("case-split:negative")
-    out.extend(_assemble(neg, 0, _flip_lits(atoms), enum_bound))
+    out.extend(_assemble(neg, 0, _flip_lits(atoms)))
     return out
 
 
-def _assemble(sys: ConstraintSystem, lower: int, atoms, enum_bound: int):
+def _assemble(sys: ConstraintSystem, lower: int, atoms):
     """Sign handling and redundancy processing under one lower bound."""
     sys.lower = lower
 
@@ -686,7 +659,7 @@ def _assemble(sys: ConstraintSystem, lower: int, atoms, enum_bound: int):
 
     all_lits = kept + [l for _, l in thresholds]
     if uppers:
-        return _finite_check(sys, all_lits, sys.lower, min(uppers) + 1, enum_bound)
+        return _bounded(sys, all_lits, sys.lower, min(uppers) + 1)
 
     out = []
     if thresholds:
@@ -694,7 +667,7 @@ def _assemble(sys: ConstraintSystem, lower: int, atoms, enum_bound: int):
         if T > sys.lower:
             head = sys.clone()
             head.log("negative-tail:bounded-part")
-            out = _finite_check(head, all_lits, sys.lower, T + 1, enum_bound)
+            out = _bounded(head, all_lits, sys.lower, T + 1)
             sys.lower = T
         sys.log("negative-tail:discharged")
 
@@ -706,20 +679,21 @@ def _assemble(sys: ConstraintSystem, lower: int, atoms, enum_bound: int):
     return out + poly_solver.prepare(sys)
 
 
-def normalize(f: Formula, enum_bound: int = 10**6) -> NormalForm:
-    """Rewrite a sentence into solver-ready disjuncts.
+def normalize(f: Formula) -> NormalForm:
+    """Rewrite a sentence into solver-ready disjuncts; it takes no options
+    and tests no point.
 
     Performs, in order: forall-to-exists negation; literal rewriting and
     disjunctive normal form, where each predicate or power literal gets
     its `PolyAtom` (a power atom is the monomial u^k) and a constant term
     is decided by that atom; modular coalescing by the extended CRT into
     x = M*y + r, which maps each atom's (a, b) to (a*M, a*r + b);
-    equality substitution and bounded-interval finite checks, which test
-    points only through `PolyAtom.holds`; sign normalization (the y -> -y
-    flip, which negates M, and the three-way case split when no
+    equality substitution and bounded intervals, each left as a system
+    lower < y < upper for `decide` to scan; sign normalization (the
+    y -> -y flip, which negates M, and the three-way case split when no
     inequality appears, then a positive x-coefficient on every atom); and
     redundancy and similarity processing (`poly_solver.prepare`), the only
-    preprocessing a system gets before `decide`.
+    preprocessing an unbounded system gets before `decide`.
     """
     decls = f.decl_map()
     q = f.root
@@ -727,5 +701,5 @@ def normalize(f: Formula, enum_bound: int = 10**6) -> NormalForm:
     body = Not(q.body) if negated else q.body
     systems = []
     for conj in _to_dnf(body, True, decls):
-        systems.extend(_build_systems(conj, enum_bound))
+        systems.extend(_build_systems(conj))
     return NormalForm(negated, systems)

@@ -97,17 +97,6 @@ class QuadNum:
             raise ZeroDivisionError("QuadNum with zero norm")
         return self.conjugate() * (1 / nr)
 
-    def __pow__(self, e: int) -> "QuadNum":
-        base = self if e >= 0 else self.inverse()
-        e = abs(e)
-        acc = QuadNum(Fraction(1), Fraction(0), self.n)
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
-
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 

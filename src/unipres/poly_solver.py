@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from ._ast import ConstraintSystem, PolyAtom, Verdict, system_holds
+from ._ast import ConstraintSystem, PolyAtom, Verdict
 from .lrbs import IndexSet
 from .numtheory import (
     _poly_eval,
@@ -46,12 +46,10 @@ from .power_solver import (
     _bounded_curve,
     _filter_by_atoms,
     _pell_orbit_entries,
+    _pin_point,
     _square_factor_pairs,
-    _survivors,
-    _verified_sat,
     decide,
     image_polys,
-    least_witness,
     preprocess as power_preprocess,
     solve_positive,
 )
@@ -277,7 +275,8 @@ def _merge_line_branch(P: PolyAtom, Q: PolyAtom, num: int, den: int) -> PolyAtom
 
 
 def _common_point_systems(base: ConstraintSystem, P: PolyAtom, Q: PolyAtom, points, note: str):
-    """One resolved sat system per distinct x at which P and Q meet in a listed (u1, u2)."""
+    """One system pinned to each distinct x at which P and Q meet in a
+    listed (u1, u2) and the rest of the system holds."""
     out = []
     seen = set()
     for u1, u2 in points:
@@ -290,12 +289,7 @@ def _common_point_systems(base: ConstraintSystem, P: PolyAtom, Q: PolyAtom, poin
         if x in seen or _atom_value(Q, u2) != Q.a * x + Q.b:
             continue
         seen.add(x)
-        cand = base.clone()
-        if system_holds(cand, x):
-            cand.resolved = Verdict.sat(cand.to_original(x))
-            cand.resolved_points = (x,)
-            cand.log(note)
-            out.append(cand)
+        out.extend(_pin_point(base.clone(), x, note))
     return out
 
 
@@ -332,9 +326,10 @@ def preprocess_poly(system: ConstraintSystem) -> list[ConstraintSystem]:
     Negative atoms redundant with a positive one are left for pointwise
     filtering unless the correlation provably covers the positive's whole
     witness lattice, in which case the system collapses to finitely many
-    candidate points (or to nothing).
+    candidate points (or to nothing).  A system pinned to one point
+    (`upper` set) is returned untouched.
     """
-    if system.resolved is not None:
+    if system.upper is not None:
         return [system]
     for neg in system.negatives:
         if neg in system.positives:
@@ -382,7 +377,7 @@ def prepare(system: ConstraintSystem) -> list[ConstraintSystem]:
     subs = power_preprocess(system)
     # `power_preprocess` has settled every pair of atoms of power shape,
     # so only a system with another atom has pairs left to merge.
-    if subs and system.resolved is None and not all(a.is_power for a in system.positives + system.negatives):
+    if subs and not all(a.is_power for a in system.positives + system.negatives):
         subs = preprocess_poly(system)
     if not subs:
         system.resolved = Verdict.unsat()
@@ -677,13 +672,12 @@ def _try_discard_sets(system: ConstraintSystem, quads):
     return out
 
 
-def discard_pell_indices(system: ConstraintSystem, sol: SolutionSet):
+def discard_pell_indices(system: ConstraintSystem, sol: SolutionSet) -> SolutionSet:
     """Remove the Pell indices that a cubic negative rules out of a quadratic pair.
 
     Returns `sol` unchanged unless its families are Pell orbits
     (`LrbsEntry`) of two positive quadratics next to a cubic negative that
-    forms a discard set; then the remaining set, or the verdict when its
-    values hold a survivor (sat) or no index is left (unsat).
+    forms a discard set; then the set with those indices removed.
     """
     if not sol.families or not isinstance(sol.families[0], LrbsEntry) or not system.negatives:
         return sol
@@ -693,15 +687,8 @@ def discard_pell_indices(system: ConstraintSystem, sol: SolutionSet):
     discards = _try_discard_sets(system, sorted(quads))
     if not discards:
         return sol
-    sol = subtract_discarded(sol, discards)
     system.log("discard:index-progressions")
-    y = least_witness(_survivors(system, sol.values))
-    if y is not None:
-        return _verified_sat(system, y)
-    if all(e.indices.is_empty() for e in sol.families):
-        system.log("discard:all-indices-removed")
-        return Verdict.unsat()
-    return sol
+    return subtract_discarded(sol, discards)
 
 
 # The decide core is `power_solver.decide` and its router is

@@ -152,12 +152,12 @@ def _zero_point(atom: PolyAtom) -> int | None:
     return -atom.b // atom.a if atom.b % atom.a == 0 else None
 
 
-def _resolve_at_point(system: ConstraintSystem, y0: int | None, note: str) -> list[ConstraintSystem]:
-    """The system collapses to the single candidate y0; check it exactly."""
+def _pin_point(system: ConstraintSystem, y0: int | None, note: str) -> list[ConstraintSystem]:
+    """The system collapses to the single candidate y0: [system] pinned to
+    y0 - 1 < y < y0 + 1 when it holds there, else []."""
     system.log(note)
     if y0 is not None and system_holds(system, y0):
-        system.resolved = Verdict.sat(system.to_original(y0))
-        system.resolved_points = (y0,)
+        system.lower, system.upper = y0 - 1, y0 + 1
         return [system]
     return []
 
@@ -167,11 +167,9 @@ def preprocess(system: ConstraintSystem) -> list[ConstraintSystem]:
 
     Operates on the atoms of power shape (`PolyAtom.is_power`); the others
     pass through untouched, and `poly_solver.preprocess_poly` handles their
-    redundancy.  May resolve the system outright; returns the surviving
+    redundancy.  May pin the system to one point; returns the surviving
     disjuncts.
     """
-    if system.resolved is not None:
-        return [system]
     for atoms in (system.positives, system.negatives):
         seen = set()
         atoms[:] = [a for a in atoms if not (a in seen or seen.add(a))]
@@ -192,7 +190,7 @@ def preprocess(system: ConstraintSystem) -> list[ConstraintSystem]:
                     system.positives.remove(target)
                     system.log(f"redundant:drop-positive:{target.degree}:{target.a}:{target.b}")
                 else:
-                    return _resolve_at_point(system, _zero_point(ref), "redundant:forced-false-positive")
+                    return _pin_point(system, _zero_point(ref), "redundant:forced-false-positive")
                 changed = True
             for target in list(system.negatives):
                 if not target.is_power:
@@ -225,9 +223,7 @@ def preprocess(system: ConstraintSystem) -> list[ConstraintSystem]:
                 system.positives.remove(atom)
             if merged is None:
                 y0 = -ratio if ratio.denominator == 1 else None
-                return _resolve_at_point(
-                    system, int(y0) if y0 is not None else None, "coalesce:incompatible"
-                )
+                return _pin_point(system, int(y0) if y0 is not None else None, "coalesce:incompatible")
             system.positives.append(merged)
             system.log(f"coalesce:Z^{merged.degree}({merged.a}x+{merged.b})")
             changed = True
@@ -719,17 +715,13 @@ def least_witness(xs) -> int | None:
     return min(xs, key=lambda x: (abs(x), x), default=None)
 
 
-def _negatives_pass(system: ConstraintSystem, y: int) -> bool:
-    return not any(atom.holds(y) for atom in system.negatives)
-
-
 def _survivors(system: ConstraintSystem, ys):
     """The ys above the lower bound, not excluded, on which every negative atom fails (lazy)."""
-    lower = system.lower
+    lower, negatives = system.lower, system.negatives
     return (
         y
         for y in ys
-        if (lower is None or y > lower) and y not in system.excluded and _negatives_pass(system, y)
+        if (lower is None or y > lower) and y not in system.excluded and not any(a.holds(y) for a in negatives)
     )
 
 
@@ -740,16 +732,16 @@ def _verified_sat(system: ConstraintSystem, y: int) -> Verdict:
     return Verdict.sat(system.to_original(y))
 
 
-def _above(lower: int | None):
-    """The integers y > lower in (|y|, y) order."""
-    if lower is not None and lower >= 0:
-        yield from itertools.count(lower + 1)
+def _by_magnitude(lo: int | None, hi: int | None = None):
+    """The integers y with lo < y < hi in (|y|, y) order; None leaves a
+    side open (lo only when hi is None too)."""
+    if lo is not None and lo >= 0:
+        yield from itertools.count(lo + 1) if hi is None else range(lo + 1, hi)
         return
-    yield 0
-    for i in itertools.count(1):
-        if lower is None or -i > lower:
-            yield -i
-        yield i
+    for m in itertools.count() if hi is None else range(max(0, 1 - hi), max(-lo, hi)):
+        for y in (-m, m) if m else (0,):
+            if (lo is None or y > lo) and (hi is None or y < hi):
+                yield y
 
 
 def _search(system: ConstraintSystem, candidates, options: SolveOptions) -> Verdict:
@@ -768,35 +760,63 @@ def _search(system: ConstraintSystem, candidates, options: SolveOptions) -> Verd
     return Verdict.unsat()
 
 
+def _scan_interval(system: ConstraintSystem, options: SolveOptions) -> Verdict:
+    """The least (|x|, x) witness of a bounded system among its first
+    `enum_bound` points in (|y|, y) order.
+
+    The walk stops once |M|*|y| - |r| exceeds the best |x| so far: no
+    later y gives a smaller |x|, and the strict inequality keeps the ties.
+    A miss on a wider interval answers Unknown.
+    """
+    lo, hi = system.lower, system.upper
+    M, r = (abs(c) for c in system.substitution)
+    hits: list[int] = []
+    for y in itertools.islice(_by_magnitude(lo, hi), options.enum_bound):
+        if hits and M * abs(y) - r > abs(least_witness(hits)):
+            break
+        if system_holds(system, y):
+            hits.append(system.to_original(y))
+    if hits:
+        return Verdict.sat(least_witness(hits))
+    if hi - lo - 1 > options.enum_bound:
+        system.log("interval:too-wide")
+        return Verdict.unknown("bounded interval wider than the enumeration bound", options.enum_bound)
+    return Verdict.unsat()
+
+
 def decide(system: ConstraintSystem, options: SolveOptions = DEFAULT_OPTIONS) -> Verdict:
     """Three-valued satisfiability of one system that `normalize` produced.
 
+    The one function that turns an open system into a verdict.
     Precondition: the system comes from `formula.normalize`, or a
-    hand-built one went through `poly_solver.prepare`, so it has been
-    preprocessed exactly once.  A system resolved there (eagerly, or as a
-    refuted unsat) returns its `resolved` verdict.  Otherwise the positive
-    atoms give one `SolutionSet` (`solve_positive`), and the lower bound,
-    the excluded points and the negative atoms filter it: a set of
-    `everything` by a scan of the integers above the bound, a set without
-    families by its least surviving value, and any other set by a scan of
-    its `MemberStream`.
+    hand-built one went through `poly_solver.prepare`.  A resolved system
+    returns its `resolved` verdict.  A bounded system (a bounded conjunct,
+    or a point that preprocessing pinned) is scanned point by point
+    (`_scan_interval`).  Otherwise the positive atoms give one
+    `SolutionSet` (`solve_positive`), and the lower bound, the excluded
+    points and the negative atoms filter it: a set of `everything` by a
+    scan of the integers above the bound, a set without families by its
+    least surviving value, and any other set by a scan of its
+    `MemberStream`.
 
-    Witness rule: inside a system the witness is the first hit in (|y|, y)
-    order of the working variable y; across systems (`cli.solve_formula`)
-    the least (|x|, x) of the original variable x wins.  Sat witnesses are
-    returned in original coordinates, re-verified by direct evaluation.
+    Witness rule: a bounded system answers the least (|x|, x) witness
+    among the points it tests; the other scans answer their first hit in
+    (|y|, y) order of the working variable y.  Across systems
+    (`cli.solve_formula`) the least (|x|, x) of the original variable x
+    wins.  Sat witnesses are in original coordinates, verified by direct
+    evaluation of the system.
     """
     if system.resolved is not None:
         return system.resolved
+    if system.upper is not None:
+        return _scan_interval(system, options)
     from .poly_solver import discard_pell_indices
 
     sol = solve_positive(system.positives, options)
     system.log(sol.case)
     sol = discard_pell_indices(system, sol)
-    if isinstance(sol, Verdict):
-        return sol
     if sol.everything:
-        return _search(system, _above(system.lower), options)
+        return _search(system, _by_magnitude(system.lower), options)
     if sol.families:
         return _search(system, MemberStream(sol, options), options)
     y = least_witness(_survivors(system, sol.values))

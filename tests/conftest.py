@@ -64,8 +64,21 @@ def pow_atom(k: int, a: int, b: int) -> PolyAtom:
     return PolyAtom(k, 0, a, b, 1, 0)
 
 
-def eval_system_directly(system: ConstraintSystem, y: int) -> bool:
+def system_satisfied_at(system: ConstraintSystem, x: int) -> bool:
+    """Whether the original-variable point x satisfies a normalized system,
+    by the oracle: x on the lattice of the substitution x = M*y + r, then
+    lower < y < upper, y not excluded, and every atom through
+    `oracle.atom_eval`.  The only resolved systems are the unconstrained
+    one (sat at every point) and one that `prepare` refuted (unsat)."""
+    m, r = system.substitution
+    if (x - r) % m:
+        return False
+    y = (x - r) // m
+    if system.resolved is not None:
+        return system.resolved.is_sat
     if system.lower is not None and y <= system.lower:
+        return False
+    if system.upper is not None and y >= system.upper:
         return False
     if y in system.excluded:
         return False

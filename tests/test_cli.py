@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from unipres import cli, oracle, parse
+from unipres import PolyAtom, SolveOptions, cli, oracle, parse
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -87,6 +87,43 @@ def test_coalesced_power_fixture_at_the_default_bound(capsys):
     # class of the multiples of 3: a single image polynomial.
     assert cli.main([str(FIXTURES / "coalesced_power.sexp")]) == cli.EXIT_SAT
     assert capsys.readouterr().out == "sat x=30\n"
+
+
+@pytest.fixture
+def holds_calls(monkeypatch):
+    """The points at which `PolyAtom.holds` is called, in order."""
+    calls = []
+    holds = PolyAtom.holds
+
+    def counted(atom, x):
+        calls.append(x)
+        return holds(atom, x)
+
+    monkeypatch.setattr(PolyAtom, "holds", counted)
+    return calls
+
+
+def test_wide_interval_scan_stops_at_its_first_witness(capsys, holds_calls):
+    # 0 < x < 10^8 at the default bound: x = 1 is a square, and no later
+    # point of the (|y|, y) walk can give a smaller |x|.
+    assert cli.main([str(FIXTURES / "wide_interval.sexp")]) == cli.EXIT_SAT
+    assert capsys.readouterr().out == "sat x=1\n"
+    assert len(holds_calls) <= 2
+
+
+def test_wide_interval_without_a_hit_tests_its_first_bound_points(holds_calls):
+    f = parse("(exists x (and (> x 0) (< x 100000000) (pow 2 (+ x 1000000000000))))")
+    v = cli.solve_formula(f, SolveOptions(enum_bound=1000)).verdict
+    assert (v.status, v.bound) == ("unknown", 1000)
+    assert holds_calls == list(range(1, 1001))
+
+
+@pytest.mark.parametrize("flag", ["--bound", "--scan-cap"])
+def test_non_positive_bounds_are_input_errors(flag, capsys):
+    assert cli.main([flag, "0", str(FIXTURES / "simple_sat.sexp")]) == cli.EXIT_INPUT == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["error: bounds must be positive"]
 
 
 def test_malformed_fixture_is_an_input_error(capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unipres import ParseError, PolyAtom, SolveOptions, Verdict, format_formula, normalize, parse
+from unipres import ParseError, PolyAtom, SolveOptions, Verdict, decide, format_formula, normalize, parse
 from unipres import poly_solver
 from unipres.cli import solve_formula
 from unipres._ast import Cmp, LinTerm, PredAtomNode, PredicateDecl, Quant
@@ -14,7 +14,7 @@ from unipres.encoder import parse_poly
 from unipres.formula import parse_multi, read_sexprs
 from unipres.numtheory import integer_roots
 
-from conftest import no_similar_powers
+from conftest import no_similar_powers, system_satisfied_at
 
 
 def test_parse_power_sentence():
@@ -86,15 +86,20 @@ def test_normalize_infeasible_crt():
 
 
 def test_normalize_interval():
+    # A bounded conjunct becomes one open system that `decide` scans.
     nf = normalize(parse("(exists x (and (> x 0) (< x 5) (pow 2 x)))"))
-    sats = [s.resolved for s in nf.systems if s.resolved is not None]
-    assert len(sats) == 1 and sats[0].is_sat
-    assert sats[0].witness in (1, 4)
+    [s] = nf.systems
+    assert (s.lower, s.upper, s.resolved) == (0, 5, None)
+    assert s.trace == ["interval:enumerated"]
+    assert decide(s) == Verdict.sat(1)
 
 
 def test_normalize_interval_unsat_drops():
+    # No square lies in 4 < x < 9: the bounded system decides unsat.
     nf = normalize(parse("(exists x (and (> x 4) (< x 9) (pow 2 x)))"))
-    assert nf.systems == []
+    [s] = nf.systems
+    assert (s.lower, s.upper) == (4, 9)
+    assert decide(s).is_unsat
 
 
 def test_normalize_forall():
@@ -107,12 +112,16 @@ def test_normalize_forall():
 
 def test_normalize_negative_power_coefficient_tail():
     # not Z^2(-2x + 30): beyond x = 15 the term is negative, so the
-    # negation holds for free; below it a finite check decides.
+    # negation holds for free; below it a bounded system keeps its atoms
+    # as they are for `decide` to test, and every other system has a > 0.
     nf = normalize(parse("(exists x (and (> x 0) (pow 3 x) (not (pow 2 (+ (* -2 x) 30)))))"))
-    assert nf.systems
-    for s in nf.systems:
+    bounded = [s for s in nf.systems if s.upper is not None]
+    unbounded = [s for s in nf.systems if s.upper is None]
+    assert [(s.lower, s.upper) for s in bounded] == [(0, 16)] and unbounded
+    for s in unbounded:
         for atom in s.positives + s.negatives:
             assert atom.a > 0
+    assert decide(bounded[0]) == Verdict.sat(1)
 
 
 def test_normalize_positive_atoms_positive_coefficient():
@@ -123,8 +132,9 @@ def test_normalize_positive_atoms_positive_coefficient():
     ]
     for t in rngtexts:
         for s in normalize(parse(t)).systems:
-            for atom in s.positives + s.negatives:
-                assert atom.a > 0
+            if s.upper is None:
+                for atom in s.positives + s.negatives:
+                    assert atom.a > 0
             assert s.lower is not None or s.resolved is not None
 
 
@@ -149,8 +159,9 @@ def test_degree_one_pred_becomes_congruence():
 
 def test_degree_zero_pred_becomes_equality():
     nf = normalize(parse("(declare-pred Z (coeffs 7)) (exists x (pred Z (+ x 2)))"))
-    sats = [s for s in nf.systems if s.resolved is not None and s.resolved.is_sat]
-    assert len(sats) == 1 and sats[0].resolved.witness == 5
+    sats = [v for v in map(decide, nf.systems) if v.is_sat]
+    assert len(sats) == 1 and sats[0].witness == 5
+    assert [(s.lower, s.upper) for s in nf.systems] == [(4, 6)]
 
 
 def _random_formula(rng: random.Random):
@@ -204,26 +215,6 @@ def test_normalized_systems_hold_only_poly_atoms():
     assert (system.positives, system.negatives) == ([PolyAtom(6, 0, 32, 0, 1, 0)], [])
 
 
-def _system_satisfied_at(system, x: int) -> bool:
-    m, r = system.substitution
-    if (x - r) % m:
-        return False
-    y = (x - r) // m
-    if system.resolved is not None:
-        if not system.resolved.is_sat:
-            return False
-        if system.resolved_all:
-            return True
-        return system.resolved_points is not None and y in system.resolved_points
-    if system.lower is not None and y <= system.lower:
-        return False
-    if y in system.excluded:
-        return False
-    if not all(oracle.atom_eval(a, y) for a in system.positives):
-        return False
-    return not any(oracle.atom_eval(a, y) for a in system.negatives)
-
-
 @pytest.mark.slow
 def test_semantic_preservation_500():
     rng = random.Random(20240817)
@@ -234,7 +225,7 @@ def test_semantic_preservation_500():
         nf = normalize(f)
         for x in range(-200, 201):
             direct = oracle.eval_at(f, x)
-            covered = any(_system_satisfied_at(s, x) for s in nf.systems)
+            covered = any(system_satisfied_at(s, x) for s in nf.systems)
             assert covered == direct, (text, x)
         checked += 1
     assert checked == 500
@@ -248,7 +239,7 @@ def test_semantic_preservation_smoke():
         nf = normalize(f)
         for x in range(-60, 61):
             direct = oracle.eval_at(f, x)
-            covered = any(_system_satisfied_at(s, x) for s in nf.systems)
+            covered = any(system_satisfied_at(s, x) for s in nf.systems)
             assert covered == direct, (text, x)
 
 
@@ -271,7 +262,7 @@ def test_power_atoms_of_every_degree_and_sign_against_the_oracle():
                     f = parse(text)
                     nf = normalize(f)
                     for x in range(-60, 61):
-                        covered = any(_system_satisfied_at(s, x) for s in nf.systems)
+                        covered = any(system_satisfied_at(s, x) for s in nf.systems)
                         assert covered == oracle.eval_at(f, x), (text, x)
                     v = solve_formula(f, opts).verdict
                     if v.is_sat:
@@ -293,7 +284,9 @@ def test_sign_fix_keeps_each_atom_on_its_lattice():
     # lattice: 12u^2 + 12u >= 0, so not P(5 - x) holds for every x > 5.
     f = parse("(declare-pred P (coeffs 12 12 0)) (exists x (and (> x 0) (not (pred P (- 5 x)))))")
     head, tail = normalize(f).systems
-    assert head.resolved_points == (1, 2, 3, 4)
+    assert (head.lower, head.upper) == (0, 6)
+    assert [x for x in range(1, 6) if system_satisfied_at(head, x)] == [1, 2, 3, 4]
+    assert decide(head) == Verdict.sat(1)
     assert (tail.lower, tail.positives, tail.negatives) == (5, [], [])
 
 
@@ -322,11 +315,11 @@ def test_sentence_differential_against_the_oracle():
 
 
 @pytest.mark.parametrize("body, atoms", [
-    # finite check of a bounded interval; (pow 2 x) is an atom literal too
+    # a bounded interval; (pow 2 x) is an atom literal too
     ("(and (> x 10) (< x 3000) (pred T (+ (* 2 x) 1)) (not (pred C x)) (not (pow 2 x)))", 3),
     # equality path
     ("(and (= (* 2 x) 12) (pred T x) (not (pred C (+ x 1))))", 2),
-    # unbounded: the case split checks y = 0 and hands y > 0 on unresolved
+    # unbounded: the case split bounds y = 0 and hands y > 0 and y < 0 on
     ("(and (pred T x) (not (pred C (+ x 1))))", 2),
 ])
 def test_finite_checks_build_each_predicate_atom_once(monkeypatch, body, atoms):
@@ -342,9 +335,12 @@ def test_finite_checks_build_each_predicate_atom_once(monkeypatch, body, atoms):
     nf = normalize(f)
     assert len(calls) == atoms
     system, *rest = nf.systems
-    assert system.resolved is not None and system.resolved.is_sat
-    assert oracle.eval_at(f, system.resolved.witness)
-    assert all(s.resolved is None and "case-split:positive" in s.trace for s in rest)
+    assert system.upper is not None
+    v = decide(system)
+    assert v.is_sat and oracle.eval_at(f, v.witness)
+    assert len(calls) == atoms  # `decide` builds no atom
+    assert all(s.resolved is None and "case-split:positive" in s.trace for s in rest if s.upper is None)
+    assert all(decide(s).is_unsat for s in rest if s.upper is not None)
 
 
 def test_parse_multi():
@@ -538,5 +534,5 @@ def test_denominator_predicates_agree_with_the_oracle(decl):
             nf = normalize(f)
             for x in range(-60, 61):
                 direct = oracle.eval_at(f, x)
-                covered = any(_system_satisfied_at(s, x) for s in nf.systems)
+                covered = any(system_satisfied_at(s, x) for s in nf.systems)
                 assert covered == direct, (decl, t, body, x)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from unipres._ast import ConstraintSystem, PolyAtom, PredicateDecl
+from unipres._ast import ConstraintSystem, PolyAtom, PredicateDecl, Verdict
 from unipres.power_solver import (
     ImagePoly,
     LrbsEntry,
@@ -13,6 +13,7 @@ from unipres.power_solver import (
     SolveOptions,
     _atom_classes,
     _single_poly_images,
+    decide,
     solve_positive,
 )
 from unipres.poly_solver import (
@@ -23,6 +24,7 @@ from unipres.poly_solver import (
     _triple_4c,
     _try_discard_sets,
     depress_ascending,
+    discard_pell_indices,
     poly_redundant,
     preprocess_poly,
     subtract_discarded,
@@ -33,11 +35,11 @@ from unipres.cli import solve_formula
 from conftest import (
     brute_first_witness,
     decide_prepared,
-    eval_system_directly,
     oracle_hits,
     random_int_valued_pred,
     random_poly_system,
     stream_prefix,
+    system_satisfied_at,
 )
 
 OPTS = SolveOptions(enum_bound=2000, scan_cap=20_000, value_bits=4000)
@@ -244,12 +246,13 @@ class TestPreprocess:
 
     def test_conic_point_resolves_once_with_its_point(self):
         # Both cubics meet on the line branch and at conic points that all
-        # give x = 0: one resolved system stands for that point.
+        # give x = 0: one system pinned to that point stands for it.
         P = PolyAtom(3, -4, 8, 0, 1, 0)
         Q = PolyAtom(3, -1, 1, 0, 2, 1)
         subs = preprocess_poly(ConstraintSystem(lower=-5, positives=[P, Q]))
-        points = [s for s in subs if s.resolved is not None]
-        assert [(s.resolved.witness, s.resolved_points) for s in points] == [(0, (0,))]
+        points = [s for s in subs if s.upper is not None]
+        assert [(s.lower, s.upper) for s in points] == [(-1, 1)]
+        assert decide(points[0], OPTS) == Verdict.sat(0)
         assert points[0].trace == ["poly-redundant:conic-point"]
         scan = [x for x in range(-4, 3000) if P.holds(x) and Q.holds(x)]
         assert 0 in scan
@@ -258,10 +261,10 @@ class TestPreprocess:
 
 
 def _kept_by_some_branch(subs, x):
-    """Whether a preprocessed branch still admits x."""
+    """Whether a preprocessed branch still admits x: its positive atoms
+    hold there and, on a branch pinned to one point, x is that point."""
     return any(
-        s.resolved is None and all(a.holds(x) for a in s.positives) or
-        (s.resolved is not None and s.resolved_points and x in s.resolved_points)
+        (s.upper is None or s.lower < x < s.upper) and all(a.holds(x) for a in s.positives)
         for s in subs
     )
 
@@ -394,7 +397,9 @@ class Test4c:
         sys_ = ConstraintSystem(lower=0, positives=[self.q1, q3s], negatives=[self.neg])
         v = decide_prepared(sys_, OPTS)
         assert v.is_unsat
-        assert "discard:all-indices-removed" in sys_.trace
+        assert sys_.trace[-2:] == ["discard:index-progressions", "witness-scan:exhausted"]
+        sol = discard_pell_indices(sys_.clone(), solve_positive(sys_.positives, options=OPTS))
+        assert sol.families and all(e.indices.is_empty() for e in sol.families)
 
     def test_irrational_radicand_is_vacuous(self):
         # A negative whose curve data does not split leaves the set alone.
@@ -507,10 +512,7 @@ def check_poly_differential(rng, count, bound):
         sys_ = random_poly_system(rng)
         v = decide_prepared(sys_.clone(), opts)
         if v.is_sat:
-            x = v.witness
-            m, r = sys_.substitution
-            assert (x - r) % m == 0
-            assert eval_system_directly(sys_, (x - r) // m), (i, sys_, v)
+            assert system_satisfied_at(sys_, v.witness), (i, sys_, v)
         witness = brute_first_witness(sys_, bound)
         if witness is not None:
             assert not v.is_unsat, (i, sys_, v, witness)

@@ -25,13 +25,13 @@ from unipres.formula import normalize
 from conftest import (
     brute_first_witness,
     decide_prepared,
-    eval_system_directly,
     no_similar_powers,
     oracle_hits,
     pow_atom,
     random_mixed_system,
     random_power_system,
     stream_prefix,
+    system_satisfied_at,
 )
 
 OPTS = SolveOptions(enum_bound=2000, scan_cap=20_000, value_bits=4000)
@@ -363,7 +363,7 @@ class TestDecide:
         sys_ = ConstraintSystem(lower=-5, positives=[pow_atom(4, 16, 0)], negatives=[pow_atom(2, 3, 0)])
         v = decide_prepared(sys_, OPTS)
         assert v.is_sat and v.witness == 1
-        assert not eval_system_directly(sys_, 0)  # 3*0 = 0 is a square
+        assert not system_satisfied_at(sys_, 0)  # 3*0 = 0 is a square
 
     def test_scan_visits_abs_order_above_a_negative_bound(self):
         # 0 is a square, so the scan moves on to -1 before 1 and -2.
@@ -396,6 +396,40 @@ class TestDecide:
         assert v == Verdict.unknown("candidate values exceeded the size cap", 8)
         assert sys_.trace[-1] == "witness-scan:value-cap"
 
+    def test_bounded_system_answers_its_least_witness(self, rng):
+        # Whatever the substitution, a bounded system answers the least
+        # (|x|, x) witness among its first enum_bound points in (|y|, y)
+        # order, found by the oracle; a miss is unknown on a wider
+        # interval and unsat otherwise.  Atoms may keep a < 0.
+        def atom():
+            return pow_atom(rng.randint(2, 3), rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(-30, 30))
+
+        statuses = set()
+        for _ in range(400):
+            lo = rng.randint(-40, 40)
+            hi = lo + rng.randint(2, 60)
+            M, r = rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(-12, 12)
+            sys_ = ConstraintSystem(
+                lower=lo,
+                upper=hi,
+                positives=[atom() for _ in range(rng.randint(0, 2))],
+                negatives=[atom() for _ in range(rng.randint(0, 1))],
+                substitution=(M, r),
+            )
+            bound = rng.randint(1, 70)
+            tested = sorted(range(lo + 1, hi), key=lambda y: (abs(y), y))[:bound]
+            hits = [M * y + r for y in tested if system_satisfied_at(sys_, M * y + r)]
+            v = decide(sys_, SolveOptions(enum_bound=bound))
+            if hits:
+                assert v == Verdict.sat(min(hits, key=lambda x: (abs(x), x))), (sys_, bound)
+            elif hi - lo - 1 > bound:
+                assert v == Verdict.unknown("bounded interval wider than the enumeration bound", bound)
+                assert sys_.trace == ["interval:too-wide"]
+            else:
+                assert v.is_unsat and sys_.trace == [], (sys_, bound)
+            statuses.add(v.status)
+        assert statuses == {"sat", "unsat", "unknown"}
+
 
 @pytest.mark.slow
 def test_differential_power_suite_slow():
@@ -409,18 +443,12 @@ def check_differential_batch(rng, count, bound):
         sys_ = random_power_system(rng)
         v = decide_prepared(sys_.clone(), opts)
         if v.is_sat:
-            assert eval_system_directly(sys_, _pullback(sys_, v.witness)), (i, sys_, v)
+            assert system_satisfied_at(sys_, v.witness), (i, sys_, v)
         witness = brute_first_witness(sys_, bound)
         if witness is not None:
             assert not v.is_unsat, (i, sys_, v, witness)
         if v.is_unsat:
             assert witness is None, (i, sys_, v, witness)
-
-
-def _pullback(system, x):
-    m, r = system.substitution
-    assert (x - r) % m == 0
-    return (x - r) // m
 
 
 def test_differential_power_smoke(rng):
@@ -436,7 +464,7 @@ def test_differential_mixed_power_and_predicate(rng):
         sys_ = random_mixed_system(rng)
         v = decide_prepared(sys_.clone(), opts)
         if v.is_sat:
-            assert eval_system_directly(sys_, _pullback(sys_, v.witness)), (i, sys_, v)
+            assert system_satisfied_at(sys_, v.witness), (i, sys_, v)
         witness = brute_first_witness(sys_, 2000)
         if witness is not None:
             assert not v.is_unsat, (i, sys_, v, witness)
