@@ -178,6 +178,12 @@ class PolyAtom:
     PolyAtom(k, 0, a, b, 1, 0).  While normalizing, a may be zero or
     negative, and a bounded system keeps such atoms; the systems without
     an `upper`, which `prepare` and `solve_positive` see, carry a > 0.
+
+    `holds` goes from x to u, by root extraction.  The other direction,
+    from lattice points u to their images x, is a listing that the
+    bounded walks of `power_solver` use, for the walked atom and to
+    intersect with the atoms that filter it (`power_solver._keep`); it is
+    not a second point test.
     """
 
     degree: int    # >= 2

@@ -604,35 +604,81 @@ def _quad_pair_solution(first: PolyAtom, second: PolyAtom, label: str) -> Soluti
     return SolutionSet(label + ":pell", True, tuple(entries))
 
 
+# The lattice images of an atom are listed, and the xs kept by set
+# membership, while its lattice count is at most this multiple of the xs
+# left; above it each x is tested by `PolyAtom.holds`, which bisects for a
+# cubic with a linear part and costs about one root extraction otherwise.
+_LIST_RATIO_LINEAR = 32
+_LIST_RATIO_POWER = 1
+
+
+def _lattice_images(atom: PolyAtom, R: int) -> list[int]:
+    """The integers x = (f(u) - b) / a of the atom's lattice points |u| <= R.
+
+    When f is even and the lattice is closed under negation, u and -u give
+    the same x, so the listing starts at the least u >= 0.
+    """
+    d, lin, a, b, q, r = atom.degree, atom.lin, atom.a, atom.b, atom.stride, atom.offset
+    if d % 2 == 0 and (2 * r) % q == 0:
+        us = range(r, R + 1, q)
+    else:
+        us = range(-R + (r + R) % q, R + 1, q)
+    if lin:
+        return [n // a for u in us if (n := u * (u * u + lin) - b) % a == 0]
+    return [n // a for u in us if (n := u**d - b) % a == 0]
+
+
+def _image_radius(atom: PolyAtom, lo: int, hi: int) -> int:
+    """A radius R such that every u with f(u) = a*x + b for some
+    lo <= x <= hi has |u| <= R.
+
+    With M the largest |a*x + b| on the window, |u|^d <= M for f = u^d.  For
+    a cubic with a linear part, |u| >= c + isqrt(|lin|) + 2 with
+    c = floor_root(M, 3) gives u*u - |lin| > (c + 1)^2 and so
+    |f(u)| > (c + 1)^3 > M, the window argument of `depressed_cubic_roots`.
+    """
+    M = max(abs(atom.a * lo + atom.b), abs(atom.a * hi + atom.b))
+    R = floor_root(M, atom.degree)
+    return R + math.isqrt(abs(atom.lin)) + 2 if atom.lin else R
+
+
+def _keep(xs, atoms) -> set[int]:
+    """The xs at which every atom holds.
+
+    Each atom filters by image intersection, its lattice images over the
+    window [min xs, max xs] (`_image_radius`, `_lattice_images`), unless
+    its lattice count there exceeds `_LIST_RATIO_*` times the xs left;
+    then each x is tested by `PolyAtom.holds`.
+    """
+    for at in atoms:
+        if not xs:
+            break
+        R = _image_radius(at, min(xs), max(xs))
+        ratio = _LIST_RATIO_LINEAR if at.lin else _LIST_RATIO_POWER
+        if 2 * R // at.stride + 1 > ratio * len(xs):
+            xs = [x for x in xs if at.holds(x)]
+        else:
+            xs = set(_lattice_images(at, R)).intersection(xs)
+    return set(xs)
+
+
 def _bounded_curve(walked: PolyAtom, rest, options: SolveOptions, label: str) -> SolutionSet:
     """The x of the walked atom's lattice points u with |u| <= enum_bound
     at which every atom of `rest` holds.
 
-    When f is even and the lattice is closed under negation, u and -u
-    give the same x, so the walk starts at the least u >= 0.  Each atom of
-    `rest` is tested by `PolyAtom.holds`, one root extraction for an atom
-    of power shape.
+    The walk lists the walked atom's images (`_lattice_images`), and
+    `_keep` filters them by each atom of `rest`, by image intersection or
+    by `PolyAtom.holds`; the set is the same either way.
     """
-    H = options.enum_bound
-    d, lin, a, b, q, r = walked.degree, walked.lin, walked.a, walked.b, walked.stride, walked.offset
-    if d % 2 == 0 and (2 * r) % q == 0:
-        us = range(r, H + 1, q)
-    else:
-        us = range(-H + (r + H) % q, H + 1, q)
-    if lin:
-        xs = [n // a for u in us if (n := u * (u * u + lin) - b) % a == 0]
-    else:
-        xs = [n // a for u in us if (n := u**d - b) % a == 0]
-    for at in rest:
-        xs = [x for x in xs if at.holds(x)]
-    return SolutionSet(label, False, values=tuple(sorted(set(xs))))
+    xs = _keep(_lattice_images(walked, options.enum_bound), rest)
+    return SolutionSet(label, False, values=tuple(sorted(xs)))
 
 
 def _filter_by_atoms(base: SolutionSet, extra, options: SolveOptions, label: str) -> SolutionSet:
-    """Pointwise-filter a base set by further atoms; keeps exactness flags honest."""
+    """Filter a base set by further atoms: finite values through `_keep`,
+    families pointwise along their member stream; keeps exactness flags honest."""
     if not base.families:
-        vals = tuple(x for x in base.values if all(at.holds(x) for at in extra))
-        return SolutionSet(label, base.complete, values=vals)
+        return SolutionSet(label, base.complete, values=tuple(sorted(_keep(base.values, extra))))
     found = []
     for i, x in enumerate(MemberStream(base, options)):
         if i >= options.scan_cap:
@@ -645,8 +691,13 @@ def _filter_by_atoms(base: SolutionSet, extra, options: SolveOptions, label: str
 
 
 def _walk(atoms, options: SolveOptions, label: str) -> SolutionSet:
-    """Bounded walk of the last cubic with a linear part, whose membership
-    test bisects, else of the last atom of highest degree; the rest filter."""
+    """Bounded walk of the last cubic with a linear part, else of the last
+    atom of highest degree; the rest filter (`_keep`).
+
+    A cubic with a linear part is walked because the walk lists its images
+    at one evaluation per u, while as a filter it would need its `holds`,
+    a bisection, wherever its lattice is too large to list.
+    """
     walked = ([at for at in atoms if at.lin] or atoms)[-1]
     return _bounded_curve(walked, [at for at in atoms if at is not walked], options, label)
 

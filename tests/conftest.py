@@ -158,3 +158,17 @@ def random_mixed_system(rng: random.Random) -> ConstraintSystem:
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
+
+
+@pytest.fixture
+def holds_calls(monkeypatch):
+    """The points at which `PolyAtom.holds` is called, in order."""
+    calls = []
+    holds = PolyAtom.holds
+
+    def counted(atom, x):
+        calls.append(x)
+        return holds(atom, x)
+
+    monkeypatch.setattr(PolyAtom, "holds", counted)
+    return calls

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from unipres import PolyAtom, SolveOptions, cli, oracle, parse
+from unipres import SolveOptions, cli, oracle, parse
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -65,6 +65,7 @@ GOLDEN = {
     "gessel_sat": (0, "sat", 169),
     "sign_paths": (0, "sat", 1),
     "simple_sat": (0, "sat", 4),
+    "three_cubics": (2, "unknown", None),
     "wide_interval": (0, "sat", 1),
 }
 
@@ -89,20 +90,6 @@ def test_coalesced_power_fixture_at_the_default_bound(capsys):
     assert capsys.readouterr().out == "sat x=30\n"
 
 
-@pytest.fixture
-def holds_calls(monkeypatch):
-    """The points at which `PolyAtom.holds` is called, in order."""
-    calls = []
-    holds = PolyAtom.holds
-
-    def counted(atom, x):
-        calls.append(x)
-        return holds(atom, x)
-
-    monkeypatch.setattr(PolyAtom, "holds", counted)
-    return calls
-
-
 def test_wide_interval_scan_stops_at_its_first_witness(capsys, holds_calls):
     # 0 < x < 10^8 at the default bound: x = 1 is a square, and no later
     # point of the (|y|, y) walk can give a smaller |x|.
@@ -116,6 +103,14 @@ def test_wide_interval_without_a_hit_tests_its_first_bound_points(holds_calls):
     v = cli.solve_formula(f, SolveOptions(enum_bound=1000)).verdict
     assert (v.status, v.bound) == ("unknown", 1000)
     assert holds_calls == list(range(1, 1001))
+
+
+def test_three_cubics_walk_at_a_wide_bound(capsys):
+    # Each system walks 2*10^5 + 1 points of one cubic with a linear part
+    # and intersects them with the lattice images of the other.
+    assert cli.main(["--bound", "100000", str(FIXTURES / "three_cubics.sexp")]) == cli.EXIT_UNKNOWN
+    out = "unknown (bounded enumeration (poly:multi:bounded) found no witness, bound=100000)\n"
+    assert capsys.readouterr().out == out
 
 
 @pytest.mark.parametrize("flag", ["--bound", "--scan-cap"])

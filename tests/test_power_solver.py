@@ -13,6 +13,7 @@ from unipres.power_solver import (
     decide,
     is_redundant,
     _bounded_curve,
+    _image_radius,
     _turn_bound,
     image_polys,
     solve_positive,
@@ -298,14 +299,59 @@ class TestBoundedWalk:
             got = _bounded_curve(atom, [], SolveOptions(enum_bound=H), "t")
             assert got.values == tuple(sorted(want)), (atom, H)
 
-    def test_walk_filters_by_the_rest(self, rng):
-        for _ in range(100):
-            walked = pow_atom(rng.randint(2, 6), rng.randint(1, 4), rng.randint(-10, 10))
-            rest = [pow_atom(rng.randint(2, 3), rng.randint(1, 4), rng.randint(-10, 10)),
-                    PolyAtom(3, rng.randint(-6, 6), rng.randint(1, 4), rng.randint(-10, 10), 2, 1)]
-            full = _bounded_curve(walked, [], SolveOptions(enum_bound=40), "t")
-            got = _bounded_curve(walked, rest, SolveOptions(enum_bound=40), "t")
-            assert got.values == tuple(x for x in full.values if all(oracle.atom_eval(a, x) for a in rest))
+    @staticmethod
+    def random_lattice_atom(rng, x: int) -> PolyAtom:
+        """A random atom whose lattice images hold x."""
+        degree = rng.randint(2, 6)
+        stride = rng.randint(1, 5)
+        lin = rng.randint(-400, 400) if degree == 3 else 0
+        a, offset = rng.randint(1, 50), rng.randrange(stride)
+        u = rng.randint(-10, 10) * stride + offset
+        return PolyAtom(degree, lin, a, u**degree + lin * u - a * x, stride, offset)
+
+    def test_walk_filters_by_the_rest(self, rng, holds_calls):
+        # A reference filter on the unfiltered walk: the oracle at each x.
+        kept = listed = 0
+        for _ in range(300):
+            walked = self.random_lattice_atom(rng, rng.randint(-100, 100))
+            opts = SolveOptions(enum_bound=rng.randint(55, 90))
+            full = _bounded_curve(walked, [], opts, "t").values
+            rest = [self.random_lattice_atom(rng, rng.choice(full)) for _ in range(rng.randint(1, 2))]
+            before = len(holds_calls)
+            got = _bounded_curve(walked, rest, opts, "t")
+            assert got.values == tuple(x for x in full if all(oracle.atom_eval(a, x) for a in rest)), (walked, rest)
+            kept += bool(got.values)
+            listed += len(holds_calls) == before
+        # Both filters ran, and the walks kept something.
+        assert listed > 20 and len(holds_calls) > 1000 and kept > 100, (listed, len(holds_calls), kept)
+
+    def test_a_dense_cubic_filters_by_its_images(self, holds_calls):
+        # x = u^3 over |u| <= 1000 against v^3 - 7v: 2,009 lattice points
+        # against 2,001 xs, so the cubic is listed and `holds` never runs.
+        rest = [PolyAtom(3, -7, 1, 0, 1, 0)]
+        got = _bounded_curve(pow_atom(3, 1, 0), rest, SolveOptions(enum_bound=1000), "t")
+        assert holds_calls == []
+        assert got.values == tuple(u**3 for u in range(-1000, 1001) if oracle.atom_eval(rest[0], u**3))
+
+    def test_a_sparse_square_filters_by_holds(self, holds_calls):
+        # x = u^6 for 0 <= u <= 50 against squares: 250,001 lattice points
+        # against 51 xs, so each x is tested once.
+        got = _bounded_curve(pow_atom(6, 1, 0), [pow_atom(2, 1, 0)], SolveOptions(enum_bound=50), "t")
+        assert got.values == tuple(u**6 for u in range(51))
+        assert sorted(holds_calls) == list(got.values)
+
+    def test_image_radius_bounds_every_root(self, rng):
+        # Every u with f(u) = a*x + b for x in the window has |u| <= R.
+        us = range(-300, 301)
+        for _ in range(300):
+            at = self.random_lattice_atom(rng, rng.randint(-10**4, 10**4))
+            xs = [f // at.a for u in us if (f := u**at.degree + at.lin * u - at.b) % at.a == 0]
+            lo, hi = sorted(rng.choice(xs) for _ in range(2))
+            R = _image_radius(at, lo, hi)
+            for u in us:
+                f = u**at.degree + at.lin * u - at.b
+                if f % at.a == 0 and lo <= f // at.a <= hi:
+                    assert abs(u) <= R, (at, lo, hi, u)
 
 
 def test_oracle_and_holds_find_every_root_of_every_degree(rng):
