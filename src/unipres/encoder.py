@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 
 from ._ast import ParseError
-from .formula import SToken, read_sexprs
+from .formula import _read_and_parse, _where
 from .numtheory import kth_root
 
 __all__ = [
@@ -569,28 +569,32 @@ def parse_poly(text: str) -> MultiPoly:
     """Polynomial from the term grammar extended with variables and products.
 
     TERM := xK | INT | (+ TERM+) | (- TERM TERM) | (- TERM) | (* TERM TERM+)
+
+    As in `formula.parse`, positions exist only on the located pass, which
+    runs after a `ParseError`.
     """
-    exprs = read_sexprs(text)
-    if len(exprs) != 1:
-        raise ParseError("expected exactly one polynomial term")
+
+    def term(exprs) -> dict:
+        if len(exprs) != 1:
+            raise ParseError("expected exactly one polynomial term")
+        return walk(exprs[0])
 
     def walk(node) -> dict:
         # Keys are sorted tuples of variable indices (with multiplicity).
-        if isinstance(node, SToken):
-            s = node.text
-            if s.startswith("x") and s[1:].isdigit() and int(s[1:]) >= 1:
-                return {(int(s[1:]),): 1}
+        if isinstance(node, str):
+            if node.startswith("x") and node[1:].isdigit() and int(node[1:]) >= 1:
+                return {(int(node[1:]),): 1}
             try:
-                return {(): int(s)} if int(s) else {}
+                return {(): int(node)} if int(node) else {}
             except ValueError:
-                raise ParseError(f"unknown symbol '{s}'", node.line, node.col) from None
+                raise ParseError(f"unknown symbol '{node}'", *_where(node)) from None
         if not node:
             raise ParseError("empty term")
-        head = node[0].text if isinstance(node[0], SToken) else None
+        head = node[0] if isinstance(node[0], str) else None
         args = node[1:]
         if head == "+":
             if not args:
-                raise ParseError("(+) needs arguments", *_tok_pos(node))
+                raise ParseError("(+) needs arguments", *_where(head))
             out: dict = {}
             for a in args:
                 for k, v in walk(a).items():
@@ -604,10 +608,10 @@ def parse_poly(text: str) -> MultiPoly:
                 for k, v in walk(args[1]).items():
                     out[k] = out.get(k, 0) - v
                 return out
-            raise ParseError("(-) takes one or two arguments", *_tok_pos(node))
+            raise ParseError("(-) takes one or two arguments", *_where(head))
         if head == "*":
             if len(args) < 2:
-                raise ParseError("(*) needs two or more arguments", *_tok_pos(node))
+                raise ParseError("(*) needs two or more arguments", *_where(head))
             out = {(): 1}
             for a in args:
                 nxt: dict = {}
@@ -618,9 +622,9 @@ def parse_poly(text: str) -> MultiPoly:
                         nxt[k] = nxt.get(k, 0) + v1 * v2
                 out = nxt
             return out
-        raise ParseError(f"unknown operator '{head}'", *_tok_pos(node))
+        raise ParseError(f"unknown operator '{head}'", *_where(head))
 
-    raw = walk(exprs[0])
+    raw = _read_and_parse(text, term)
     nvars = max((max(k) for k in raw if k), default=1)
     out: dict = {}
     for idx, c in raw.items():
@@ -634,11 +638,6 @@ def parse_poly(text: str) -> MultiPoly:
 
 def _mul_keys(k1, k2):
     return tuple(sorted(k1 + k2))
-
-
-def _tok_pos(node):
-    t = node[0]
-    return (t.line, t.col) if isinstance(t, SToken) else (None, None)
 
 
 def format_square_formula(f) -> str:

@@ -85,20 +85,23 @@ __all__ = [
 # S-expression reading.
 
 
-class SToken:
+class SToken(str):
     """A symbol or parenthesis of the source text, with its offset.
 
-    `line` and `col` (both 1-based) are computed from the offset only when
-    they are read, which is when an error message needs them.  Columns
-    count characters, so a tab or a carriage return is one column.
+    Positions exist only on the located pass, which reads the text into
+    `SToken`s after parsing its plain `str` leaves raised `ParseError`.
+    `line` and `col` (1-based) are computed from the offset when read;
+    columns count characters, so a tab or a carriage return is one column.
     """
 
-    __slots__ = ("text", "off", "src")
+    def __new__(cls, text: str, off: int, src: str):
+        tok = super().__new__(cls, text)
+        tok.off, tok.src = off, src
+        return tok
 
-    def __init__(self, text: str, off: int, src: str):
-        self.text = text
-        self.off = off
-        self.src = src
+    @property
+    def text(self) -> str:
+        return str(self)
 
     @property
     def line(self) -> int:
@@ -116,43 +119,57 @@ class SToken:
 _TOKEN = re.compile(r"[()]|[^ \t\r\n();]+|;[^\n]*")
 
 
-def read_sexprs(text: str) -> list:
-    """All top-level s-expressions; nested lists of SToken leaves."""
+def read_sexprs(text: str, located: bool = True) -> list:
+    """All top-level s-expressions: nested lists of `SToken` leaves, or of
+    plain `str` leaves (no positions, faster to build) with `located=False`."""
+    if located:
+        tokens = [SToken(m.group(), m.start(), text) for m in _TOKEN.finditer(text)]
+    else:
+        tokens = _TOKEN.findall(text)
     top: list = []
     current = top
-    stack: list[tuple[list, int]] = []  # (enclosing list, offset of the open '(')
-    for m in _TOKEN.finditer(text):
-        tok = m.group()
+    stack: list[tuple[list, str]] = []  # (enclosing list, its open '(')
+    for tok in tokens:
         if tok == "(":
             items: list = []
             current.append(items)
-            stack.append((current, m.start()))
+            stack.append((current, tok))
             current = items
         elif tok == ")":
             if not stack:
-                where = SToken(tok, m.start(), text)
-                raise ParseError("unexpected ')'", where.line, where.col)
+                raise ParseError("unexpected ')'", *_where(tok))
             current = stack.pop()[0]
         elif tok[0] != ";":
-            current.append(SToken(tok, m.start(), text))
+            current.append(tok)
     if stack:
-        where = SToken("(", stack[-1][1], text)
-        raise ParseError("unclosed '('", where.line, where.col)
+        raise ParseError("unclosed '('", *_where(stack[-1][1]))
     return top
 
 
-def _pos(node) -> tuple[int | None, int | None]:
+def _read_and_parse(text: str, parse_tree, *args):
+    """`parse_tree(exprs, *args)` of the s-expressions of `text`, read with plain
+    `str` leaves; after a `ParseError`, the located pass reads and parses the
+    text again, which raises the same error with its line and column."""
+    try:
+        return parse_tree(read_sexprs(text, located=False), *args)
+    except ParseError:
+        return parse_tree(read_sexprs(text), *args)
+
+
+def _where(node) -> tuple[int | None, int | None]:
+    """(line, col) of the first leaf of a node; (None, None) when that leaf
+    is a plain `str` or the node is an empty list."""
     while isinstance(node, list):
         if not node:
             return None, None
         node = node[0]
-    return node.line, node.col
+    return (node.line, node.col) if isinstance(node, SToken) else (None, None)
 
 
 def _expect_symbol(node, what: str) -> str:
-    if not isinstance(node, SToken):
-        raise ParseError(f"expected {what}", *_pos(node))
-    return node.text
+    if not isinstance(node, str):
+        raise ParseError(f"expected {what}", *_where(node))
+    return node
 
 
 def _parse_int(node) -> int:
@@ -160,7 +177,7 @@ def _parse_int(node) -> int:
     try:
         return int(s)
     except ValueError:
-        raise ParseError(f"expected an integer, got '{s}'", node.line, node.col) from None
+        raise ParseError(f"expected an integer, got '{s}'", *_where(node)) from None
 
 
 def _parse_rational(node) -> Fraction:
@@ -171,7 +188,7 @@ def _parse_rational(node) -> Fraction:
             return Fraction(int(num), int(den))
         return Fraction(int(s))
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"expected a rational, got '{s}'", node.line, node.col) from None
+        raise ParseError(f"expected a rational, got '{s}'", *_where(node)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -184,16 +201,15 @@ def _parse_term(node, var: str) -> LinTerm:
 
 def _term_pair(node, var: str) -> tuple[int, int]:
     """(a, b) of the term a*x + b."""
-    if isinstance(node, SToken):
-        if node.text == var:
+    if isinstance(node, str):
+        if node == var:
             return 1, 0
         try:
-            return 0, int(node.text)
+            return 0, int(node)
         except ValueError:
             raise ParseError(
-                f"unknown symbol '{node.text}' in term (the bound variable is '{var}')",
-                node.line,
-                node.col,
+                f"unknown symbol '{node}' in term (the bound variable is '{var}')",
+                *_where(node),
             ) from None
     if not node:
         raise ParseError("empty term")
@@ -201,7 +217,7 @@ def _term_pair(node, var: str) -> tuple[int, int]:
     args = node[1:]
     if head == "+":
         if not args:
-            raise ParseError("(+) needs arguments", node[0].line, node[0].col)
+            raise ParseError("(+) needs arguments", *_where(node[0]))
         a = b = 0
         for arg in args:
             da, db = _term_pair(arg, var)
@@ -216,85 +232,87 @@ def _term_pair(node, var: str) -> tuple[int, int]:
             a, b = _term_pair(args[0], var)
             da, db = _term_pair(args[1], var)
             return a - da, b - db
-        raise ParseError("(-) takes one or two arguments", node[0].line, node[0].col)
+        raise ParseError("(-) takes one or two arguments", *_where(node[0]))
     if head == "*":
         if len(args) != 2:
-            raise ParseError("(*) takes an integer and a term", node[0].line, node[0].col)
+            raise ParseError("(*) takes an integer and a term", *_where(node[0]))
         c = _parse_int(args[0])
         a, b = _term_pair(args[1], var)
         return c * a, c * b
-    raise ParseError(f"unknown term operator '{head}'", node[0].line, node[0].col)
+    raise ParseError(f"unknown term operator '{head}'", *_where(node[0]))
 
 
 def _parse_body(node, var: str, decls: dict[str, PredicateDecl]):
-    if isinstance(node, SToken):
-        raise ParseError(f"expected a formula, got '{node.text}'", node.line, node.col)
+    if isinstance(node, str):
+        raise ParseError(f"expected a formula, got '{node}'", *_where(node))
     if not node:
         raise ParseError("empty formula")
     head = _expect_symbol(node[0], "a connective or atom")
     args = node[1:]
     if head in ("and", "or"):
         if not args:
-            raise ParseError(f"({head}) needs arguments", node[0].line, node[0].col)
+            raise ParseError(f"({head}) needs arguments", *_where(node[0]))
         parts = tuple(_parse_body(a, var, decls) for a in args)
         return And(parts) if head == "and" else Or(parts)
     if head == "not":
         if len(args) != 1:
-            raise ParseError("(not) takes one argument", node[0].line, node[0].col)
+            raise ParseError("(not) takes one argument", *_where(node[0]))
         return Not(_parse_body(args[0], var, decls))
     if head in ("=", "<", ">"):
         if len(args) != 2:
-            raise ParseError(f"({head}) takes two terms", node[0].line, node[0].col)
+            raise ParseError(f"({head}) takes two terms", *_where(node[0]))
         return Cmp(head, _parse_term(args[0], var), _parse_term(args[1], var))
     if head == "mod":
         if len(args) != 3:
-            raise ParseError("(mod) takes a term, a modulus, and a residue", node[0].line, node[0].col)
+            raise ParseError("(mod) takes a term, a modulus, and a residue", *_where(node[0]))
         term = _parse_term(args[0], var)
         m = _parse_int(args[1])
         r = _parse_int(args[2])
         if m < 2:
-            raise ParseError(f"modulus must be >= 2, got {m}", *_pos(args[1]))
+            raise ParseError(f"modulus must be >= 2, got {m}", *_where(args[1]))
         return ModAtomNode(term, m, r % m)
     if head == "pow":
         if len(args) != 2:
-            raise ParseError("(pow) takes an exponent and a term", node[0].line, node[0].col)
+            raise ParseError("(pow) takes an exponent and a term", *_where(node[0]))
         k = _parse_int(args[0])
         if k < 2:
-            raise ParseError(f"power exponent must be >= 2, got {k}", *_pos(args[0]))
+            raise ParseError(f"power exponent must be >= 2, got {k}", *_where(args[0]))
         return PowAtomNode(k, _parse_term(args[1], var))
     if head == "pred":
         if len(args) != 2:
-            raise ParseError("(pred) takes a name and a term", node[0].line, node[0].col)
+            raise ParseError("(pred) takes a name and a term", *_where(node[0]))
         name = _expect_symbol(args[0], "a predicate name")
         if name not in decls:
-            raise ParseError(f"unknown predicate '{name}'", args[0].line, args[0].col)
+            raise ParseError(f"unknown predicate '{name}'", *_where(args[0]))
         return PredAtomNode(name, _parse_term(args[1], var))
-    raise ParseError(f"unknown form '{head}'", node[0].line, node[0].col)
+    raise ParseError(f"unknown form '{head}'", *_where(node[0]))
 
 
 def parse(text: str) -> Formula:
-    """Parse declarations followed by exactly one sentence."""
-    return _parse_formulas(text, multi=False)[0]
+    """Parse declarations followed by exactly one sentence.
+
+    Positions exist only on the located pass, which runs after a `ParseError` (see `SToken`).
+    """
+    return _read_and_parse(text, _parse_formulas, False)[0]
 
 
 def parse_multi(text: str) -> list[Formula]:
     """Declarations and any number of sentences; each sentence sees the declarations before it."""
-    return _parse_formulas(text, multi=True)
+    return _read_and_parse(text, _parse_formulas, True)
 
 
-def _parse_formulas(text: str, multi: bool) -> list[Formula]:
-    exprs = read_sexprs(text)
+def _parse_formulas(exprs: list, multi: bool) -> list[Formula]:
     if not exprs:
         raise ParseError("no sentence found")
     decls: dict[str, PredicateDecl] = {}
     out = []
     for i, e in enumerate(exprs):
-        if isinstance(e, list) and e and isinstance(e[0], SToken) and e[0].text == "declare-pred":
+        if isinstance(e, list) and e and e[0] == "declare-pred":
             decl = _parse_decl(e)
             decls[decl.name] = decl
             continue
         if not multi and i + 1 < len(exprs):
-            raise ParseError("more than one sentence; use --multi for batches", *_pos(exprs[i + 1]))
+            raise ParseError("more than one sentence; use --multi for batches", *_where(exprs[i + 1]))
         out.append(Formula(tuple(decls.values()), _parse_sentence(e, decls)))
     if not out:
         raise ParseError("no sentence found" if multi else "no sentence found after declarations")
@@ -303,7 +321,7 @@ def _parse_formulas(text: str, multi: bool) -> list[Formula]:
 
 def _parse_decl(e: list) -> PredicateDecl:
     if len(e) != 3:
-        raise ParseError("(declare-pred NAME (coeffs ...))", e[0].line, e[0].col)
+        raise ParseError("(declare-pred NAME (coeffs ...))", *_where(e[0]))
     name = _expect_symbol(e[1], "a predicate name")
     spec = e[2]
     if (
@@ -312,18 +330,22 @@ def _parse_decl(e: list) -> PredicateDecl:
         or _expect_symbol(spec[0], "coeffs") != "coeffs"
         or len(spec) < 2
     ):
-        raise ParseError("expected (coeffs c_d ... c_0)", *_pos(spec))
-    return PredicateDecl(name, tuple(_parse_rational(c) for c in spec[1:]))
+        raise ParseError("expected (coeffs c_d ... c_0)", *_where(spec))
+    coeffs = tuple(_parse_rational(c) for c in spec[1:])
+    try:
+        return PredicateDecl(name, coeffs)
+    except ParseError as exc:  # a check of the declared polynomial, which has no position
+        raise ParseError(str(exc), *_where(e[0])) from None
 
 
 def _parse_sentence(node, decls) -> Quant:
-    if isinstance(node, SToken):
-        raise ParseError("expected (exists x ...) or (forall x ...)", node.line, node.col)
+    if isinstance(node, str):
+        raise ParseError("expected (exists x ...) or (forall x ...)", *_where(node))
     if len(node) != 3:
-        raise ParseError("a sentence is (exists VAR BODY) or (forall VAR BODY)", *_pos(node))
+        raise ParseError("a sentence is (exists VAR BODY) or (forall VAR BODY)", *_where(node))
     kind = _expect_symbol(node[0], "a quantifier")
     if kind not in ("exists", "forall"):
-        raise ParseError(f"expected exists/forall, got '{kind}'", node[0].line, node[0].col)
+        raise ParseError(f"expected exists/forall, got '{kind}'", *_where(node[0]))
     var = _expect_symbol(node[1], "a variable name")
     body = _parse_body(node[2], var, decls)
     return Quant(kind, var, body)

@@ -379,9 +379,12 @@ def _poly_eval(coeffs: Sequence[int], x: int) -> int:
 def _taylor_shift(coeffs: Sequence[int], w: int, scale: int = 1) -> list[int]:
     """Ascending coefficients in t of the polynomial at u = w + scale*t."""
     cs = list(coeffs)
-    for i in range(len(cs) - 1):
-        for j in range(len(cs) - 2, i - 1, -1):
-            cs[j] += w * cs[j + 1]
+    if w:  # the O(d^2) shift; at w = 0 every step adds 0
+        for i in range(len(cs) - 1):
+            for j in range(len(cs) - 2, i - 1, -1):
+                cs[j] += w * cs[j + 1]
+    if scale == 1:
+        return cs
     return [c * scale**i for i, c in enumerate(cs)]
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from unipres._ast import ConstraintSystem, PolyAtom, PredicateDecl
 from unipres import cli, oracle
+from unipres.formula import SToken
 from unipres.poly_solver import depress_ascending, prepare
 from unipres.power_solver import MemberStream, decide, similar
 
@@ -172,3 +173,17 @@ def holds_calls(monkeypatch):
 
     monkeypatch.setattr(PolyAtom, "holds", counted)
     return calls
+
+
+@pytest.fixture
+def stokens_built(monkeypatch):
+    """The texts of the `SToken`s built, in order; only a located reading builds them."""
+    built = []
+    new = SToken.__new__
+
+    def counted(cls, text, off, src):
+        built.append(text)
+        return new(cls, text, off, src)
+
+    monkeypatch.setattr(SToken, "__new__", counted)
+    return built

@@ -1,3 +1,4 @@
+import time
 from pathlib import Path
 
 import pytest
@@ -111,6 +112,16 @@ def test_three_cubics_walk_at_a_wide_bound(capsys):
     assert cli.main(["--bound", "100000", str(FIXTURES / "three_cubics.sexp")]) == cli.EXIT_UNKNOWN
     out = "unknown (bounded enumeration (poly:multi:bounded) found no witness, bound=100000)\n"
     assert capsys.readouterr().out == out
+
+
+def test_a_large_power_exponent_answers_at_once(tmp_path, capsys):
+    # The lattice of u^10000 needs no shift and no rescaling, so its 10001
+    # coefficients are not walked in O(d^2) steps (which took seconds).
+    path = write(tmp_path, "pow.sexp", "(exists x (pow 10000 x))")
+    start = time.perf_counter()
+    assert cli.main(["--bound", "200", path]) == cli.EXIT_SAT
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().out == "sat x=0\n"
 
 
 @pytest.mark.parametrize("flag", ["--bound", "--scan-cap"])

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from unipres import ParseError, PolyAtom, SolveOptions, Verdict, decide, format_formula, normalize, parse
-from unipres import poly_solver
+from unipres import encoder, formula, poly_solver
 from unipres.cli import solve_formula
 from unipres._ast import Cmp, LinTerm, PredAtomNode, PredicateDecl, Quant
 from unipres import oracle
 from unipres.encoder import parse_poly
-from unipres.formula import parse_multi, read_sexprs
+from unipres.formula import SToken, parse_multi, read_sexprs
 from unipres.numtheory import integer_roots
 
 from conftest import no_similar_powers, system_satisfied_at
@@ -410,6 +410,130 @@ def test_read_sexprs_token_structure():
 def test_parse_poly_unknown_symbol_position():
     msg, line, col = _error_at("(+ x1\n  ; c (\n  (* 2 y))", parser=parse_poly)
     assert msg == "unknown symbol 'y' at 3:8" and (line, col) == (3, 8)
+
+
+# One malformed input for each `raise ParseError` of the reader and the
+# parsers, with its message and (line, col).
+PARSE_ERRORS = [
+    (parse, "(exists x\n  (> x 0)))", "unexpected ')' at 2:11", 2, 11),
+    (parse, "(exists x\n\t(and (> x 0)\n\t (pow 2 x)", "unclosed '(' at 2:2", 2, 2),
+    (parse, "(exists x (> ((x)) 0))", "expected a term operator at 1:16", 1, 16),
+    (parse, "(exists x\n  ((and) (> x 0)))", "expected a connective or atom at 2:5", 2, 5),
+    (parse, "(exists x (() (> x 0)))", "expected a connective or atom", None, None),
+    (parse, "(exists x (pred (T) x))", "expected a predicate name at 1:18", 1, 18),
+    (parse, "(declare-pred T ((coeffs) 1 0)) (exists x (> x 0))", "expected coeffs at 1:19", 1, 19),
+    (parse, "((exists) x (> x 0))", "expected a quantifier at 1:3", 1, 3),
+    (parse, "(exists (x) (> x 0))", "expected a variable name at 1:10", 1, 10),
+    (parse, "(exists x (mod x (7) 1))", "expected an integer at 1:19", 1, 19),
+    (parse, "(declare-pred T (coeffs (1) 0 0)) (exists x (pred T x))", "expected a rational at 1:26", 1, 26),
+    (parse, "(exists x (pow two x))", "expected an integer, got 'two' at 1:16", 1, 16),
+    (parse, "(declare-pred T\n (coeffs 1/0 0 0)) (exists x (pred T x))", "expected a rational, got '1/0' at 2:10", 2, 10),
+    (parse, "(exists x ; body\r\n\t(> x\ty))", "unknown symbol 'y' in term (the bound variable is 'x') at 2:7", 2, 7),
+    (parse, "(exists x (> () 0))", "empty term", None, None),
+    (parse, "(exists x (> (+) 0))", "(+) needs arguments at 1:15", 1, 15),
+    (parse, "(exists x (> (- x 1 2) 0))", "(-) takes one or two arguments at 1:15", 1, 15),
+    (parse, "(exists x (> (* 2) 0))", "(*) takes an integer and a term at 1:15", 1, 15),
+    (parse, "(exists x (> (/ x 2) 0))", "unknown term operator '/' at 1:15", 1, 15),
+    (parse, "(exists x true)", "expected a formula, got 'true' at 1:11", 1, 11),
+    (parse, "(exists x ())", "empty formula", None, None),
+    (parse, "(exists x (and))", "(and) needs arguments at 1:12", 1, 12),
+    (parse, "(exists x (not))", "(not) takes one argument at 1:12", 1, 12),
+    (parse, "(exists x (= x))", "(=) takes two terms at 1:12", 1, 12),
+    (parse, "(exists x (mod x 7))", "(mod) takes a term, a modulus, and a residue at 1:12", 1, 12),
+    (parse, "(exists x (mod x 1 0))", "modulus must be >= 2, got 1 at 1:18", 1, 18),
+    (parse, "(exists x (pow 2))", "(pow) takes an exponent and a term at 1:12", 1, 12),
+    (parse, "(exists x\n  (pow 1 x))", "power exponent must be >= 2, got 1 at 2:8", 2, 8),
+    (parse, "(exists x (pred T))", "(pred) takes a name and a term at 1:12", 1, 12),
+    (parse, "(exists x (pred T x))", "unknown predicate 'T' at 1:17", 1, 17),
+    (parse, "(exists x (foo x))", "unknown form 'foo' at 1:12", 1, 12),
+    (parse, "; nothing", "no sentence found", None, None),
+    (parse, "(exists x (> x 0))\n(exists x (> x 1))", "more than one sentence; use --multi for batches at 2:2", 2, 2),
+    (parse, "(declare-pred T (coeffs 1 0 0))", "no sentence found after declarations", None, None),
+    (parse, "(declare-pred T) (exists x (> x 0))", "(declare-pred NAME (coeffs ...)) at 1:2", 1, 2),
+    (parse, "(declare-pred T (coeffs)) (exists x (> x 0))", "expected (coeffs c_d ... c_0) at 1:18", 1, 18),
+    (parse, "(declare-pred T 3) (exists x (> x 0))", "expected (coeffs c_d ... c_0) at 1:17", 1, 17),
+    (parse, "exists", "expected (exists x ...) or (forall x ...) at 1:1", 1, 1),
+    (parse, "(exists x)", "a sentence is (exists VAR BODY) or (forall VAR BODY) at 1:2", 1, 2),
+    (parse, "(some x (> x 0))", "expected exists/forall, got 'some' at 1:2", 1, 2),
+    (parse_multi, " ", "no sentence found", None, None),
+    (parse_multi, "(declare-pred T (coeffs 1 0 0))", "no sentence found", None, None),
+    (parse_multi, "(exists x (> x 0)) (forall y (pow 1 y))", "power exponent must be >= 2, got 1 at 1:35", 1, 35),
+    (parse_poly, "x1 x2", "expected exactly one polynomial term", None, None),
+    (parse_poly, "(+ x1\n  (* 2 y))", "unknown symbol 'y' at 2:8", 2, 8),
+    (parse_poly, "(+ x1 ())", "empty term", None, None),
+    (parse_poly, "(* x1 (+))", "(+) needs arguments at 1:8", 1, 8),
+    (parse_poly, "(- x1 x2 x3)", "(-) takes one or two arguments at 1:2", 1, 2),
+    (parse_poly, "(* x1)", "(*) needs two or more arguments at 1:2", 1, 2),
+    (parse_poly, "(^ x1 2)", "unknown operator '^' at 1:2", 1, 2),
+    (parse_poly, "((+ x1) x2)", "unknown operator 'None'", None, None),
+    (parse_poly, "(+ x1 x2", "unclosed '(' at 1:1", 1, 1),
+    (parse_poly, "(+ x1 x2))", "unexpected ')' at 1:10", 1, 10),
+]
+
+
+@pytest.mark.parametrize(
+    "parser, text, message, line, col", PARSE_ERRORS, ids=[f"{p.__name__}-{i}" for i, (p, *_) in enumerate(PARSE_ERRORS)]
+)
+def test_parse_error_golden(parser, text, message, line, col):
+    assert _error_at(text, parser) == (message, line, col)
+
+
+@pytest.mark.parametrize("parser, text, message, line, col", [
+    (parse, "(declare-pred P (coeffs 0 1 0)) (exists x (pred P x))",
+     "predicate P: leading coefficient must be nonzero at 1:2", 1, 2),
+    (parse, "; c\n  (declare-pred P (coeffs 1 0 0 0 0))\n(exists x (pred P x))",
+     "predicate P: degree 4 exceeds 3 at 2:4", 2, 4),
+    (parse_multi, "(exists x (> x 0))\n(declare-pred P (coeffs 1/3 0 0))",
+     "predicate P is not integer-valued (f(1) = 1/3) at 2:2", 2, 2),
+])
+def test_declaration_errors_name_their_declare_pred(parser, text, message, line, col):
+    assert _error_at(text, parser) == (message, line, col)
+
+
+def _random_poly_text(rng: random.Random, depth: int) -> str:
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice((f"x{rng.randint(1, 3)}", str(rng.randint(-9, 9))))
+    op = rng.choice("+-*")
+    n = {"+": rng.randint(1, 3), "-": rng.randint(1, 2), "*": rng.randint(2, 3)}[op]
+    return f"({op} {' '.join(_random_poly_text(rng, depth - 1) for _ in range(n))})"
+
+
+def _leaf_types(node) -> set:
+    if isinstance(node, list):
+        return set().union(*map(_leaf_types, node)) if node else set()
+    return {type(node)}
+
+
+def _located_only(text, parse_tree, *args):
+    return parse_tree(read_sexprs(text), *args)
+
+
+def test_plain_and_located_leaves_give_the_same_trees(monkeypatch, stokens_built):
+    rng = random.Random(20261018)
+    sentences = [_random_formula(rng) for _ in range(300)]
+    polys = [_random_poly_text(rng, 3) for _ in range(300)]
+    for text in sentences + polys:
+        plain, located = read_sexprs(text, located=False), read_sexprs(text)
+        assert plain == located and _leaf_types(plain) == {str} and _leaf_types(located) == {SToken}
+    want = [parse(t) for t in sentences], [parse_poly(t) for t in polys]
+    stokens_built.clear()
+    monkeypatch.setattr(formula, "_read_and_parse", _located_only)
+    monkeypatch.setattr(encoder, "_read_and_parse", _located_only)
+    assert ([parse(t) for t in sentences], [parse_poly(t) for t in polys]) == want
+    assert len(stokens_built) > 600
+
+
+@pytest.mark.parametrize("parser, good, bad", [
+    (parse, "(declare-pred T (coeffs 1/2 1/2 0)) (exists x (or (pred T x) (mod x 7 3)))", "(exists x (pow 1 x))"),
+    (parse_multi, "(exists x (> x 0)) ; c\n(forall y (pow 2 y))", "(exists x (> x 0)) (forall y (> y z))"),
+    (parse_poly, "(+ (* x1 x2) (- x3 4))", "(+ x1 (* x2))"),
+])
+def test_only_a_parse_error_builds_located_tokens(parser, good, bad, stokens_built):
+    parser(good)
+    assert stokens_built == []
+    with pytest.raises(ParseError):
+        parser(bad)
+    assert stokens_built == formula._TOKEN.findall(bad)  # one located reading
 
 
 def test_sentence_count_errors():

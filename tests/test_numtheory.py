@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from unipres.numtheory import (
     ResidueClass,
+    _poly_eval,
+    _taylor_shift,
     crt_extended,
     depressed_cubic_roots,
     divisor_pairs,
@@ -292,3 +294,15 @@ def test_union_classes(rng):
         want = {u for u in range(L) if any(u % P in rs for P, rs in parts)}
         assert {r + period * k for r in residues for k in range(L // period)} == want, parts
         _assert_least_period(period, residues)
+
+
+def test_taylor_shift_agrees_with_direct_evaluation():
+    rng = random.Random(17)
+    for _ in range(300):
+        coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(1, 7))]
+        w = rng.choice((0, rng.randint(-20, 20)))
+        scale = rng.choice((1, rng.randint(-6, 6)))
+        shifted = _taylor_shift(coeffs, w, scale)
+        assert len(shifted) == len(coeffs)
+        for t in range(-5, 6):
+            assert _poly_eval(shifted, t) == _poly_eval(coeffs, w + scale * t), (coeffs, w, scale)
