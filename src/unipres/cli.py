@@ -13,6 +13,7 @@ file that fails is reported (an `error:` line, and a record with verdict
 from __future__ import annotations
 
 import argparse
+import heapq
 import json
 import os
 import sys
@@ -22,8 +23,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ._ast import ParseError, Verdict
-from .formula import Formula, normalize, parse, parse_multi
-from .power_solver import SolveOptions, least_witness
+from .formula import Formula, NormalForm, conjunct_holds, normalize, parse, parse_multi
+from .numtheory import ResidueClass, crt_extended
+from .power_solver import SolveOptions, _image_radius, _keep, _lattice_images, least_witness
 from .power_solver import decide as decide_power
 from . import encoder
 
@@ -71,23 +73,114 @@ class SolveOutcome:
 
 
 def _combine(verdicts) -> Verdict:
-    """The sat verdict with the least (|x|, x) witness, else the first unknown, else unsat."""
+    """The sat verdict with the least (|x|, x) witness, else the first unknown,
+    else unsat: the answer of `solve_formula` when it decides every system."""
     witness = least_witness(v.witness for v in verdicts if v.is_sat)
     if witness is not None:
         return Verdict.sat(witness)
     return next((v for v in verdicts if v.is_unknown), Verdict.unsat())
 
 
+def _key(x: int) -> tuple[int, int]:
+    return abs(x), x
+
+
+def _least_hit(conj, best: int, bound: int) -> int | None:
+    """The least (|x|, x) point before `best` at which the conjunct holds,
+    else `best`; None when that needs more than 2*`bound` + 1 points.
+
+    The candidates are the points of the window [-|best|, |best|] that
+    the conjunct's bounds and congruences leave: the lattice images there
+    of its cheapest positive atom, filtered by `_keep` for its other
+    positive atoms, unless that atom's listing radius passes `bound` or
+    its images outnumber the points; then the points themselves.  The hit
+    is the first candidate in (|x|, x) order at which `conjunct_holds`.
+    """
+    lo, hi = -abs(best), abs(best)
+    for lit in conj:
+        if lit[0] in ("gt", "eq"):
+            lo = max(lo, lit[1] + (lit[0] == "gt"))
+        if lit[0] in ("lt", "eq"):
+            hi = min(hi, lit[1] - (lit[0] == "lt"))
+    cls = crt_extended(ResidueClass(lit[1], lit[2]) for lit in conj if lit[0] == "mod")
+    if cls is None or lo > hi:
+        return best
+    M, r = cls.modulus, cls.residue
+    up, down = max(lo, 0), min(hi, -1)
+    xs = heapq.merge(range(up + (r - up) % M, hi + 1, M), range(down - (down - r) % M, lo - 1, -M), key=_key)
+    limit = 2 * bound
+    pos = [lit[2] for lit in conj if lit[0] == "pred" and lit[1] > 0]
+    if pos:
+        at = min(pos, key=lambda p: _image_radius(p, lo, hi) // p.stride)
+        R = _image_radius(at, lo, hi)
+        if R <= bound and 2 * R // at.stride < (hi - lo) // M:
+            images = [x for x in _lattice_images(at, R) if lo <= x <= hi and x % M == r]
+            xs = sorted(_keep(images, [p for p in pos if p is not at]), key=_key)
+            limit = len(xs)
+    for i, x in enumerate(xs):
+        if _key(x) >= _key(best):
+            break
+        if i > limit:
+            return None
+        if conjunct_holds(conj, x):
+            return x
+    return best
+
+
+def _least_below(conjuncts, best: int, bound: int) -> int | None:
+    """The least witness at or before `best` of all the conjuncts, each a
+    point where `conjunct_holds`; None when some `_least_hit` is."""
+    for conj in conjuncts:
+        if (best := _least_hit(conj, best, bound)) is None:
+            break
+    return best
+
+
+def _decide_lazily(nf: NormalForm, options: SolveOptions, trace: list) -> Verdict:
+    # A conjunct is settled, and `_least_below` skips it, when each of its
+    # systems answered unsat, or sat with x = y from a scan in (|y|, y)
+    # order of every point or of a complete member stream, which answers
+    # its least x; a finite set from a bounded walk may miss one.
+    verdicts, gate, settled = [], True, []
+    for i in range(len(nf.conjuncts)):
+        systems = nf.systems_of(i)
+        settled.append(True)
+        for k, system in enumerate(systems, 1):
+            verdicts.append(v := decide_power(system, options))
+            trace.extend(system.trace)
+            scanned = system.upper is not None or system.trace[-1:] == ["witness-scan:hit"]
+            exact = v.is_sat and scanned and system.substitution == (1, 0)
+            settled[i] &= v.is_unsat or exact and k == len(systems)
+            if gate and v.is_sat:
+                rest = [c for j, c in enumerate(nf.conjuncts) if j > i or not settled[j]]
+                least = _least_below(rest, v.witness, options.enum_bound)
+                if least is not None:
+                    if least != v.witness:
+                        trace.append("least-witness")
+                    return Verdict.sat(least)
+                gate = False
+    return _combine(verdicts)
+
+
 def solve_formula(f: Formula, options: SolveOptions | None = None) -> SolveOutcome:
-    """Decide a sentence: normalize, decide each disjunct, combine, negate."""
+    """Decide a sentence: normalize, decide, negate; sat answers the least
+    (|x|, x) witness.
+
+    A conjunct that holds at x = 0, the least point, answers it before any
+    system is built.  Otherwise systems are built and decided conjunct by
+    conjunct up to the first sat x*, and `_least_below` lists each
+    conjunct that no decided system settled below x*; where that would
+    pass `enum_bound`, every system is decided and `_combine`d.  Only decided systems add to the trace, and
+    `least-witness` marks a witness that direct evaluation supplied.
+    """
     options = options or SolveOptions()
     nf = normalize(f)
-    verdicts = []
     trace: list = []
-    for system in nf.systems:
-        verdicts.append(decide_power(system, options))
-        trace.extend(system.trace)
-    inner = _combine(verdicts)
+    if any(conjunct_holds(c, 0) for c in nf.conjuncts):
+        inner = Verdict.sat(0)
+        trace.append("least-witness")
+    else:
+        inner = _decide_lazily(nf, options, trace)
     log = [t for t in trace if t.startswith(("redundant", "coalesce", "poly-redundant"))]
     if not nf.negated:
         return SolveOutcome(inner, False, trace, log)

@@ -35,7 +35,7 @@ a predicate and becomes the same kind of atom.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ._ast import (
@@ -77,6 +77,7 @@ __all__ = [
     "parse",
     "format_formula",
     "normalize",
+    "conjunct_holds",
     "read_sexprs",
 ]
 
@@ -404,14 +405,39 @@ def format_formula(f: Formula) -> str:
 
 @dataclass
 class NormalForm:
-    """Disjuncts whose joint satisfiability decides the sentence.
-
-    For forall sentences the body was negated first: the sentence is true
-    iff no system is satisfiable (`negated` records this).
+    """The DNF conjuncts of a sentence, literal lists over x, and their
+    systems: `systems_of(i)` builds conjunct i's at its first call, and
+    `systems` is every conjunct's.  For forall sentences the body was
+    negated first: the sentence is true iff no system is satisfiable
+    (`negated` records this).
     """
 
     negated: bool
-    systems: list
+    conjuncts: list
+    _built: dict = field(default_factory=dict, repr=False)
+
+    def systems_of(self, i: int) -> list[ConstraintSystem]:
+        if i not in self._built:
+            self._built[i] = _build_systems(self.conjuncts[i])
+        return self._built[i]
+
+    @property
+    def systems(self) -> list[ConstraintSystem]:
+        return [s for i in range(len(self.conjuncts)) for s in self.systems_of(i)]
+
+
+def _lit_holds(lit, x: int) -> bool:
+    tag = lit[0]
+    if tag == "pred":
+        return lit[2].holds(x) == (lit[1] > 0)
+    if tag == "mod":
+        return x % lit[1] == lit[2]
+    return x == lit[1] if tag == "eq" else x > lit[1] if tag == "gt" else x < lit[1]
+
+
+def conjunct_holds(conj, x: int) -> bool:
+    """Direct evaluation of a conjunct at x; `normalize` puts its atoms last."""
+    return all(_lit_holds(l, x) for l in conj)
 
 
 def _ceil_div(p: int, q: int) -> int:
@@ -705,11 +731,13 @@ def normalize(f: Formula) -> NormalForm:
     """Rewrite a sentence into solver-ready disjuncts; it takes no options
     and tests no point.
 
-    Performs, in order: forall-to-exists negation; literal rewriting and
+    Performs forall-to-exists negation, then literal rewriting and
     disjunctive normal form, where each predicate or power literal gets
     its `PolyAtom` (a power atom is the monomial u^k) and a constant term
-    is decided by that atom; modular coalescing by the extended CRT into
-    x = M*y + r, which maps each atom's (a, b) to (a*M, a*r + b);
+    is decided by that atom.  The rest runs per conjunct, when
+    `NormalForm.systems_of` first asks for it: modular coalescing by the
+    extended CRT into x = M*y + r, which maps each atom's (a, b) to
+    (a*M, a*r + b);
     equality substitution and bounded intervals, each left as a system
     lower < y < upper for `decide` to scan; sign normalization (the
     y -> -y flip, which negates M, and the three-way case split when no
@@ -721,7 +749,5 @@ def normalize(f: Formula) -> NormalForm:
     q = f.root
     negated = q.kind == "forall"
     body = Not(q.body) if negated else q.body
-    systems = []
-    for conj in _to_dnf(body, True, decls):
-        systems.extend(_build_systems(conj))
-    return NormalForm(negated, systems)
+    # The atom literals go last, after the cheap tests of `conjunct_holds`.
+    return NormalForm(negated, [sorted(c, key=lambda l: l[0] == "pred") for c in _to_dnf(body, True, decls)])

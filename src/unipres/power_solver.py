@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ._ast import ConstraintSystem, PolyAtom, Verdict, system_holds
@@ -261,16 +261,19 @@ def _turn_bound(nums) -> int:
 
 @dataclass(frozen=True, init=False)
 class ImagePoly:
-    """Integer-valued polynomial sum(nums[i] * t**i) / den, with den > 0."""
+    """Integer-valued polynomial sum(nums[i] * t**i) / den, with den > 0;
+    `eval` sums only the nonzero `terms` (u^100000 has two)."""
 
     nums: tuple[int, ...]
     den: int
+    terms: tuple[tuple[int, int], ...] = field(repr=False, compare=False)
 
     def __init__(self, coeffs) -> None:
         """From ascending integer or rational coefficients."""
         nums, den = integer_numerators(coeffs)
         object.__setattr__(self, "nums", tuple(nums))
         object.__setattr__(self, "den", den)
+        object.__setattr__(self, "terms", tuple((i, c) for i, c in enumerate(nums) if c))
         if len(nums) < 3 or nums[-1] <= 0:
             raise ValueError("image polynomials have degree >= 2 and positive leading coefficient")
         if den > 1 and any(_poly_eval(nums, t) % den for t in range(self.degree + 1)):
@@ -281,7 +284,9 @@ class ImagePoly:
         return len(self.nums) - 1
 
     def eval(self, t: int) -> int:
-        v = _poly_eval(self.nums, t)
+        v = 0
+        for i, c in self.terms:
+            v += c * t**i
         if self.den == 1:
             return v
         q, r = divmod(v, self.den)
@@ -852,10 +857,13 @@ def decide(system: ConstraintSystem, options: SolveOptions = DEFAULT_OPTIONS) ->
 
     Witness rule: a bounded system answers the least (|x|, x) witness
     among the points it tests; the other scans answer their first hit in
-    (|y|, y) order of the working variable y.  Across systems
-    (`cli.solve_formula`) the least (|x|, x) of the original variable x
-    wins.  Sat witnesses are in original coordinates, verified by direct
-    evaluation of the system.
+    (|y|, y) order of the working variable y, which under x = M*y + r need
+    not be the system's least x.  Sat witnesses are in original
+    coordinates, verified by direct evaluation of the system.  The
+    sentence's least witness is certified above this function:
+    `cli.solve_formula` stops at the first sat system and lists every
+    conjunct below its witness, or decides every system and takes the
+    least witness when that listing would pass `enum_bound`.
     """
     if system.resolved is not None:
         return system.resolved

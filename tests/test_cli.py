@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from unipres import SolveOptions, cli, oracle, parse
+from unipres.power_solver import Verdict, decide
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -28,7 +29,8 @@ def test_disjunct_expansion_cap_is_an_input_error(tmp_path, capsys):
 
 def test_internal_error_has_its_own_exit_code_and_keeps_other_results(tmp_path, capsys, monkeypatch):
     power = write(tmp_path, "power.sexp", "(exists x (and (> x 0) (pow 2 x) (not (pow 4 x))))")
-    poly = write(tmp_path, "poly.sexp", "(declare-pred T (coeffs 1 0 0)) (exists x (pred T x))")
+    # Off x = 0, where the least-witness gate would answer before any decide.
+    poly = write(tmp_path, "poly.sexp", "(declare-pred T (coeffs 1 0 0)) (exists x (pred T (+ x 2)))")
     bad = write(tmp_path, "bad.sexp", "(exists x (> x y))")
 
     decide = cli.decide_power
@@ -64,6 +66,7 @@ GOLDEN = {
     "fibonacci_cube": (2, "unknown", None),
     "forced_unsat": (1, "unsat", None),
     "gessel_sat": (0, "sat", 169),
+    "least_witness": (0, "sat", -1),
     "sign_paths": (0, "sat", 1),
     "simple_sat": (0, "sat", 4),
     "three_cubics": (2, "unknown", None),
@@ -142,13 +145,70 @@ def test_malformed_fixture_is_an_input_error(capsys):
     assert (record["verdict"], record["error"], record["message"]) == ("error", "input", message)
 
 
-def test_witness_is_the_first_hit_in_abs_order_of_the_working_variable(tmp_path, capsys):
-    # -3x - 15 < x - 2 holds for x >= -3; the scan visits 0, -1, 1, ... above the bound.
+def test_witness_is_the_least_in_abs_order_of_the_sentence_variable(tmp_path, capsys):
+    # -3x - 15 < x - 2 holds for x >= -3, so at x = 0, the least point of
+    # the (|x|, x) order: the gate answers there and builds no system.
     path = write(tmp_path, "half_line.sexp", "(exists x (< (+ (* -3 x) -15) (+ x -2)))")
     assert cli.main(["--format", "json-lines", path]) == cli.EXIT_SAT
     [record] = cli.read_records(capsys.readouterr().out)
     assert (record["verdict"], record["witness"]) == ("sat", 0)
-    assert record["case_trace"] == ["power:none", "witness-scan:hit"]
+    assert record["case_trace"] == ["least-witness"]
+
+
+@pytest.fixture
+def decided(monkeypatch):
+    """The systems that `cli.solve_formula` decides, in order."""
+    systems = []
+    decide = cli.decide_power
+
+    def spy(system, options):
+        systems.append(system)
+        return decide(system, options)
+
+    monkeypatch.setattr(cli, "decide_power", spy)
+    return systems
+
+
+@pytest.mark.parametrize("text, options, count, witness", [
+    # 6 conjuncts, 13 systems; x = 0 fails the congruence, the second
+    # system of x = 1 (mod 7) answers x = 1, and x = -1 (a square minus
+    # one, x = 6 (mod 7)) is found below it.
+    ("(exists x (and (pow 2 (+ x 1)) (not (mod x 7 0))))", SolveOptions(enum_bound=200), 2, -1),
+    # The first conjunct answers x = 633^2 = 400689; the lattice images of
+    # 2x + 1 = u^3 below it give x = 13 without a bounded walk.
+    ("(exists x (or (and (> x 400000) (pow 2 x)) (and (pow 2 (+ x 3)) (pow 3 (+ (* 2 x) 1)))))",
+     SolveOptions(), 1, 13),
+])
+def test_the_first_sat_system_stops_the_decide_loop(decided, text, options, count, witness):
+    f = parse(text)
+    out = cli.solve_formula(f, options)
+    assert (out.verdict.status, out.verdict.witness) == ("sat", witness)
+    assert len(decided) <= count
+    assert out.case_trace[-1] == "least-witness"
+    assert min(oracle.scan(f, abs(witness)).witnesses, key=lambda x: (abs(x), x)) == witness
+
+
+def test_a_listing_past_the_bound_falls_back_to_deciding_every_system(decided):
+    # At enum_bound 10 the first sat is x = 1024.  Below it the second
+    # conjunct has 124 points and lists 3x = u^2 up to |u| = 55, both past
+    # the bound, so every system is decided and combined.
+    f = parse("(exists x (or (and (> x 1000) (pow 2 x)) (and (> x 900) (pow 2 (* 3 x)))))")
+    options = SolveOptions(enum_bound=10)
+    out = cli.solve_formula(f, options)
+    systems = cli.normalize(f).systems
+    assert out.verdict == cli._combine([decide(s, options) for s in systems]) == Verdict.sat(972)
+    assert len(decided) == len(systems) == 2
+    assert "least-witness" not in out.case_trace
+
+
+def test_a_sparse_image_polynomial_evaluates_at_once(tmp_path, capsys):
+    # x + 3 = u^100000 at x = -2; the image polynomial is evaluated by its
+    # nonzero terms, where dense Horner over 100001 coefficients took seconds.
+    path = write(tmp_path, "pow.sexp", "(exists x (pow 100000 (+ x 3)))")
+    start = time.perf_counter()
+    assert cli.main(["--bound", "200", path]) == cli.EXIT_SAT
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().out == "sat x=-2\n"
 
 
 def test_curve_pell_image_integral_only_on_its_residues(tmp_path, capsys):

@@ -294,15 +294,19 @@ def test_sentence_differential_against_the_oracle():
     # Every sat witness satisfies the sentence, and no unsat sentence has a
     # witness in |x| <= 200.  Under forall, which decides the negated body,
     # a sat sentence has no counterexample in |x| <= 200 and an unsat one
-    # carries a counterexample.
+    # carries a counterexample.  A witness or counterexample w with
+    # |w| <= 200 is the least (|x|, x) one.
     rng = random.Random(20261018)
     opts = SolveOptions(enum_bound=200)
+    key = lambda x: (abs(x), x)  # noqa: E731
     for _ in range(1000):
         text = _random_formula(rng)
         f = parse(text)
         v = solve_formula(f, opts).verdict
         if v.is_sat:
             assert oracle.eval_at(f, v.witness), (text, v)
+            if abs(v.witness) <= 200:
+                assert min(oracle.scan(f, abs(v.witness)).witnesses, key=key) == v.witness, (text, v)
         elif v.is_unsat:
             assert oracle.scan(f, 200).witnesses == (), text
         text = text.replace("(exists x ", "(forall x ")
@@ -312,6 +316,10 @@ def test_sentence_differential_against_the_oracle():
             assert all(oracle.eval_at(f, x) for x in range(-200, 201)), text
         elif v.is_unsat:
             assert v.witness is not None and not oracle.eval_at(f, v.witness), (text, v)
+            w = abs(v.witness)
+            if w <= 200:
+                misses = set(range(-w, w + 1)) - set(oracle.scan(f, w).witnesses)
+                assert min(misses, key=key) == v.witness, (text, v)
 
 
 @pytest.mark.parametrize("body, atoms", [
