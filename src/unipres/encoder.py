@@ -1,11 +1,24 @@
 """Encoding Diophantine equations into the square-predicate fragment.
 
 h(x1..xn) = 0 is rewritten over the signature <0, 1, +, -, Z^2> using at
-most four bound variables, all existential: monomials are peeled off one
-at a time (alternating two accumulator variables), products are reduced
-by 4xy = (x+y)^2 - (x-y)^2 (alternating the other pair), and squaring
+most four bound variables t0..t3, all existential: monomials are peeled
+off one at a time (alternating the accumulators t0 and t1), and squaring
 itself is asserted through the five-square chain
 Z^2(w) & Z^2(w + 2T + 1) & ... & Z^2(w + 8T + 16), which pins w = T^2.
+
+Each monomial becomes a linear form over the bound variables, with the
+fewest chains (`_product`):
+
+- a square y * y is one chain p = y^2, used linearly as coeff * p;
+- a product head * rest is reduced by 4xy = (x+y)^2 - (x-y)^2 as
+  u = (head + g)^2 and v = (-head + g)^2, where g is the linear form equal
+  to (coeff/4) * prod(rest), built once with the other variable pair
+  (t0, t1 against t2, t3) and shared by both chains;
+- of three factors with two equal, the odd one is the head, so the rest
+  is a square.
+
+A monomial of degree d thus takes at most 2(d - 1) chains.  h is scaled
+by 4^(deg h - 1) first, so that every g is integral.
 
 The chain length is the Buchi constant M = 5 (conjectured by Buchi,
 proof announced by Xiao); it is exposed as a parameter so a skeptic can
@@ -142,36 +155,50 @@ def _chain(w: SLin, t: SLin, chain_len: int) -> list:
     ]
 
 
-def _square_def(target: str, head_sign: int, head_var: str, coeff: int, vs: tuple, chain_len: int):
-    """Formula asserting target = (head_sign*head_var + coeff*prod(vs))^2.
+def _product(coeff: int, vs: tuple, pair: tuple, other: tuple, chain_len: int):
+    """(bound variables, conjuncts, linear form equal to coeff * prod(vs)).
 
-    A product of two or more variables is first reduced with the
-    complementary variable pair.
+    One factor is the form coeff * y.  Two equal factors y * y are one
+    chain p = y^2, bound to pair[0], and the form is coeff * p.  Otherwise
+    a head factor is split off and, with g = (coeff/4) * prod(rest), the
+    chains u = (head + g)^2 and v = (-head + g)^2 over `pair` give the form
+    u - v = 4 * head * g.  g is built once, with `other` as its pair, under
+    one `exists` shared by both chains.  vs lists equal factors together;
+    of three factors with two equal, the odd one is the head, so the rest
+    is a square.  coeff must carry a factor 4 for each split, so that
+    every g stays integral.  A monomial of degree d >= 2 thus takes at most
+    2(d - 1) chains: two per split down to two factors, then one or two.
     """
-    w = SLin(((target, 1),))
     if len(vs) == 1:
-        t = {head_var: head_sign}
-        t[vs[0]] = t.get(vs[0], 0) + coeff
-        return SAnd(tuple(_chain(w, SLin.of(0, **t), chain_len)))
-    u, v = ("t0", "t1") if target in ("t2", "t3") else ("t2", "t3")
-    sub = _reduce_monomial(u, v, coeff, vs, chain_len)
-    t = SLin.of(0, **{head_var: head_sign, u: 1, v: -1})
-    return SExists(u, SExists(v, SAnd(tuple(_chain(w, t, chain_len)) + sub)))
+        return (), (), SLin(((vs[0], coeff),))
+    if len(vs) == 2 and vs[0] == vs[1]:
+        p = pair[0]
+        return (p,), tuple(_chain(SLin(((p, 1),)), SLin(((vs[0], 1),)), chain_len)), SLin(((p, coeff),))
+    i = 2 if len(vs) == 3 and vs[0] == vs[1] else 0
+    head, rest = vs[i], vs[:i] + vs[i + 1:]
+    bound, conj, g = _product(coeff // 4, rest, other, pair, chain_len)
+    u, v = pair
+    body = conj
+    for sign, w in ((1, u), (-1, v)):
+        body += tuple(_chain(SLin(((w, 1),)), g + SLin(((head, sign),)), chain_len))
+    return pair, _exists(bound, body), SLin(((u, 1), (v, -1)))
 
 
-def _reduce_monomial(u: str, v: str, coeff: int, vs: tuple, chain_len: int):
-    """Conjuncts making u - v equal the monomial coeff * prod(vs).
-
-    coeff must carry the 4^(len(vs)-1) scaling so that u = (x + g)^2 and
-    v = (-x + g)^2 with g = (coeff/4) * rest stay integral.
-    """
-    return tuple(_square_def(x, sign, vs[0], coeff // 4, vs[1:], chain_len) for x, sign in ((u, 1), (v, -1)))
+def _exists(bound: tuple, conj: tuple) -> tuple:
+    """The conjuncts under one `exists` of each bound variable, as a 1-tuple."""
+    if not bound:
+        return conj
+    f = SAnd(conj)
+    for var in reversed(bound):
+        f = SExists(var, f)
+    return (f,)
 
 
 def encode(h: MultiPoly, chain_len: int = BUCHI_CHAIN) -> SquareFormula:
     """Formula over <0,1,+,-,Z^2> equivalent to h(x1..xn) = 0.
 
-    Uses at most 4 bound variables t0..t3, all existentially quantified.
+    Uses at most 4 bound variables t0..t3, all existentially quantified,
+    and at most 2(d - 1) chains for a monomial of degree d (`_product`).
     Each linear form is built once, so the cost is linear in the atoms,
     plus a sort of each chain's key union.  A chain shorter than
     BUCHI_CHAIN does not pin w = t^2 and is rejected.
@@ -199,15 +226,15 @@ def encode(h: MultiPoly, chain_len: int = BUCHI_CHAIN) -> SquareFormula:
     acc = SEq(SLin.of(-const, **{v: -c for v, c in linear.items()}, **{rule1_name[p % 2]: 1}))
     for r in range(p, 0, -1):
         cur = rule1_name[r % 2]
-        # Equation at level r: for r = 1:  g_1 + T_1 = 0
-        # for r >= 2:          T_{r-1} = g_r + T_r, i.e. g_r + T_r - T_{r-1} = 0
-        eq_lin = {cur: 1, "t2": 1, "t3": -1}
-        if r >= 2:
-            eq_lin[rule1_name[(r - 1) % 2]] = -1
+        # Equation at level r, with g_r the monomial's linear form:
+        # for r = 1:  g_1 + T_1 = 0
+        # for r >= 2: T_{r-1} = g_r + T_r, i.e. g_r + T_r - T_{r-1} = 0
         coeff, vs = monos[r - 1]
-        sub = _reduce_monomial("t2", "t3", coeff, vs, chain_len)
-        level = SExists("t2", SExists("t3", SAnd((SEq(SLin.of(0, **eq_lin)),) + sub)))
-        acc = SExists(cur, SAnd((level, acc)))
+        bound, conj, g = _product(coeff, vs, ("t2", "t3"), ("t0", "t1"), chain_len)
+        eq = g + SLin(((cur, 1),))
+        if r >= 2:
+            eq += SLin(((rule1_name[(r - 1) % 2], -1),))
+        acc = SExists(cur, SAnd(_exists(bound, (SEq(eq),) + conj) + (acc,)))
     return acc
 
 
@@ -417,6 +444,9 @@ def _bound(plan: _Compiled, grid: int) -> int:
 
     Column bounds b are propagated through the recipes; a linear form is
     bounded by |const| + sum |c| * b, which also bounds its partial sums.
+    The recipe rows bound every value the forward pass computes, so of the
+    atoms only those in `plan.checks` count: `_sweep` never evaluates the
+    atoms a recipe makes true.
     """
     b = [grid] * plan.nfree + [0] * (plan.ncols - plan.nfree)
 
@@ -434,7 +464,7 @@ def _bound(plan: _Compiled, grid: int) -> int:
                 num = t * t + row(form)
             worst = max(worst, num)
             b[col] = max(b[col], num // abs(cv) + 1)
-    return max([worst, *b, *(row(form) for _, form in plan.atoms)])
+    return max([worst, *b, *(row(plan.atoms[i][1]) for c in plan.checks for i in c)])
 
 
 def _matrix(forms, width: int, np):

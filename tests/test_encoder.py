@@ -19,7 +19,9 @@ from unipres.encoder import (
     SExists,
     SLin,
     SSquare,
+    _bound,
     _compile,
+    _search,
     check_equiv,
     encode,
     eval_square_formula,
@@ -227,11 +229,26 @@ def test_counterexample_does_not_depend_on_the_path(monkeypatch):
             assert fast.checked == grid_index(fast.counterexample, grid) + 1
 
 
+EXACT_CASES = [
+    ("(+ (* x1 x1 x2) (* -2 x2) -1)", 2),  # zero at (1, -1) and (-1, -1)
+    ("(+ (* x1 x1 x1 x1 x1 x1) (* -16 x1 x1))", 3),  # degree 6, zero at 0 and +-2
+    ("(+ (* x1 x1 x1 x2 x2 x2) -8)", 2),  # zero at (1, 2) and (2, 1)
+    ("(- (* x1 x2 x3 x1 x2 x3) (* 4 x3 x3))", 2),  # zero where x3 = 0 or x1 x2 = +-2
+]
+
+
 def test_exact_evaluation_matches_h_at_every_grid_point():
-    h = parse_poly("(+ (* x1 x1 x2) (* -2 x2) -1)")  # zero at (1, -1) and (-1, -1)
-    f = encode(h)
-    for p in itertools.product(range(-2, 3), repeat=2):
-        assert eval_square_formula(f, {"x1": p[0], "x2": p[1]}) == (h.eval(p) == 0)
+    for (text, grid), chain_len in itertools.product(EXACT_CASES, (5, 6)):
+        h = parse_poly(text)
+        plan = _compile(encode(h, chain_len), tuple(f"x{i + 1}" for i in range(h.nvars)))
+        points = list(itertools.product(range(-grid, grid + 1), repeat=h.nvars))
+        for p in points:
+            assert _search(plan, p) == (h.eval(p) == 0), (text, chain_len, p)
+        # Against h + 1, the first point where the zero sets differ is the counterexample.
+        wrong = shifted(h, 1)
+        first = next(p for p in points if (h.eval(p) == 0) != (wrong.eval(p) == 0))
+        want = EquivReport(False, first, grid_index(first, grid) + 1)
+        assert check_equiv(h, encode(wrong, chain_len), grid) == want, (text, chain_len)
 
 
 def test_importing_the_cli_does_not_import_numpy():
@@ -250,26 +267,30 @@ def _reference_chain(w, t, chain_len):
     return [SSquare(w + t.scale(2 * i) + SLin.of(i * i)) for i in range(chain_len)]
 
 
-def _reference_square_def(target, head_sign, head_var, inner, chain_len):
-    w = SLin.of(0, **{target: 1})
-    if isinstance(inner, SLin):
-        t = SLin.of(0, **{head_var: head_sign}) + inner
-        return SAnd(tuple(_reference_chain(w, t, chain_len)))
-    coeff, vs = inner
-    u, v = ("t0", "t1") if target in ("t2", "t3") else ("t2", "t3")
-    sub = _reference_reduce_monomial(u, v, coeff, vs, chain_len)
-    t = SLin.of(0, **{head_var: head_sign}) + SLin.of(0, **{u: 1}) + SLin.of(0, **{v: -1})
-    return SExists(u, SExists(v, SAnd(tuple(_reference_chain(w, t, chain_len)) + sub)))
-
-
-def _reference_reduce_monomial(u, v, coeff, vs, chain_len):
-    head, rest = vs[0], vs[1:]
-    c4 = coeff // 4
-    inner = SLin.of(0, **{rest[0]: c4}) if len(rest) == 1 else (c4, rest)
-    return (
-        _reference_square_def(u, 1, head, inner, chain_len),
-        _reference_square_def(v, -1, head, inner, chain_len),
-    )
+def _reference_reduce_monomial(coeff, vs, pair, other, chain_len):
+    """(bound, conjuncts, form) with form = coeff * prod(vs), from SLin arithmetic."""
+    if len(vs) == 1:
+        return (), (), SLin.of(0, **{vs[0]: coeff})
+    if len(vs) == 2 and vs[0] == vs[1]:
+        p = pair[0]
+        chain = _reference_chain(SLin.of(0, **{p: 1}), SLin.of(0, **{vs[0]: 1}), chain_len)
+        return (p,), tuple(chain), SLin.of(0, **{p: coeff})
+    counts = {v: vs.count(v) for v in vs}
+    odd = [v for v, n in counts.items() if n == 1]
+    head = odd[0] if len(vs) == 3 and len(counts) == 2 else vs[0]
+    rest = list(vs)
+    rest.remove(head)
+    bound, conj, g = _reference_reduce_monomial(coeff // 4, tuple(rest), other, pair, chain_len)
+    u, v = pair
+    chains = _reference_chain(SLin.of(0, **{u: 1}), SLin.of(0, **{head: 1}) + g, chain_len)
+    chains += _reference_chain(SLin.of(0, **{v: 1}), SLin.of(0, **{head: -1}) + g, chain_len)
+    body = conj + tuple(chains)
+    if bound:
+        inner = SAnd(body)
+        for var in reversed(bound):
+            inner = SExists(var, inner)
+        body = (inner,)
+    return pair, body, SLin.of(0, **{u: 1}) + SLin.of(0, **{v: -1})
 
 
 def reference_encode(h: MultiPoly, chain_len: int):
@@ -301,9 +322,11 @@ def reference_encode(h: MultiPoly, chain_len: int):
         if r >= 2:
             eq_lin = eq_lin + SLin.of(0, **{rule1_name(r - 1): -1})
         coeff, vs = monos[r - 1]
-        sub = _reference_reduce_monomial("t2", "t3", coeff, vs, chain_len)
-        eq = SEq(eq_lin + SLin.of(0, t2=1) + SLin.of(0, t3=-1))
-        acc = SExists(cur, SAnd((SExists("t2", SExists("t3", SAnd((eq,) + sub))), acc)))
+        bound, conj, g = _reference_reduce_monomial(coeff, vs, ("t2", "t3"), ("t0", "t1"), chain_len)
+        level = SAnd((SEq(eq_lin + g),) + conj)
+        for var in reversed(bound):
+            level = SExists(var, level)
+        acc = SExists(cur, SAnd((level, acc)))
     return acc
 
 
@@ -407,6 +430,47 @@ def test_encode_equals_the_slin_reference():
         assert encode(h, chain_len) == reference_encode(h, chain_len), h
 
 
+# Chains per monomial: one per square, two per split of a product.
+CHAIN_COUNTS = [
+    ("(* x1 x1)", 1),
+    ("(* x1 x2)", 2),
+    ("(* x1 x1 x1)", 3),
+    ("(* x1 x1 x2)", 3),
+    ("(* x1 x2 x3)", 4),
+    ("(* x1 x2 x3 x1 x2 x3)", 9),
+    ("(* x1 x1 x1 x1 x1 x1 x1 x1)", 13),
+]
+
+
+def _squares_and_bound_names(f):
+    """Number of SSquare atoms in f and the names its SExists bind."""
+    if isinstance(f, SSquare):
+        return 1, set()
+    if isinstance(f, SExists):
+        n, names = _squares_and_bound_names(f.body)
+        return n, names | {f.var}
+    if isinstance(f, SAnd):
+        parts = [_squares_and_bound_names(a) for a in f.args]
+        return sum(n for n, _ in parts), set().union(*(names for _, names in parts))
+    return 0, set()
+
+
+@pytest.mark.parametrize("text,chains", CHAIN_COUNTS)
+def test_each_monomial_takes_the_fewest_chains(text, chains):
+    squares, names = _squares_and_bound_names(encode(parse_poly(text), 5))
+    assert squares == 5 * chains
+    assert names <= {"t0", "t1", "t2", "t3"}
+
+
+def test_a_degree_d_monomial_takes_at_most_2_d_minus_1_chains():
+    for i, h in enumerate(seeded_polys(6, 200)):
+        chain_len = 5 + i % 3
+        squares, names = _squares_and_bound_names(encode(h, chain_len))
+        assert squares % chain_len == 0
+        assert squares // chain_len <= sum(2 * (sum(e) - 1) for e, _ in h.monomials if sum(e) >= 2), h
+        assert names <= {"t0", "t1", "t2", "t3"}
+
+
 def test_compile_order_equals_the_rescanning_reference():
     formulas = [(encode(h, 5 + i % 3), h.nvars) for i, h in enumerate(seeded_polys(4, 150))]
     hand_built = (ambiguous_formula, halving_formula, strided_chain_formula, divisor_chain_formula,
@@ -420,6 +484,41 @@ def test_compile_order_equals_the_rescanning_reference():
         assert (plan.nfree, plan.ncols, plan.atoms, plan.steps, plan.checks, plan.resolved) == want, f
         kinds.update(kind for _, kind, _ in plan.steps)
     assert kinds == {"eq", "pinned", "chain"}
+
+
+def reference_bound(plan, grid: int) -> int:
+    """`_bound` taking its atom term over every atom, also those a recipe makes true."""
+    b = [grid] * plan.nfree + [0] * (plan.ncols - plan.nfree)
+
+    def row(form) -> int:
+        items, c = form
+        return abs(c) + sum(abs(k) * b[j] for j, k in items)
+
+    worst = grid
+    for col, _, recipes in plan.steps:
+        for cv, form, dm1 in recipes:
+            if dm1 is None:
+                num = row(form)
+            else:
+                t = row(dm1) // 2 + 1
+                num = t * t + row(form)
+            worst = max(worst, num)
+            b[col] = max(b[col], num // abs(cv) + 1)
+    return max([worst, *b, *(row(form) for _, form in plan.atoms)])
+
+
+def test_bound_over_the_checked_atoms(monkeypatch):
+    seeded = [(h, encode(h), 2) for h in seeded_polys(7, 200)]
+    lower = 0
+    for h, f, grid in list(_agreement_cases()) + seeded:
+        plan = _compile(f, tuple(f"x{i + 1}" for i in range(h.nvars)))
+        bound, everything = _bound(plan, grid), reference_bound(plan, grid)
+        assert bound <= everything
+        lower += bound < everything
+        assert check_equiv(h, f, grid) == exact_check(monkeypatch, h, f, grid), h
+    assert lower  # the checked atoms do leave some out
+    # The encodings hold exactly where h = 0 on the whole grid.
+    assert all(exact_check(monkeypatch, h, f, grid).passed for h, f, grid in seeded)
 
 
 def square_chain(chain_len: int):
@@ -445,6 +544,17 @@ def test_cli_encode_rejects_a_short_chain(tmp_path, capsys, chain):
     assert cli_main(["encode", "--chain", chain, str(path)]) == 64
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error:")
+
+
+SQUARE_ENCODING = (
+    "(exists t0 (and (exists t2 (and (= (+ t0 (* 4 t2)) 0) (pow 2 t2) (pow 2 (+ t2 (* 2 x1) 1))"
+    " (pow 2 (+ t2 (* 4 x1) 4)) (pow 2 (+ t2 (* 6 x1) 9)) (pow 2 (+ t2 (* 8 x1) 16)))) (= t0 0)))"
+)
+
+
+def test_cli_encode_prints_one_chain_for_a_square(capsys):
+    assert cli_main(["encode", "(* x1 x1)"]) == 0
+    assert capsys.readouterr() == (SQUARE_ENCODING + "\n", "")
 
 
 @pytest.mark.parametrize("text, message", [
