@@ -17,8 +17,10 @@ fewest chains (`_product`):
 - of three factors with two equal, the odd one is the head, so the rest
   is a square.
 
-A monomial of degree d thus takes at most 2(d - 1) chains.  h is scaled
-by 4^(deg h - 1) first, so that every g is integral.
+A monomial of degree d thus takes at most 2(d - 1) chains.  Each split
+divides the coefficient by 4, so h is scaled first by 4 per split of the
+monomial with the most splits (`_splits`), and every g is integral; a
+square takes no split and scale 1.
 
 The chain length is the Buchi constant M = 5 (conjectured by Buchi,
 proof announced by Xiao); it is exposed as a parameter so a skeptic can
@@ -184,6 +186,14 @@ def _product(coeff: int, vs: tuple, pair: tuple, other: tuple, chain_len: int):
     return pair, _exists(bound, body), SLin(((u, 1), (v, -1)))
 
 
+def _splits(vs: tuple) -> int:
+    """How many heads `_product` splits off vs (equal factors listed
+    together): d - 2 where it ends at a square, that is where two of the
+    last three factors are equal, and d - 1 otherwise."""
+    tail = vs[-3:]
+    return len(vs) - 1 - (len(set(tail)) < len(tail))
+
+
 def _exists(bound: tuple, conj: tuple) -> tuple:
     """The conjuncts under one `exists` of each bound variable, as a 1-tuple."""
     if not bound:
@@ -205,32 +215,32 @@ def encode(h: MultiPoly, chain_len: int = BUCHI_CHAIN) -> SquareFormula:
     """
     if chain_len < BUCHI_CHAIN:
         raise ValueError(f"chain length {chain_len} is below the Buchi constant {BUCHI_CHAIN}")
-    scale = 4 ** max(h.degree - 1, 0)
     linear: dict = {}
     const = 0
     monos = []
     for expo, c in h.monomials:
         d = sum(expo)
         if d == 0:
-            const = c * scale
+            const = c
         elif d == 1:
-            linear[f"x{expo.index(1) + 1}"] = c * scale
+            linear[f"x{expo.index(1) + 1}"] = c
         else:
-            monos.append((c * scale, tuple(f"x{i + 1}" for i, e in enumerate(expo) for _ in range(e))))
+            monos.append((c, tuple(f"x{i + 1}" for i, e in enumerate(expo) for _ in range(e))))
     if not monos:
         return SEq(SLin.of(const, **linear))
+    scale = 4 ** max(_splits(vs) for _, vs in monos)
 
     rule1_name = ("t1", "t0")  # T_r is rule1_name[r % 2]
     p = len(monos)
     # Innermost conjunct: T_p = linear tail.
-    acc = SEq(SLin.of(-const, **{v: -c for v, c in linear.items()}, **{rule1_name[p % 2]: 1}))
+    acc = SEq(SLin.of(-const * scale, **{v: -c * scale for v, c in linear.items()}, **{rule1_name[p % 2]: 1}))
     for r in range(p, 0, -1):
         cur = rule1_name[r % 2]
         # Equation at level r, with g_r the monomial's linear form:
         # for r = 1:  g_1 + T_1 = 0
         # for r >= 2: T_{r-1} = g_r + T_r, i.e. g_r + T_r - T_{r-1} = 0
         coeff, vs = monos[r - 1]
-        bound, conj, g = _product(coeff, vs, ("t2", "t3"), ("t0", "t1"), chain_len)
+        bound, conj, g = _product(coeff * scale, vs, ("t2", "t3"), ("t0", "t1"), chain_len)
         eq = g + SLin(((cur, 1),))
         if r >= 2:
             eq += SLin(((rule1_name[(r - 1) % 2], -1),))
@@ -252,19 +262,20 @@ class _Compiled:
 
     Each step is (column, kind, recipes) in resolution order; a bound
     column is searched only over the values its recipes give.  A recipe
-    (cv, num, None) gives num / cv; a chain recipe (cv, rest, dm1) reads
-    an adjacent pair of square atoms a0 = cv*x + rest and a1 = a0 + dm1 + 1
-    as t^2 and (t + 1)^2, so t = dm1 / 2 and x = (t^2 - rest) / cv.  Kinds:
+    (cv, num, None) gives num / cv.  A run recipe (cv, rest, dm1) reads a
+    run of adjacent square atoms a_0..a_e, with a_0 = cv*x + rest and
+    a_(k+1) - a_k = dm1 + 2k + 1, as (t + k)^2, so t = dm1 / 2 and
+    x = (t^2 - rest) / cv.  A Buchi chain w + 2iT + i^2 is one run.  Kinds:
 
     - "eq": the first ready equation.  It forces the column, because any
       other value fails that equation, which is fully known at this step.
-    - "pinned": chain recipes that are integral everywhere and equal as
-      polynomials (a Buchi chain pinning x = T^2); one is kept, and the
-      atoms of their pairs hold at its value.
-    - "chain": every ready chain recipe, each one a candidate.
+    - "pinned": a single ready recipe, a run recipe with cv = +-1 and dm1
+      even in every coefficient, so its value is integral everywhere and
+      every atom of its run holds there (a Buchi chain pinning x = T^2).
+    - "chain": every ready run recipe, each one a candidate.
 
     `checks[i]` lists the atoms that become fully known after step i - 1,
-    less those a recipe makes true (the pairs of a pinned step, and the
+    less those a recipe makes true (the run of a pinned step, and the
     equation of an "eq" step with cv = +-1).  A formula with a bound
     column that no recipe reaches is not `resolved` and is false.
     """
@@ -280,12 +291,16 @@ class _Compiled:
 def _compile(f, free: tuple) -> _Compiled:
     """One walk of f; `free` names the free variables' columns in order.
 
+    A run (see `_Compiled`) starts at a square pair that gives a bound
+    column the same coefficient, yields one recipe per such column, and
+    ends where the next step is not the first step's linear part plus a
+    constant 2 more than the step before; the next run may start there.
     Each recipe counts the bound columns it still waits for, and a column
     joins the frontier when one of its recipes reaches zero, so ordering
     is linear in the recipes, and the compile linear in the atoms.
     """
     nfree = ncols = len(free)
-    atoms: list = []  # (is_square, {column: coefficient}, constant)
+    atoms: list = []  # (is_square, ((column, coefficient), ...), {column: coefficient}, constant)
 
     stack = [(f, {v: i for i, v in enumerate(free)})]
     while stack:  # depth first, left to right
@@ -293,9 +308,11 @@ def _compile(f, free: tuple) -> _Compiled:
         if isinstance(node, SAnd):
             stack.extend((a, scope) for a in reversed(node.args))
         elif isinstance(node, SSquare):
-            atoms.append((True, {scope[v]: c for v, c in node.arg.coeffs}, node.arg.const))
+            items = tuple([(scope[v], c) for v, c in node.arg.coeffs])
+            atoms.append((True, items, dict(items), node.arg.const))
         elif isinstance(node, SEq):
-            atoms.append((False, {scope[v]: c for v, c in node.lhs.coeffs}, node.lhs.const))
+            items = tuple([(scope[v], c) for v, c in node.lhs.coeffs])
+            atoms.append((False, items, dict(items), node.lhs.const))
         elif isinstance(node, SExists):
             stack.append((node.body, {**scope, node.var: ncols}))
             ncols += 1
@@ -304,24 +321,32 @@ def _compile(f, free: tuple) -> _Compiled:
 
     # Recipes, equations first: (column, atoms made true, recipe, columns waited for).
     recipes: list = []
-    for i, (is_sq, lin, c) in enumerate(atoms):
+    for i, (is_sq, _, lin, c) in enumerate(atoms):
         if not is_sq:
             bound = [k for k in lin if k >= nfree]
             for j in bound:
                 cv = lin[j]
                 num = tuple((k, -a) for k, a in lin.items() if k != j)
                 recipes.append((j, (i,) if abs(cv) == 1 else (), (cv, (num, -c), None), [k for k in bound if k != j]))
-    for i, ((sq0, a0, c0), (sq1, a1, c1)) in enumerate(zip(atoms, atoms[1:])):
+    i = 0
+    while i < len(atoms) - 1:
+        (sq0, _, a0, c0), (sq1, _, a1, c1) = atoms[i], atoms[i + 1]
         # A column whose coefficient is the same in both atoms of a square pair.
         cols = [j for j, cv in a0.items() if j >= nfree and a1.get(j) == cv] if sq0 and sq1 else ()
+        e = i + 1
         if cols:
-            keys = a0.keys() | a1.keys()
-            diff = {k: d for k in keys if (d := a1.get(k, 0) - a0.get(k, 0))}
+            diff = _step(a0, a1)
+            while e + 1 < len(atoms):  # each later step adds diff and 2 more to the constant
+                (_, _, a, c), (sq, _, a2, c2) = atoms[e], atoms[e + 1]
+                if not sq or c2 - c != c1 - c0 + 2 * (e - i) or _step(a, a2) != diff:
+                    break
+                e += 1
             dm1 = (tuple(diff.items()), c1 - c0 - 1)
-            bound = {k for k in keys if k >= nfree}
+            bound = {k for k in a0.keys() | a1.keys() if k >= nfree}
             for j in cols:
                 rest = tuple([(k, a) for k, a in a0.items() if k != j])
-                recipes.append((j, (i, i + 1), (a0[j], (rest, c0), dm1), bound - {j}))
+                recipes.append((j, range(i, e + 1), (a0[j], (rest, c0), dm1), bound - {j}))
+        i = e
 
     missing = [len(waits) for _, _, _, waits in recipes]
     by_col, users = [[] for _ in range(ncols)], [[] for _ in range(ncols)]
@@ -338,11 +363,12 @@ def _compile(f, free: tuple) -> _Compiled:
     while frontier:
         j = min(frontier)
         ready = [recipes[r] for r in by_col[j] if not missing[r]]
-        if ready[0][2][2] is None:
+        cv, _, dm1 = ready[0][2]
+        if dm1 is None:
             proven.update(ready[0][1])
             steps.append((j, "eq", (ready[0][2],)))
-        elif _pinned([r[2] for r in ready]):
-            proven.update(i for r in ready for i in r[1])
+        elif len(ready) == 1 and abs(cv) == 1 and not dm1[1] % 2 and not any(a % 2 for _, a in dm1[0]):
+            proven.update(ready[0][1])
             steps.append((j, "pinned", (ready[0][2],)))
         else:
             steps.append((j, "chain", tuple(r[2] for r in ready)))
@@ -356,34 +382,16 @@ def _compile(f, free: tuple) -> _Compiled:
     resolved = len(steps) == ncols - nfree
     checks: list = [[] for _ in range(len(steps) + 1)]
     if resolved:
-        for i, (_, lin, _) in enumerate(atoms):
+        for i, (_, _, lin, _) in enumerate(atoms):
             if i not in proven:
                 checks[1 + max(map(stage.__getitem__, lin), default=-1)].append(i)
-    forms = tuple((is_sq, (tuple(lin.items()), c)) for is_sq, lin, c in atoms)
+    forms = tuple((is_sq, (items, c)) for is_sq, items, _, c in atoms)
     return _Compiled(nfree, ncols, forms, tuple(steps), tuple(tuple(c) for c in checks), resolved)
 
 
-def _pinned(chains) -> bool:
-    """Whether chain recipes are integral everywhere and give one value.
-
-    With cv = +-1 and dm1 even in every coefficient, t = dm1 / 2 is an
-    integral form and cv * (t^2 - rest) is integral.  Recipes whose dm1
-    differ by a constant 2e give t_b = t_a + e, and then the same value
-    exactly when rest_b = rest_a + e * dm1_a + e^2.
-    """
-    cv, (rest, c), (dm1, d) = chains[0]
-    lin = dict(dm1)
-    if abs(cv) != 1 or any(a % 2 for a in lin.values()):
-        return False
-    base = dict(rest)
-    keys = base.keys() | lin.keys()
-    for cv_b, (rest_b, c_b), (dm1_b, d_b) in chains:
-        e = (d_b - d) // 2
-        if cv_b != cv or d_b % 2 or c_b != c + e * d + e * e or (dm1_b != dm1 and dict(dm1_b) != lin):
-            return False
-        if dict(rest_b) != {k: a for k in keys if (a := base.get(k, 0) + e * lin.get(k, 0))}:
-            return False
-    return True
+def _step(a0: dict, a1: dict) -> dict:
+    """a1 - a0 over the columns of two atoms, without zero coefficients."""
+    return {k: d for k in a0.keys() | a1.keys() if (d := a1.get(k, 0) - a0.get(k, 0))}
 
 
 def _lin(form, vals) -> int:
@@ -431,9 +439,10 @@ def eval_square_formula(f, env: dict) -> bool:
 
     The formula is compiled once (`_compile`) and searched depth first.
     Each bound variable is searched only over the values of its ready
-    recipes: a defining equation, which forces the value, or else each
-    adjacent pair of chain atoms.  Each atom is checked as soon as all
-    its variables are known, unless a recipe already makes it true.
+    recipes: a defining equation, which forces the value, or else one
+    candidate per run of adjacent square atoms in second-difference-2
+    progression (a Buchi chain is one run).  Each atom is checked as soon
+    as all its variables are known, unless a recipe already makes it true.
     """
     names = tuple(env)
     return _search(_compile(f, names), [env[v] for v in names])
@@ -559,10 +568,11 @@ def check_equiv(h: MultiPoly, f, grid: int) -> EquivReport:
     counts the points up to and including the first mismatch, or the
     whole grid on a pass.  f is compiled once (`_compile`).  With numpy,
     one forward sweep (`_sweep`) gives every bound variable one value at
-    every point: a defining equation forces its value, a Buchi chain pins
-    it to T^2, and any other chain takes its first valid candidate.  The
-    atoms that no recipe already makes true are then checked at once, and
-    the false points where chain candidates disagree are searched exactly.
+    every point: a defining equation forces its value, a lone Buchi chain
+    run pins it to T^2, and otherwise it takes its first valid run
+    candidate.  The atoms that no recipe already makes true are then
+    checked at once, and the false points where run candidates disagree
+    are searched exactly.
     Without numpy, or when a value could reach 2**50, every point is
     searched exactly by `_search`, the code `eval_square_formula` runs.
     """

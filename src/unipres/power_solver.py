@@ -238,25 +238,29 @@ def preprocess(system: ConstraintSystem) -> list[ConstraintSystem]:
 def _turn_bound(nums) -> int:
     """|p| is strictly increasing in |t| at integers beyond this radius.
 
-    The radius passes every real root of p and of p', each bounded by the
-    lesser of Cauchy's 1 + max|c_i/c_d| and Fujiwara's
-    2*max|c_(d-i)/c_d|^(1/i); a polynomial with a small leading coefficient
-    and a large constant term gets the d-th root of their ratio.
+    The radius passes every real root of p and of p' (`_root_bound`).  A
+    zero coefficient adds nothing to either bound, so both run over the
+    nonzero terms only: u^1000000 + 3 costs two terms.
     """
-    deriv = [i * nums[i] for i in range(1, len(nums))]
+    terms = [(i, nums[i]) for i in itertools.compress(range(len(nums)), nums)]
+    return max(_root_bound(terms), _root_bound([(i - 1, i * c) for i, c in terms if i]))
 
-    def root_bound(cs):
-        while cs and cs[-1] == 0:
-            cs = cs[:-1]
-        d = len(cs) - 1
-        if d <= 0:
-            return 1
-        lead = abs(cs[-1])
-        cauchy = 2 + max(abs(c) for c in cs[:-1]) // lead
-        fujiwara = 1 + 2 * max(floor_root(abs(cs[d - i]) // lead, i) + 1 for i in range(1, d + 1))
-        return min(cauchy, fujiwara)
 
-    return max(root_bound(list(nums)), root_bound(deriv))
+def _root_bound(terms) -> int:
+    """An integer beyond |r| for every real root r of sum(c * t**i), from
+    its nonzero terms (i, c) in ascending i: the lesser of Cauchy's
+    1 + max|c_i/c_d| and Fujiwara's 2*max|c_(d-i)/c_d|^(1/i), so a
+    polynomial with a small leading coefficient and a large constant term
+    gets the d-th root of their ratio."""
+    if not terms or not terms[-1][0]:
+        return 1
+    d, lead = terms[-1]
+    lead, lower = abs(lead), terms[:-1]
+    if not lower:  # c_d * t^d: its one root is 0
+        return 2
+    cauchy = 2 + max([abs(c) for _, c in lower]) // lead
+    fujiwara = 3 + 2 * max([floor_root(abs(c) // lead, d - i) for i, c in lower])
+    return min(cauchy, fujiwara)
 
 
 @dataclass(frozen=True, init=False)

@@ -192,6 +192,73 @@ def split_chain_formula():
     )))
 
 
+def strided_run_formula():
+    """exists b. Z^2(2b + 2i x1 + i^2) for i < 5: a Buchi chain on w = 2b.
+
+    Its five atoms are one run, but with cv = 2 the value b = x1^2 / 2 is
+    not integral everywhere, so b is a "chain" column with one candidate;
+    the formula holds exactly where x1 is even.
+    """
+    return SExists("b", SAnd(tuple(SSquare(SLin.of(i * i, b=2, x1=2 * i)) for i in range(5))))
+
+
+def twice_pinned_formula():
+    """exists b. chain(b, x1) & 0 = 0 & chain(b, x1): one pinned chain written twice.
+
+    Each chain is a run that pins b = x1^2, so the formula holds everywhere;
+    with two ready run recipes, b is a "chain" column with two candidates
+    of equal value, and every atom is checked.
+    """
+    chain = tuple(SSquare(SLin.of(i * i, b=1, x1=2 * i)) for i in range(5))
+    return SExists("b", SAnd(chain + (SEq(SLin.of(0)),) + chain))
+
+
+def bent_run_formula():
+    """exists b. Z^2(b) & Z^2(b + 2 x1 + 1) & Z^2(b + 2 x1 + 4).
+
+    The third atom's constant step is 2 more than the second's, but its
+    linear step differs, so the atoms are two runs: b = x1^2 and b = -2 x1.
+    Either way |b| <= 16 on |x1| <= 4, and the formula holds at x1 = 0
+    and -2 only.
+    """
+    return SExists("b", SAnd((
+        SSquare(SLin.of(0, b=1)),
+        SSquare(SLin.of(1, b=1, x1=2)),
+        SSquare(SLin.of(4, b=1, x1=2)),
+    )))
+
+
+def brute_truth(f, x1: int, window: int = 64) -> bool:
+    """exists b. AND(atoms) at x1, by trying every |b| <= window."""
+    atoms = f.body.args
+
+    def holds(atom, env):
+        return _is_sq(atom.arg.eval(env)) if isinstance(atom, SSquare) else atom.lhs.eval(env) == 0
+
+    return any(all(holds(a, {"b": b, "x1": x1}) for a in atoms) for b in range(-window, window + 1))
+
+
+# (formula, step kinds with their candidate counts, x1 where it holds on |x1| <= 4, h with that zero set)
+RUN_CASES = [
+    (strided_run_formula, [("chain", 1)], {-4, -2, 0, 2, 4}, "(* x1 (+ (* x1 x1) -4) (+ (* x1 x1) -16))"),
+    (twice_pinned_formula, [("chain", 2)], set(range(-4, 5)), "(- x1 x1)"),
+    (bent_run_formula, [("chain", 2)], {-2, 0}, "(* x1 (+ x1 2))"),
+]
+
+
+@pytest.mark.parametrize("make,kinds,holds,text", RUN_CASES)
+def test_runs_the_compiler_reads_as_one_recipe(monkeypatch, make, kinds, holds, text):
+    f = make()
+    plan = _compile(f, ("x1",))
+    assert [(kind, len(recipes)) for _, kind, recipes in plan.steps] == kinds
+    truth = [brute_truth(f, v) for v in range(-4, 5)]
+    assert {v for v, t in zip(range(-4, 5), truth) if t} == holds
+    for h in (parse_poly(text), parse_poly("x1")):
+        first = next(((v,) for v, t in zip(range(-4, 5), truth) if (h.eval((v,)) == 0) != t), None)
+        want = EquivReport(True, None, 9) if first is None else EquivReport(False, first, grid_index(first, 4) + 1)
+        assert check_equiv(h, f, 4) == exact_check(monkeypatch, h, f, 4) == want, h
+
+
 def _agreement_cases():
     for text, grid in ROUND_TRIP[:5]:
         h = parse_poly(text)
@@ -267,6 +334,23 @@ def _reference_chain(w, t, chain_len):
     return [SSquare(w + t.scale(2 * i) + SLin.of(i * i)) for i in range(chain_len)]
 
 
+def _reference_split(vs):
+    """(head, rest) of a product of factors, or None for one factor or a square."""
+    if len(vs) == 1 or len(vs) == 2 and vs[0] == vs[1]:
+        return None
+    counts = {v: vs.count(v) for v in vs}
+    odd = [v for v, n in counts.items() if n == 1]
+    head = odd[0] if len(vs) == 3 and len(counts) == 2 else vs[0]
+    rest = list(vs)
+    rest.remove(head)
+    return head, tuple(rest)
+
+
+def _reference_splits(vs) -> int:
+    split = _reference_split(vs)
+    return 0 if split is None else 1 + _reference_splits(split[1])
+
+
 def _reference_reduce_monomial(coeff, vs, pair, other, chain_len):
     """(bound, conjuncts, form) with form = coeff * prod(vs), from SLin arithmetic."""
     if len(vs) == 1:
@@ -275,12 +359,8 @@ def _reference_reduce_monomial(coeff, vs, pair, other, chain_len):
         p = pair[0]
         chain = _reference_chain(SLin.of(0, **{p: 1}), SLin.of(0, **{vs[0]: 1}), chain_len)
         return (p,), tuple(chain), SLin.of(0, **{p: coeff})
-    counts = {v: vs.count(v) for v in vs}
-    odd = [v for v, n in counts.items() if n == 1]
-    head = odd[0] if len(vs) == 3 and len(counts) == 2 else vs[0]
-    rest = list(vs)
-    rest.remove(head)
-    bound, conj, g = _reference_reduce_monomial(coeff // 4, tuple(rest), other, pair, chain_len)
+    head, rest = _reference_split(vs)
+    bound, conj, g = _reference_reduce_monomial(coeff // 4, rest, other, pair, chain_len)
     u, v = pair
     chains = _reference_chain(SLin.of(0, **{u: 1}), SLin.of(0, **{head: 1}) + g, chain_len)
     chains += _reference_chain(SLin.of(0, **{v: 1}), SLin.of(0, **{head: -1}) + g, chain_len)
@@ -293,8 +373,16 @@ def _reference_reduce_monomial(coeff, vs, pair, other, chain_len):
     return pair, body, SLin.of(0, **{u: 1}) + SLin.of(0, **{v: -1})
 
 
+def _reference_factors(expo) -> tuple:
+    vs = []
+    for i, e in enumerate(expo):
+        vs.extend([f"x{i + 1}"] * e)
+    return tuple(vs)
+
+
 def reference_encode(h: MultiPoly, chain_len: int):
-    scale = 4 ** max(h.degree - 1, 0)
+    # Each split divides the coefficient by 4.
+    scale = 4 ** max((_reference_splits(_reference_factors(e)) for e, _ in h.monomials if sum(e) >= 2), default=0)
     linear = SLin.of(0)
     monos = []
     for expo, c in h.monomials:
@@ -304,10 +392,7 @@ def reference_encode(h: MultiPoly, chain_len: int):
         elif d == 1:
             linear += SLin.of(0, **{f"x{expo.index(1) + 1}": c * scale})
         else:
-            vs = []
-            for i, e in enumerate(expo):
-                vs.extend([f"x{i + 1}"] * e)
-            monos.append((c * scale, tuple(vs)))
+            monos.append((c * scale, _reference_factors(expo)))
     if not monos:
         return SEq(linear)
 
@@ -547,7 +632,7 @@ def test_cli_encode_rejects_a_short_chain(tmp_path, capsys, chain):
 
 
 SQUARE_ENCODING = (
-    "(exists t0 (and (exists t2 (and (= (+ t0 (* 4 t2)) 0) (pow 2 t2) (pow 2 (+ t2 (* 2 x1) 1))"
+    "(exists t0 (and (exists t2 (and (= (+ t0 t2) 0) (pow 2 t2) (pow 2 (+ t2 (* 2 x1) 1))"
     " (pow 2 (+ t2 (* 4 x1) 4)) (pow 2 (+ t2 (* 6 x1) 9)) (pow 2 (+ t2 (* 8 x1) 16)))) (= t0 0)))"
 )
 
@@ -555,6 +640,21 @@ SQUARE_ENCODING = (
 def test_cli_encode_prints_one_chain_for_a_square(capsys):
     assert cli_main(["encode", "(* x1 x1)"]) == 0
     assert capsys.readouterr() == (SQUARE_ENCODING + "\n", "")
+
+
+# One split: the scale is 4, so g = x2 and the chains are (x1 + x2)^2 and (-x1 + x2)^2.
+PRODUCT_ENCODING = (
+    "(exists t0 (and (exists t2 (exists t3 (and (= (+ t0 t2 (* -1 t3)) 0)"
+    " (pow 2 t2) (pow 2 (+ t2 (* 2 x1) (* 2 x2) 1)) (pow 2 (+ t2 (* 4 x1) (* 4 x2) 4))"
+    " (pow 2 (+ t2 (* 6 x1) (* 6 x2) 9)) (pow 2 (+ t2 (* 8 x1) (* 8 x2) 16))"
+    " (pow 2 t3) (pow 2 (+ t3 (* -2 x1) (* 2 x2) 1)) (pow 2 (+ t3 (* -4 x1) (* 4 x2) 4))"
+    " (pow 2 (+ t3 (* -6 x1) (* 6 x2) 9)) (pow 2 (+ t3 (* -8 x1) (* 8 x2) 16))))) (= t0 0)))"
+)
+
+
+def test_cli_encode_scales_a_product_by_4_per_split(capsys):
+    assert cli_main(["encode", "(* x1 x2)"]) == 0
+    assert capsys.readouterr() == (PRODUCT_ENCODING + "\n", "")
 
 
 @pytest.mark.parametrize("text, message", [

@@ -1,9 +1,11 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from unipres._ast import ConstraintSystem, PolyAtom, Verdict
+from unipres.numtheory import floor_root
 from unipres.power_solver import (
     ImagePoly,
     LrbsEntry,
@@ -179,6 +181,48 @@ def test_turn_bound_is_a_monotone_radius_within_the_cauchy_bound(rng):
     # of their ratio, not the ratio.
     assert _turn_bound([941184201, 0, 1]) == 1 + 2 * (30678 + 1)  # 30678 = isqrt(941184201)
     assert _cauchy_turn_bound([941184201, 0, 1]) == 941184203
+
+
+def _dense_turn_bound(nums):
+    """The radius over every coefficient, zero or not."""
+    deriv = [i * nums[i] for i in range(1, len(nums))]
+
+    def root_bound(cs):
+        while cs and cs[-1] == 0:
+            cs = cs[:-1]
+        d = len(cs) - 1
+        if d <= 0:
+            return 1
+        lead = abs(cs[-1])
+        cauchy = 2 + max(abs(c) for c in cs[:-1]) // lead
+        fujiwara = 1 + 2 * max(floor_root(abs(cs[d - i]) // lead, i) + 1 for i in range(1, d + 1))
+        return min(cauchy, fujiwara)
+
+    return max(root_bound(list(nums)), root_bound(deriv))
+
+
+def test_turn_bound_over_the_nonzero_terms_equals_the_dense_radius(rng):
+    for _ in range(3000):
+        degree = rng.randint(0, 14)
+        nums = [rng.choice((0, 0, rng.randint(-(10 ** rng.randint(1, 15)), 10 ** rng.randint(1, 15))))
+                for _ in range(degree)]
+        nums.append(rng.choice((0, rng.choice((1, -1)) * rng.randint(1, 40))))
+        assert _turn_bound(nums) == _dense_turn_bound(nums), nums
+    assert _turn_bound([]) == _dense_turn_bound([]) == 1
+    assert _turn_bound([0, 0, 0]) == _dense_turn_bound([0, 0, 0]) == 1
+
+
+def test_turn_bound_of_a_sparse_high_degree_polynomial_is_fast():
+    nums = [3] + [0] * 999_999 + [1]  # u^1000000 + 3
+    best = min(_timed(_turn_bound, nums) for _ in range(3))
+    assert best < 0.1
+    assert _turn_bound(nums) == _dense_turn_bound(nums) == 5
+
+
+def _timed(fn, *args) -> float:
+    start = time.perf_counter()
+    fn(*args)
+    return time.perf_counter() - start
 
 
 # Coalesced power pairs whose one atom Z^k(a*x + b) has k-th power residues
