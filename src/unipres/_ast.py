@@ -8,6 +8,7 @@ between the normalizer and the solvers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from fractions import Fraction
 
 from .numtheory import _poly_eval, depressed_cubic_roots, integer_numerators, kth_root
@@ -110,45 +111,48 @@ class Quant:
     body: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PredicateDecl:
-    """Integer-valued polynomial c_d u^d + ... + c_0 of degree <= 3.
+    """Integer-valued polynomial f(u) = (nums[0] + nums[1]*u + ...) / den of degree <= 3.
 
-    `nums` are the ascending integer numerators over the least common
-    denominator `den` > 0: f(u) = (nums[0] + nums[1]*u + ...) / den.
+    The ascending numerators over the least common denominator den > 0 are
+    the declaration; `coeffs` (c_d .. c_0, `Fraction`s) are built from them
+    on first use, or kept from `PredicateDecl(name, coeffs)`.
     """
 
     name: str
-    coeffs: tuple[Fraction, ...]  # c_d .. c_0, as declared
-    nums: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    den: int = field(init=False, repr=False, compare=False)
+    nums: tuple[int, ...]
+    den: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(c if type(c) is Fraction else Fraction(c) for c in self.coeffs))
-        if not self.coeffs or self.coeffs[0] == 0:
-            raise ParseError(f"predicate {self.name}: leading coefficient must be nonzero")
-        if self.degree > 3:
-            raise ParseError(f"predicate {self.name}: degree {self.degree} exceeds 3")
-        nums, den = integer_numerators(self.ascending())
+    def __init__(self, name: str, coeffs=None, *, nums=(), den: int = 1) -> None:
+        if coeffs is not None:
+            self.__dict__["coeffs"] = coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
+            nums, den = integer_numerators(coeffs[::-1])
+        object.__setattr__(self, "name", name)
         object.__setattr__(self, "nums", tuple(nums))
         object.__setattr__(self, "den", den)
+        if not nums or nums[-1] == 0:
+            raise ParseError(f"predicate {name}: leading coefficient must be nonzero")
+        if self.degree > 3:
+            raise ParseError(f"predicate {name}: degree {self.degree} exceeds 3")
         # Integer-valuedness is equivalent to integrality at d+1 consecutive points.
         for u in range(self.degree + 1):
             if _poly_eval(nums, u) % den:
-                raise ParseError(f"predicate {self.name} is not integer-valued (f({u}) = {self.eval(u)})")
+                raise ParseError(f"predicate {name} is not integer-valued (f({u}) = {self.eval(u)})")
+
+    @cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.den) for n in reversed(self.nums))
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def ascending(self) -> tuple[Fraction, ...]:
-        return tuple(reversed(self.coeffs))
+        return self.coeffs[::-1]
 
     def eval(self, u) -> Fraction:
-        v = Fraction(0)
-        for c in self.coeffs:
-            v = v * u + c
-        return v
+        return Fraction(_poly_eval(self.nums, u), self.den)
 
 
 @dataclass(frozen=True)

@@ -622,7 +622,7 @@ def parse_poly(text: str) -> MultiPoly:
     def walk(node) -> dict:
         # Keys are sorted tuples of variable indices (with multiplicity).
         if isinstance(node, str):
-            if node.startswith("x") and node[1:].isdigit() and int(node[1:]) >= 1:
+            if node.startswith("x") and node[1:].isdecimal() and int(node[1:]) >= 1:
                 return {(int(node[1:]),): 1}
             try:
                 return {(): int(node)} if int(node) else {}

@@ -34,9 +34,9 @@ a predicate and becomes the same kind of atom.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from ._ast import (
     And,
@@ -118,15 +118,24 @@ class SToken(str):
 
 # A parenthesis, a symbol, or a comment; the separators " \t\r\n" match none.
 _TOKEN = re.compile(r"[()]|[^ \t\r\n();]+|;[^\n]*")
+# A comment, or a character that `str.split` separates at but `_TOKEN` keeps in
+# a symbol.  Without these, " \t\r\n" are the only separators, so splitting with
+# each parenthesis padded gives `_TOKEN`'s tokens: parentheses and maximal runs.
+_SPLIT_UNSAFE = re.compile("[;\v\f\x1c-\x1f\x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u3000]")
+
+
+def _plain_tokens(text: str) -> list[str]:
+    """`_TOKEN.findall(text)`, by `str.split` where that gives the same list."""
+    if _SPLIT_UNSAFE.search(text):
+        return _TOKEN.findall(text)
+    return text.replace("(", " ( ").replace(")", " ) ").split()
 
 
 def read_sexprs(text: str, located: bool = True) -> list:
     """All top-level s-expressions: nested lists of `SToken` leaves, or of
-    plain `str` leaves (no positions, faster to build) with `located=False`."""
-    if located:
-        tokens = [SToken(m.group(), m.start(), text) for m in _TOKEN.finditer(text)]
-    else:
-        tokens = _TOKEN.findall(text)
+    plain `str` leaves (no positions, faster to build) with `located=False`,
+    split at whitespace when that gives `_TOKEN`'s tokens (see `_SPLIT_UNSAFE`)."""
+    tokens = [SToken(m.group(), m.start(), text) for m in _TOKEN.finditer(text)] if located else _plain_tokens(text)
     top: list = []
     current = top
     stack: list[tuple[list, str]] = []  # (enclosing list, its open '(')
@@ -179,17 +188,6 @@ def _parse_int(node) -> int:
         return int(s)
     except ValueError:
         raise ParseError(f"expected an integer, got '{s}'", *_where(node)) from None
-
-
-def _parse_rational(node) -> Fraction:
-    s = _expect_symbol(node, "a rational")
-    try:
-        if "/" in s:
-            num, den = s.split("/")
-            return Fraction(int(num), int(den))
-        return Fraction(int(s))
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"expected a rational, got '{s}'", *_where(node)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +319,9 @@ def _parse_formulas(exprs: list, multi: bool) -> list[Formula]:
 
 
 def _parse_decl(e: list) -> PredicateDecl:
+    """(declare-pred NAME (coeffs c_d ... c_0)), each c_i read as integers p/q
+    (q = 1 without a slash).  With L = lcm(q), the gcd of L and all p*L/q is L
+    over the least common denominator; dividing by it gives (nums, den)."""
     if len(e) != 3:
         raise ParseError("(declare-pred NAME (coeffs ...))", *_where(e[0]))
     name = _expect_symbol(e[1], "a predicate name")
@@ -332,9 +333,21 @@ def _parse_decl(e: list) -> PredicateDecl:
         or len(spec) < 2
     ):
         raise ParseError("expected (coeffs c_d ... c_0)", *_where(spec))
-    coeffs = tuple(_parse_rational(c) for c in spec[1:])
+    nums, dens = [], []
+    for c in spec[1:]:
+        p, slash, q = _expect_symbol(c, "a rational").partition("/")
+        try:
+            nums.append(int(p))
+            dens.append(int(q) if slash else 1)
+        except ValueError:
+            dens.append(0)  # raises below, as 1/0 does
+        if not dens[-1]:  # the leftmost bad token is reported
+            raise ParseError(f"expected a rational, got '{c}'", *_where(c))
+    den = math.lcm(*dens)  # a negative q flips its numerator's sign in den // q
+    nums = [p * (den // q) for p, q in zip(nums, dens)]
+    g = math.gcd(den, *nums)
     try:
-        return PredicateDecl(name, coeffs)
+        return PredicateDecl(name, nums=[n // g for n in reversed(nums)], den=den // g)
     except ParseError as exc:  # a check of the declared polynomial, which has no position
         raise ParseError(str(exc), *_where(e[0])) from None
 

@@ -30,14 +30,6 @@ from .numtheory import kth_root
 __all__ = ["ScanReport", "eval_at", "scan", "value_set_member", "atom_eval", "AtomSieve"]
 
 
-def _int_poly(decl: PredicateDecl) -> list[int]:
-    asc = decl.ascending()
-    lcm = 1
-    for c in asc:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    return [int(c * lcm) for c in asc], lcm
-
-
 def _eval_int_poly(cs, u: int) -> int:
     v = 0
     for c in reversed(cs):
@@ -117,8 +109,7 @@ def _solve_poly(cs, target: int) -> list[int]:
 
 def value_set_member(decl: PredicateDecl, v: int) -> tuple[bool, list[int]]:
     """Whether v lies in the predicate's value set, with the witnesses."""
-    cs, lcm = _int_poly(decl)
-    roots = _solve_poly(cs, v * lcm)
+    roots = _solve_poly(decl.nums, v * decl.den)
     return bool(roots), roots
 
 

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from unipres import ParseError, PolyAtom, SolveOptions, Verdict, decide, format_formula, normalize, parse
 from unipres import encoder, formula, poly_solver
@@ -476,6 +476,8 @@ PARSE_ERRORS = [
     (parse_poly, "((+ x1) x2)", "unknown operator 'None'", None, None),
     (parse_poly, "(+ x1 x2", "unclosed '(' at 1:1", 1, 1),
     (parse_poly, "(+ x1 x2))", "unexpected ')' at 1:10", 1, 10),
+    (parse_poly, "x\u00b2", "unknown symbol 'x\u00b2' at 1:1", 1, 1),
+    (parse_poly, "(+ x1 x\u00b2)", "unknown symbol 'x\u00b2' at 1:7", 1, 7),
 ]
 
 
@@ -624,6 +626,106 @@ def test_predicate_coefficients_become_fractions_once():
     assert all(type(c) is Fraction for c in from_ints.coeffs + from_fractions.coeffs)
     kept = (Fraction(1, 2), Fraction(1, 2), Fraction(0))
     assert all(a is b for a, b in zip(PredicateDecl("T", kept).coeffs, kept))
+
+
+# --- the plain pass's split tokens and integer declarations ---------------
+
+
+def test_split_guard_names_every_separator_the_regex_keeps():
+    every = "".join(map(chr, range(0x110000)))
+    kept = {c for c in every if c.isspace()} - set(" \t\r\n")
+    assert set(formula._SPLIT_UNSAFE.findall(every)) == kept | {";"}
+
+
+@given(st.text(alphabet="();  \t\r\n\f\v\x1c\x85\xa0\u2028\u3000ab9/-", max_size=40))
+@settings(max_examples=600, deadline=None)
+def test_plain_tokens_equal_the_regex_tokens(text):
+    assert formula._plain_tokens(text) == formula._TOKEN.findall(text)
+    try:
+        located = read_sexprs(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as plain:
+            read_sexprs(text, located=False)
+        assert plain.value.line is None and str(exc) == f"{plain.value} at {exc.line}:{exc.col}"
+    else:
+        assert read_sexprs(text, located=False) == located
+
+
+def test_parse_poly_reads_only_decimal_variable_indices():
+    assert parse_poly("x\u0663") == parse_poly("x3")  # int() reads the Arabic-Indic digit three
+    with pytest.raises(ParseError, match="unknown symbol 'x\u00b2'"):
+        parse_poly("x\u00b2")
+
+
+def _reference_rational(token: str) -> Fraction | None:
+    try:
+        if "/" in token:
+            num, den = token.split("/")
+            return Fraction(int(num), int(den))
+        return Fraction(int(token))
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+def _reference_declaration(tokens):
+    """(nums, den, coeffs) of the declared polynomial by `Fraction`s, or the error and its column."""
+    coeffs = [_reference_rational(t) for t in tokens]
+    if None in coeffs:
+        i = coeffs.index(None)
+        col = len("(declare-pred P (coeffs ") + 1 + sum(len(t) + 1 for t in tokens[:i])
+        return f"expected a rational, got '{tokens[i]}' at 1:{col}"
+    if coeffs[0] == 0:
+        return "predicate P: leading coefficient must be nonzero at 1:2"
+    if len(coeffs) > 4:
+        return f"predicate P: degree {len(coeffs) - 1} exceeds 3 at 1:2"
+    for u in range(len(coeffs)):
+        if _fraction_eval(coeffs, u).denominator != 1:
+            return f"predicate P is not integer-valued (f({u}) = {_fraction_eval(coeffs, u)}) at 1:2"
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return tuple(int(c * den) for c in reversed(coeffs)), den, tuple(coeffs)
+
+
+_coefficient_tokens = st.one_of(
+    st.sampled_from(["4/6", "1/-2", "-0/5", "+3", "1_0", "1/0", "1/2/3", "x", "/2", "1/", "0", "-1/2", "1/6", "2/4"]),
+    st.integers(-(10**30), 10**30).map(str),
+    st.builds("{}/{}".format, st.integers(-40, 40), st.integers(-12, 12)),
+)
+
+
+@given(st.lists(_coefficient_tokens, min_size=1, max_size=5))
+@example(["2/4", "1/-2", "-0/5"])     # (u^2 - u)/2, read over the unreduced lcm 4
+@example(["1", "x", "1/0"])           # two bad tokens: the leftmost is reported
+@example(["4/6", "-2/3", "+3", "1_0"])
+@settings(max_examples=500, deadline=None)
+def test_declarations_read_as_the_fraction_reference(tokens):
+    text = f"(declare-pred P (coeffs {' '.join(tokens)})) (exists x (pred P x))"
+    want = _reference_declaration(tokens)
+    if isinstance(want, str):
+        assert _error_at(text)[0] == want
+        return
+    decl = parse(text).decls[0]
+    assert (decl.nums, decl.den, decl.coeffs) == want
+    assert decl == PredicateDecl("P", want[2])
+
+
+def test_parse_builds_no_fraction(monkeypatch):
+    text = (
+        "(declare-pred T (coeffs 1/2 1/2 0)) (declare-pred C (coeffs 1/6 -1/2 1/3 0))\n"
+        "(exists x (and (pred T x) (not (pred C (+ x 1))) (pow 2 x)))"
+    )
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    f = parse(text)
+    assert [(d.nums, d.den) for d in f.decls] == [((0, 1, 1), 2), ((0, 2, -3, 1), 6)]
+    assert oracle.value_set_member(f.decls[0], 36) == (True, [-9, 8])
+    assert built == []
+    assert f.decls[1].coeffs == (Fraction(1, 6), Fraction(-1, 2), Fraction(1, 3), Fraction(0)) and built
 
 
 _leading = st.integers(1, 12)
