@@ -11,7 +11,9 @@ unbounded system once.  `decide` (power_solver) is the one function
 that maps a system to a verdict: it scans a bounded system point by
 point, and otherwise `solve_positive` routes the positive atoms to one
 `SolutionSet`: families of image polynomials or Pell orbits, finitely
-many values, or every integer.
+many values, or every integer; positive atoms with no common residue
+modulo a small prime power give an empty one, a certified `unsat` that
+names the modulus (`local-obstruction:m=<q>`) before any route.
 """
 
 from ._ast import ConstraintSystem, Formula, ParseError, PolyAtom, Verdict

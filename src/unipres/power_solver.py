@@ -18,8 +18,8 @@ which answers with classes at their least period.
 Verdicts are three-valued.  Paths whose finiteness rests on effective but
 astronomically-large bounds in the literature enumerate an auxiliary
 unknown up to a configurable bound and answer Unknown instead of an
-uncertified Unsat; Pell-based, divisor-based, and residue-emptiness paths
-are certified complete.
+uncertified Unsat; Pell-based, divisor-based, residue-emptiness and
+local-obstruction paths are certified complete.
 """
 
 from __future__ import annotations
@@ -528,6 +528,40 @@ def image_polys(nums, den, period: int, residues) -> tuple[ImagePoly, ...]:
     return tuple(polys)
 
 
+# Pairwise coprime prime powers: by the CRT one test per modulus is as
+# strong as one modulo their product, and 16 refutes whatever 8 would.
+_OBSTRUCTION_MODULI = (16, 27, 25, 7, 11, 13)
+_image_masks: dict[tuple[int, int, int, int, int], int] = {}
+_admitted_masks: dict[tuple[int, int, int, int], int] = {}
+
+
+def _admitted(atom: PolyAtom, q: int) -> int:
+    """The y mod q, as a bitmask, with a*y + b among the f(u) mod q over
+    u = offset (mod gcd(stride, q)), where every lattice point reduces;
+    this image mask and the y mask are built on first use."""
+    g = math.gcd(atom.stride, q)
+    key = (atom.degree, atom.lin % q, g, atom.offset % g, q)
+    if (image := _image_masks.get(key)) is None:
+        bits = {1 << (pow(u, atom.degree, q) + atom.lin * u) % q for u in range(atom.offset % g, q, g)}
+        image = _image_masks[key] = sum(bits)  # distinct bits: the sum is their union
+    key = (image, q, atom.a % q, atom.b % q)
+    if (ys := _admitted_masks.get(key)) is None:
+        ys = _admitted_masks[key] = sum(1 << y for y in range(q) if image >> (atom.a * y + atom.b) % q & 1)
+    return ys
+
+
+def _local_obstruction(atoms) -> int | None:
+    """The first of `_OBSTRUCTION_MODULI` modulo which no residue of y is
+    admitted by every atom (`_admitted`), or None."""
+    for q in _OBSTRUCTION_MODULI:
+        ys = (1 << q) - 1
+        for at in atoms:
+            ys &= _admitted(at, q)
+        if not ys:
+            return q
+    return None
+
+
 def _single_poly_images(atom: PolyAtom, classes) -> SolutionSet:
     """x = (f(w + P*t) - b) / a, one image per class w of the witnesses
     mod their least period P (`_atom_classes`)."""
@@ -726,7 +760,8 @@ def solve_positive(positives, options: SolveOptions = DEFAULT_OPTIONS) -> Soluti
     non-redundant (`prepare`), a > 0.
 
     Certified emptiness comes first: some witness of each atom must have
-    f(u) = b (mod a), which `numtheory.residue_classes` decides.
+    f(u) = b (mod a) (`numtheory.residue_classes`), and two or more atoms
+    must hold together modulo each of `_OBSTRUCTION_MODULI` (`_local_obstruction`).
     """
     atoms = sorted(positives)
     if not atoms:
@@ -740,6 +775,8 @@ def solve_positive(positives, options: SolveOptions = DEFAULT_OPTIONS) -> Soluti
             return SolutionSet("poly:empty-residues", True)
     if len(atoms) == 1:
         return _single_poly_images(atoms[0], classes[0])
+    if (q := _local_obstruction(atoms)) is not None:
+        return SolutionSet(f"local-obstruction:m={q}", True)
     degs = tuple(at.degree for at in atoms)
     if len(atoms) == 2:
         if degs == (2, 2):
@@ -857,7 +894,8 @@ def decide(system: ConstraintSystem, options: SolveOptions = DEFAULT_OPTIONS) ->
     points and the negative atoms filter it: a set of `everything` by a
     scan of the integers above the bound, a set without families by its
     least surviving value, and any other set by a scan of its
-    `MemberStream`.
+    `MemberStream`.  A local obstruction is a complete, empty set: a
+    certified Unsat that logs its modulus and starts no walk or stream.
 
     Witness rule: a bounded system answers the least (|x|, x) witness
     among the points it tests; the other scans answer their first hit in

@@ -8,6 +8,11 @@ from unipres.power_solver import Verdict, decide
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
+OPEN_CUBICS = (
+    "(declare-pred P0 (coeffs -1/6 3/2 5/3 2))\n"
+    "(exists x (and (pred P0 (+ (* -1 x) -2)) (pow 2 (+ (* 3 x) 13)) (pred P0 (+ (* 2 x) -12)) (> (+ x 5) 34)))\n"
+)
+
 DNF_CAP_REPRO = (
     "(exists x (and (> x 0) (not (mod x 50 1)) (not (mod x 51 1)) (not (mod x 53 1))))"
 )
@@ -69,7 +74,7 @@ GOLDEN = {
     "least_witness": (0, "sat", -1),
     "sign_paths": (0, "sat", 1),
     "simple_sat": (0, "sat", 4),
-    "three_cubics": (2, "unknown", None),
+    "three_cubics": (1, "unsat", None),
     "wide_interval": (0, "sat", 1),
 }
 
@@ -109,10 +114,21 @@ def test_wide_interval_without_a_hit_tests_its_first_bound_points(holds_calls):
     assert holds_calls == list(range(1, 1001))
 
 
-def test_three_cubics_walk_at_a_wide_bound(capsys):
-    # Each system walks 2*10^5 + 1 points of one cubic with a linear part
-    # and intersects them with the lattice images of the other.
-    assert cli.main(["--bound", "100000", str(FIXTURES / "three_cubics.sexp")]) == cli.EXIT_UNKNOWN
+def test_three_cubics_is_refuted_at_the_default_bound(capsys):
+    # Each open system has no residue mod 7 at which its three cubic atoms
+    # all hold, so no system walks even at the default bound.
+    start = time.perf_counter()
+    assert cli.main([str(FIXTURES / "three_cubics.sexp")]) == cli.EXIT_UNSAT
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out == "unsat\n"
+
+
+def test_an_open_cubic_system_walks_at_a_wide_bound(tmp_path, capsys):
+    # Its positive atoms hold together modulo every sieve modulus, so the
+    # system walks 2*10^5 + 1 points of one cubic with a linear part and
+    # filters their images by the other two atoms.
+    path = write(tmp_path, "walk.sexp", OPEN_CUBICS)
+    assert cli.main(["--bound", "100000", path]) == cli.EXIT_UNKNOWN
     out = "unknown (bounded enumeration (poly:multi:bounded) found no witness, bound=100000)\n"
     assert capsys.readouterr().out == out
 

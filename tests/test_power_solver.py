@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -16,6 +17,7 @@ from unipres.power_solver import (
     is_redundant,
     _bounded_curve,
     _image_radius,
+    _local_obstruction,
     _turn_bound,
     image_polys,
     solve_positive,
@@ -396,6 +398,77 @@ class TestBoundedWalk:
                 f = u**at.degree + at.lin * u - at.b
                 if f % at.a == 0 and lo <= f // at.a <= hi:
                     assert abs(u) <= R, (at, lo, hi, u)
+
+
+class TestLocalObstruction:
+    @staticmethod
+    def random_atoms(rng) -> list[PolyAtom]:
+        atoms = []
+        for _ in range(rng.randint(2, 3)):
+            degree = rng.randint(2, 6)
+            lin = rng.randint(-30, 30) if degree == 3 and rng.random() < 0.5 else 0
+            stride = rng.randint(1, 6)
+            atoms.append(PolyAtom(degree, lin, rng.randint(1, 30), rng.randint(-50, 50), stride, rng.randrange(stride)))
+        return atoms
+
+    @staticmethod
+    def solutions(atoms, bound: int = 2000) -> list[int]:
+        """The |y| <= bound at which every atom holds: the first atom's
+        lattice images by direct evaluation, kept by `PolyAtom.holds`."""
+        first = atoms[0]
+        M = 30 * bound + 50  # the largest |a*y + b|
+        R = math.isqrt(M) + 1 if first.degree == 2 else floor_root(M, first.degree) + 6
+        ys = set()
+        for u in range(-R, R + 1):
+            num = u**first.degree + first.lin * u - first.b
+            if u % first.stride == first.offset and num % first.a == 0 and abs(num // first.a) <= bound:
+                ys.add(num // first.a)
+        return sorted(y for y in ys if all(at.holds(y) for at in atoms))
+
+    def test_a_refuted_system_has_no_solution(self, rng):
+        refuted = 0
+        for _ in range(1500):
+            atoms = self.random_atoms(rng)
+            if _local_obstruction(atoms) is not None:
+                refuted += 1
+                assert self.solutions(atoms) == [], atoms
+        assert refuted > 300, refuted
+
+    def test_a_planted_solution_is_never_refuted(self, rng):
+        for _ in range(1500):
+            y = rng.randint(-2000, 2000)
+            atoms = [TestBoundedWalk.random_lattice_atom(rng, y) for _ in range(rng.randint(2, 4))]
+            assert all(at.holds(y) for at in atoms)
+            assert _local_obstruction(atoms) is None, (atoms, y)
+
+    def test_the_stride_restricts_the_image(self):
+        # u odd gives y = u^2 = 1 (mod 8), where y + 4 = 5 is no square.
+        # Over every u, y = 0 has y and y + 4 both squares.
+        assert _local_obstruction([PolyAtom(2, 0, 1, 0, 2, 1), PolyAtom(2, 0, 1, 4, 1, 0)]) == 16
+        assert _local_obstruction([PolyAtom(2, 0, 1, 0, 1, 0), PolyAtom(2, 0, 1, 4, 1, 0)]) is None
+
+    def test_an_open_system_of_three_cubics_is_refuted_mod_7(self):
+        # The system x > 0 of the fixture's first conjunct.
+        atoms = [PolyAtom(3, -7, 6, 0, 1, 0), PolyAtom(3, 0, 2, 5, 1, 0), PolyAtom(3, -49, 24, -96, 2, 1)]
+        s = solve_positive(atoms, OPTS)
+        assert (s.case, s.complete, s.families, s.values, s.everything) == ("local-obstruction:m=7", True, (), (), False)
+        system = ConstraintSystem(lower=0, positives=atoms)
+        assert decide(system).is_unsat and system.trace == ["local-obstruction:m=7"]
+
+    def test_agrees_with_the_oracle_sieve(self, rng):
+        # The oracle's tables are mod 2,520, which divides 16 * 27 * 25 * 7:
+        # no residue there passing every atom means a refutation here.
+        empty = 0
+        for _ in range(250):
+            atoms = self.random_atoms(rng)
+            sieves = [oracle.AtomSieve(at) for at in atoms]
+            q = _local_obstruction(atoms)
+            if not any(all(s.ok[r] for s in sieves) for r in range(oracle.AtomSieve.WHEEL)):
+                empty += 1
+                assert q is not None, atoms
+            if q is not None:
+                assert not any(all(oracle.atom_eval(at, y) for at in atoms) for y in self.solutions(atoms[:1])), atoms
+        assert empty > 30, empty
 
 
 def test_oracle_and_holds_find_every_root_of_every_degree(rng):
