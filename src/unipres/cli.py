@@ -25,7 +25,7 @@ from pathlib import Path
 from ._ast import ParseError, Verdict
 from .formula import Formula, NormalForm, conjunct_holds, normalize, parse, parse_multi
 from .numtheory import ResidueClass, crt_extended
-from .power_solver import SolveOptions, _image_radius, _keep, _lattice_images, least_witness
+from .power_solver import SolveOptions, _by_size, _image_radius, _keep, _lattice_images, least_witness
 from .power_solver import decide as decide_power
 from . import encoder
 
@@ -81,10 +81,6 @@ def _combine(verdicts) -> Verdict:
     return next((v for v in verdicts if v.is_unknown), Verdict.unsat())
 
 
-def _key(x: int) -> tuple[int, int]:
-    return abs(x), x
-
-
 def _least_hit(conj, best: int, bound: int) -> int | None:
     """The least (|x|, x) point before `best` at which the conjunct holds,
     else `best`; None when that needs more than 2*`bound` + 1 points.
@@ -107,7 +103,7 @@ def _least_hit(conj, best: int, bound: int) -> int | None:
         return best
     M, r = cls.modulus, cls.residue
     up, down = max(lo, 0), min(hi, -1)
-    xs = heapq.merge(range(up + (r - up) % M, hi + 1, M), range(down - (down - r) % M, lo - 1, -M), key=_key)
+    xs = heapq.merge(range(up + (r - up) % M, hi + 1, M), range(down - (down - r) % M, lo - 1, -M), key=_by_size)
     limit = 2 * bound
     pos = [lit[2] for lit in conj if lit[0] == "pred" and lit[1] > 0]
     if pos:
@@ -115,10 +111,10 @@ def _least_hit(conj, best: int, bound: int) -> int | None:
         R = _image_radius(at, lo, hi)
         if R <= bound and 2 * R // at.stride < (hi - lo) // M:
             images = [x for x in _lattice_images(at, R) if lo <= x <= hi and x % M == r]
-            xs = sorted(_keep(images, [p for p in pos if p is not at]), key=_key)
+            xs = sorted(_keep(images, [p for p in pos if p is not at]), key=_by_size)
             limit = len(xs)
     for i, x in enumerate(xs):
-        if _key(x) >= _key(best):
+        if _by_size(x) >= _by_size(best):
             break
         if i > limit:
             return None

@@ -9,6 +9,7 @@ where its sums, products and square tests are exact.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -119,6 +120,10 @@ def _floor_root(n: int, k: int) -> int:
     # n the seed is one more than the root of n's top half, shifted back:
     # it already holds half the bits, so a few full-size steps finish.
     bits = n.bit_length()
+    if bits <= k:  # n < 2**k
+        return 1
+    if 50 * bits <= 79 * k:  # 2**k <= n < 2**(1.58*k) < 3**k
+        return 2
     if bits < 64 * k:
         x = 1 << (-(-bits // k))
     else:
@@ -362,7 +367,7 @@ def union_classes(parts) -> tuple[int, tuple[int, ...]]:
 
 def integer_numerators(coeffs: Sequence[Fraction | int]) -> tuple[list[int], int]:
     """(nums, den) with coeffs[i] == nums[i] / den; den > 0 is the least common denominator."""
-    if all(isinstance(c, int) for c in coeffs):
+    if all(map(isinstance, coeffs, itertools.repeat(int))):  # one pass in C
         return list(coeffs), 1
     den = math.lcm(*(c.denominator for c in coeffs))
     return [c.numerator * (den // c.denominator) for c in coeffs], den

@@ -4,7 +4,14 @@ Fundamental solutions of w^2 - n*z^2 = 1 come from the continued fraction
 of sqrt(n).  The full solution set of a generalized equation
 w^2 - n*z^2 = N is organized into finitely many classes, each the orbit of
 a generating pair under multiplication by the fundamental unit; a class
-expands into a pair of order-2 integer bi-sequences.
+expands into a pair of order-2 integer bi-sequences.  Every orbit is held
+on integer pairs (w, z), standing for w + z*sqrt(n).  Over the unit
+eps = w0 + z0*sqrt(n), z_k = B1*eps^k + B2*eps^-k with
+B1*eps^k = (w_k + z_k*sqrt n)/(2*sqrt n) and
+B2*eps^-k = (-w_k + z_k*sqrt n)/(2*sqrt n).  `poly_solver._match_batch`
+matches such leading terms as P = +-Q*eps_d^c between integer pairs of
+Z[sqrt d], n = s^2*d, once 2, sqrt n = s*sqrt d and the denominators are
+cleared; c comes from powering eps_d = fundamental(d).
 
 Solutions (w, z) and (-w, -z) are identified throughout: they expand to
 the same values up to a global sign, and every consumer in this package
@@ -15,19 +22,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
 from .numtheory import factor
 
 __all__ = [
-    "QuadNum",
     "PellClass",
     "PellSolutionSet",
     "fundamental",
     "solve_generalized",
-    "unit_exponent",
     "squarefree_kernel",
 ]
 
@@ -42,85 +46,6 @@ def squarefree_kernel(n: int) -> tuple[int, int]:
         if e % 2:
             d *= p
     return d, s
-
-
-@dataclass(frozen=True)
-class QuadNum:
-    """a + b*sqrt(n) with rational a, b and a fixed positive non-square n."""
-
-    a: Fraction
-    b: Fraction
-    n: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        if self.n <= 0 or math.isqrt(self.n) ** 2 == self.n:
-            raise ValueError(f"radicand must be positive and non-square, got {self.n}")
-
-    def _check(self, other: "QuadNum") -> None:
-        if self.n != other.n:
-            raise ValueError(f"mixed radicands {self.n} and {other.n}")
-
-    def __add__(self, other: "QuadNum") -> "QuadNum":
-        self._check(other)
-        return QuadNum(self.a + other.a, self.b + other.b, self.n)
-
-    def __sub__(self, other: "QuadNum") -> "QuadNum":
-        self._check(other)
-        return QuadNum(self.a - other.a, self.b - other.b, self.n)
-
-    def __neg__(self) -> "QuadNum":
-        return QuadNum(-self.a, -self.b, self.n)
-
-    def __mul__(self, other: "QuadNum | int | Fraction") -> "QuadNum":
-        if isinstance(other, (int, Fraction)):
-            return QuadNum(self.a * other, self.b * other, self.n)
-        self._check(other)
-        return QuadNum(
-            self.a * other.a + self.b * other.b * self.n,
-            self.a * other.b + self.b * other.a,
-            self.n,
-        )
-
-    __rmul__ = __mul__
-
-    def conjugate(self) -> "QuadNum":
-        return QuadNum(self.a, -self.b, self.n)
-
-    def norm(self) -> Fraction:
-        return self.a * self.a - self.b * self.b * self.n
-
-    def inverse(self) -> "QuadNum":
-        nr = self.norm()
-        if nr == 0:
-            raise ZeroDivisionError("QuadNum with zero norm")
-        return self.conjugate() * (1 / nr)
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def sign(self) -> int:
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return (b > 0) - (b < 0)
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        big_a = a * a > b * b * self.n
-        if a > 0:  # b < 0
-            return 1 if big_a else -1
-        return -1 if big_a else 1
-
-    def reduce_radicand(self) -> "QuadNum":
-        """Rewrite over the squarefree kernel of the radicand."""
-        d, s = squarefree_kernel(self.n)
-        if d == self.n:
-            return self
-        return QuadNum(self.a, self.b * s, d)
 
 
 def _convergents(n: int) -> Iterator[tuple[int, int]]:
@@ -153,6 +78,7 @@ def fundamental(n: int) -> tuple[int, int]:
 
 
 def _mul_unit(w: int, z: int, n: int, w0: int, z0: int, direction: int) -> tuple[int, int]:
+    """(w + z*sqrt n) * (w0 + z0*sqrt n), or by w0 - z0*sqrt n if direction < 0."""
     if direction > 0:
         return w * w0 + n * z * z0, w * z0 + z * w0
     return w * w0 - n * z * z0, z * w0 - w * z0
@@ -201,16 +127,6 @@ class PellClass:
         if w0 * w0 - self.n * z0 * z0 != 1:
             raise ValueError("fundamental pair does not satisfy the unit equation")
 
-    def closed_form(self) -> tuple[QuadNum, QuadNum, QuadNum, QuadNum]:
-        """(A1, A2, B1, B2) with w_m = A1 e^m + A2 e^-m, z_m = B1 e^m + B2 e^-m."""
-        w, z = self.rep
-        n = self.n
-        a1 = QuadNum(Fraction(w, 2), Fraction(z, 2), n)
-        a2 = QuadNum(Fraction(w, 2), Fraction(-z, 2), n)
-        b1 = QuadNum(Fraction(z, 2), Fraction(w, 2 * n), n)
-        b2 = QuadNum(Fraction(z, 2), Fraction(-w, 2 * n), n)
-        return a1, a2, b1, b2
-
 
 @dataclass(frozen=True)
 class PellSolutionSet:
@@ -250,24 +166,3 @@ def solve_generalized(n: int, N: int) -> PellSolutionSet:
         for rep in sorted(reps, key=lambda r: (_orbit_key(*r), r))
     )
     return PellSolutionSet(n, N, (w0, z0), classes)
-
-
-def unit_exponent(q: QuadNum, eps: QuadNum, limit: int = 512) -> int | None:
-    """Integer e with q == +-eps**e, or None.  eps must exceed 1."""
-    if q.is_zero():
-        return None
-    if q.sign() < 0:
-        q = -q
-    one = QuadNum(Fraction(1), Fraction(0), q.n)
-    cur = one
-    for e in range(limit):
-        if cur.a == q.a and cur.b == q.b:
-            return e
-        cur = cur * eps
-    cur = one
-    inv = eps.inverse()
-    for e in range(1, limit):
-        cur = cur * inv
-        if cur.a == q.a and cur.b == q.b:
-            return -e
-    return None

@@ -36,7 +36,7 @@ from .numtheory import (
     residue_classes,
     union_classes,
 )
-from .pell import QuadNum, fundamental, solve_generalized, squarefree_kernel, unit_exponent
+from .pell import _mul_unit, fundamental, solve_generalized, squarefree_kernel
 from .power_solver import (
     LrbsEntry,
     PolyValueMap,
@@ -554,12 +554,30 @@ def _triple(atoms, options: SolveOptions) -> SolutionSet:
 # The exceptional negative case: removing Pell indices in progressions.
 
 
-def _closed_form_unit(cls) -> tuple[QuadNum, QuadNum, QuadNum]:
-    """(eps, Bz1, Bz2) over the squarefree kernel, for the z-component."""
-    _, _, B1, B2 = cls.closed_form()
-    w0, z0 = cls.fundamental
-    eps = QuadNum(Fraction(w0), Fraction(z0), cls.n)
-    return eps.reduce_radicand(), B1.reduce_radicand(), B2.reduce_radicand()
+# A class (w, z) of w^2 - n*z^2 = N has z_k = B1*eps^k + B2*eps^-k, with
+# B1*eps^k = (w_k + z_k*sqrt n)/(2*sqrt n), B2*eps^-k = (-w_k + z_k*sqrt n)/(2*sqrt n).
+# The S-sequence's z_k (class (w, z), n = sS^2*d, eps = eps_d^eS) is matched
+# with u = phi(v_m), phi of leading coefficient num/K, along the discard
+# set's z-sequence v_m (class (w4, z4), n4 = s4^2*d, unit eps_d^e4), for
+# eps_d = fundamental(d).  Cleared of 2, sqrt d and K, the leading terms
+# match, k*eS*orientation = 3*e4*m + c, exactly when in Z[sqrt d]
+#   num*sS*(w4 + z4*s4*sqrt d)^3 = +-4*K*s4^3*d*(orientation*w + z*sS*sqrt d)*eps_d^c,
+# and eight consecutive samples then certify the identity.
+
+
+def _unit_shift(p, q, d: int) -> int | None:
+    """The c, |c| < 512, with p = +-q * eps_d^c for eps_d = fundamental(d), or None."""
+    if p[0] ** 2 - d * p[1] ** 2 != q[0] ** 2 - d * q[1] ** 2:
+        return None  # eps_d has norm 1
+    w0, z0 = fundamental(d)
+    targets = (p, (-p[0], -p[1]))
+    for direction in (1, -1):
+        cur = q
+        for c in range(512):
+            if cur in targets:
+                return direction * c
+            cur = _mul_unit(*cur, d, w0, z0, direction)
+    return None
 
 
 def _match_batch(
@@ -570,50 +588,35 @@ def _match_batch(
     """Indices k of the S-sequence matched by the discard parametrization."""
     matched = IndexSet.nothing()
     s_cls, sp_cls = s_entry.pell_class, sp_entry.pell_class
-    if s_cls is None or sp_cls is None:
+    d, sS = squarefree_kernel(s_cls.n)
+    d4, s4 = squarefree_kernel(sp_cls.n)
+    if d != d4:
         return matched
-    dS, _ = squarefree_kernel(s_cls.n)
-    d4, _ = squarefree_kernel(sp_cls.n)
-    if dS != d4 or dS == 1:
+    eS = _unit_shift((s_cls.fundamental[0], s_cls.fundamental[1] * sS), (1, 0), d)
+    e4 = _unit_shift((sp_cls.fundamental[0], sp_cls.fundamental[1] * s4), (1, 0), d)
+    if not eS or not e4:
         return matched
-    w0, z0 = fundamental(dS)
-    epsD = QuadNum(Fraction(w0), Fraction(z0), dS)
-    epsS, B1, B2 = _closed_form_unit(s_cls)
-    eps4, Bp1, Bp2 = _closed_form_unit(sp_cls)
-    eS = unit_exponent(epsS, epsD)
-    e4 = unit_exponent(eps4, epsD)
-    if not eS or not e4 or eS < 0 or e4 < 0:
-        return matched
-    # u_quad = phi(v3_m) = C3 eps^{3m} + C1 eps^{m} + C-1 eps^{-m} + C-3 eps^{-3m}
-    C3 = Bp1 * Bp1 * Bp1 * data.witness[3]
-    if C3.is_zero():
-        return matched
+    (w, z), (w4, z4) = s_cls.rep, sp_cls.rep
+    num, K = data.witness[3].numerator, data.witness[3].denominator
+    root = (w4, z4 * s4)
+    P = _mul_unit(*_mul_unit(*root, d, *root, 1), d, num * sS * w4, num * sS * z4 * s4, 1)
+    scale = 4 * K * s4**3 * d
     zseq = s_entry.value_seq
     vseq = sp_entry.value_seq if sp_entry.component == "z" else sp_entry.partner_seq
-    for sign in (1, -1):
-        for orientation in (1, -1):
-            target = C3 * sign
-            base = B1 if orientation > 0 else B2
-            if base.is_zero():
-                continue
-            ratio = target * base.inverse()
-            c0 = unit_exponent(ratio, epsD)
-            if c0 is None:
-                continue
-            # orientation +: eS*k = 3*e4*m + c0; orientation -: -eS*k = 3*e4*m + c0
-            A = eS * orientation
-            B = 3 * e4
-            g = math.gcd(abs(A), B)
-            if c0 % g:
-                continue
-            sol = _lin_congruence(A, c0, B)
-            if sol is None:
-                continue
-            k0, kstep = sol
-            kstep = B // g
-            k0 = k0 % kstep
-            m0 = (A * k0 - c0) // B
-            mstep = A // g
+    for orientation in (1, -1):
+        c0 = _unit_shift(P, (scale * orientation * w, scale * z * sS), d)
+        if c0 is None:
+            continue
+        # orientation +: eS*k = 3*e4*m + c0; orientation -: -eS*k = 3*e4*m + c0
+        A = eS * orientation
+        B = 3 * e4
+        sol = _lin_congruence(A, c0, B)
+        if sol is None:
+            continue
+        k0, kstep = sol
+        m0 = (A * k0 - c0) // B
+        mstep = A * kstep // B
+        for sign in (1, -1):
             ok = True
             for t in range(-3, 5):
                 k = k0 + kstep * t

@@ -24,6 +24,7 @@ local-obstruction paths are certified complete.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -277,7 +278,7 @@ class ImagePoly:
         nums, den = integer_numerators(coeffs)
         object.__setattr__(self, "nums", tuple(nums))
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "terms", tuple((i, c) for i, c in enumerate(nums) if c))
+        object.__setattr__(self, "terms", tuple(zip(itertools.compress(range(len(nums)), nums), filter(None, nums))))
         if len(nums) < 3 or nums[-1] <= 0:
             raise ValueError("image polynomials have degree >= 2 and positive leading coefficient")
         if den > 1 and any(_poly_eval(nums, t) % den for t in range(self.degree + 1)):
@@ -286,6 +287,19 @@ class ImagePoly:
     @property
     def degree(self) -> int:
         return len(self.nums) - 1
+
+    def above_bits(self, t: int, bits: int) -> bool:
+        """Whether eval(t) certainly has more than `bits` bits, from bit
+        lengths alone: for t != 0 the leading term is at least 2^low and
+        the other terms sum below 2^high.  Where low > high the leading
+        term also dominates the derivative, so |eval| grows with |t| on
+        each side."""
+        tb = abs(t).bit_length()
+        (d, lead), rest = self.terms[-1], self.terms[:-1]
+        low = lead.bit_length() - 1 + d * (tb - 1)
+        if tb == 0 or low - 1 - self.den.bit_length() < bits:
+            return False
+        return low > max((abs(c).bit_length() + i * tb for i, c in rest), default=0) + len(rest).bit_length()
 
     def eval(self, t: int) -> int:
         v = 0
@@ -344,7 +358,7 @@ class LrbsEntry:
     partner_seq: Lrbs | None
     indices: IndexSet
     vmap: PolyValueMap
-    pell_class: PellClass | None = None
+    pell_class: PellClass
     component: str = "z"
 
 
@@ -370,7 +384,16 @@ class SolutionSet:
 # Ordered member streams with certified magnitude floors.
 
 
+def _by_size(x: int) -> tuple[int, int]:
+    """The (|x|, x) order of members and witnesses."""
+    return abs(x), x
+
+
 class _PolySource:
+    """An image polynomial's values, radius by radius.  A t whose value has
+    more than `value_bits` bits (`ImagePoly.above_bits`) waits in `late`:
+    it is past every floor, so it is evaluated only when the last flush draws it."""
+
     def __init__(self, poly: ImagePoly, value_bits: int):
         self.poly = poly
         self.radius = 0
@@ -378,25 +401,38 @@ class _PolySource:
         self.value_bits = value_bits
         self.capped = False
         self.done = False
+        self.late: list[int] = []
 
     def advance(self) -> list[int]:
         if self.done:
             return []
         lo, hi = self.radius, self.next_radius
+        late = self.poly.above_bits(hi, self.value_bits)  # then maybe some t of this batch
         batch = []
         for t in range(-hi, hi + 1):
             if abs(t) <= lo and lo > 0:
                 continue
-            batch.append(self.poly.eval(t))
+            if late and self.poly.above_bits(t, self.value_bits):
+                self.late.append(t)
+            else:
+                batch.append(self.poly.eval(t))
         self.radius = hi
         self.next_radius = hi * 2
         return batch
 
+    def late_values(self):
+        """The late values in (|x|, x) order, each evaluated when drawn; on
+        each side |eval(t)| grows with |t| where `above_bits` holds."""
+        up = sorted(t for t in self.late if t > 0)
+        down = sorted((t for t in self.late if t < 0), reverse=True)
+        return heapq.merge(map(self.poly.eval, up), map(self.poly.eval, down), key=_by_size)
+
     def floor_abs(self) -> int | None:
         if self.done:
             return None
-        lo = min(abs(self.poly.eval(self.radius + 1)), abs(self.poly.eval(-self.radius - 1)))
-        if lo.bit_length() > self.value_bits:
+        r, poly = self.radius + 1, self.poly  # above_bits(-r) == above_bits(r)
+        lo = None if poly.above_bits(r, self.value_bits) else min(abs(poly.eval(r)), abs(poly.eval(-r)))
+        if lo is None or lo.bit_length() > self.value_bits:
             self.done = True
             self.capped = True
             return None
@@ -488,14 +524,16 @@ class MemberStream:
             floors = [f for s in self.sources if (f := s.floor_abs()) is not None]
             self.capped = self.capped or any(s.capped for s in self.sources)
             if not floors:
-                for x in sorted(buffered, key=lambda v: (abs(v), v)):
-                    yield x
+                # Late values are past every floor: merge them in, and drop
+                # the repeats, which the order makes adjacent.
+                late = [s.late_values() for s in self.sources if isinstance(s, _PolySource)]
+                merged = heapq.merge(sorted(buffered, key=_by_size), *late, key=_by_size)
+                yield from (x for x, _ in itertools.groupby(merged))
                 return
             floor = min(floors)
             ready = [x for x in buffered if abs(x) < floor]
             buffered = [x for x in buffered if abs(x) >= floor]
-            for x in sorted(ready, key=lambda v: (abs(v), v)):
-                yield x
+            yield from sorted(ready, key=_by_size)
 
 
 # ---------------------------------------------------------------------------
@@ -523,8 +561,9 @@ def image_polys(nums, den, period: int, residues) -> tuple[ImagePoly, ...]:
     polys = []
     for w in residues:
         cs = _taylor_shift(nums, w, period)
-        exact = not any(c % den for c in cs)
-        polys.append(ImagePoly([c // den for c in cs] if exact else [Fraction(c, den) for c in cs]))
+        if den > 1:
+            cs = [c // den for c in cs] if not any(c % den for c in cs) else [Fraction(c, den) for c in cs]
+        polys.append(ImagePoly(cs))
     return tuple(polys)
 
 
@@ -809,7 +848,7 @@ def solve_positive(positives, options: SolveOptions = DEFAULT_OPTIONS) -> Soluti
 
 def least_witness(xs) -> int | None:
     """The least x in (|x|, x) order, or None when there is none."""
-    return min(xs, key=lambda x: (abs(x), x), default=None)
+    return min(xs, key=_by_size, default=None)
 
 
 def _survivors(system: ConstraintSystem, ys):

@@ -72,6 +72,7 @@ GOLDEN = {
     "forced_unsat": (1, "unsat", None),
     "gessel_sat": (0, "sat", 169),
     "least_witness": (0, "sat", -1),
+    "pell_discard": (0, "sat", 6724),
     "sign_paths": (0, "sat", 1),
     "simple_sat": (0, "sat", 4),
     "three_cubics": (1, "unsat", None),

@@ -128,6 +128,15 @@ def test_floor_root(n, k):
     assert r**k <= n < (r + 1) ** k
 
 
+def test_floor_root_of_a_huge_exponent_near_small_powers():
+    # Roots 1, 2 and 3 of exponents up to 1,000 at the edges of each power.
+    for k in (*range(3, 80), 997, 1000):
+        for base in (2, 3, 4):
+            for n in (base**k - 1, base**k, base**k + 1):
+                r = floor_root(n, k)
+                assert r**k <= n < (r + 1) ** k, (n, k)
+
+
 def test_factor_examples():
     assert factor(500).factors == ((2, 2), (5, 3))
     assert factor(1).factors == ()

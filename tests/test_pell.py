@@ -1,16 +1,9 @@
 import math
-from fractions import Fraction
 
 import pytest
 
-from unipres.pell import (
-    QuadNum,
-    _canonical,
-    fundamental,
-    solve_generalized,
-    squarefree_kernel,
-    unit_exponent,
-)
+from unipres.pell import _canonical, _mul_unit, fundamental, solve_generalized, squarefree_kernel
+from unipres.poly_solver import _unit_shift
 from unipres.power_solver import _pell_orbit_entries
 
 
@@ -105,24 +98,46 @@ def test_expand_recurrence_and_identity():
                 assert step == (w * w0 + n * z * z0, w * z0 + z * w0)  # one unit multiplication
 
 
-def unit_power(eps: QuadNum, m: int) -> QuadNum:
-    """eps^m by repeated multiplication; m < 0 multiplies the inverse."""
-    base = eps if m >= 0 else eps.inverse()
-    acc = QuadNum(Fraction(1), Fraction(0), eps.n)
-    for _ in range(abs(m)):
-        acc = acc * base
-    return acc
-
-
-def test_closed_form_coefficients():
+def test_orbit_is_the_representative_times_unit_powers():
+    # (w_m, z_m) = (w_0 + z_0*sqrt n) * eps^m, powered on integer pairs.
     for n, N in ORBIT_EQUATIONS:
         for cls, pairs in orbit_pairs(n, N, -3, 3):
-            a1, a2, b1, b2 = cls.closed_form()
-            eps = QuadNum(*cls.fundamental, n)
-            for m, (w, z) in zip(range(-3, 4), pairs):
-                wq = a1 * unit_power(eps, m) + a2 * unit_power(eps, -m)
-                zq = b1 * unit_power(eps, m) + b2 * unit_power(eps, -m)
-                assert (wq.a, wq.b) == (w, 0) and (zq.a, zq.b) == (z, 0), (n, N, m)
+            for direction in (1, -1):
+                cur = cls.rep
+                for m in range(0, 4 * direction, direction):
+                    assert pairs[m + 3] == cur, (n, N, m)
+                    cur = _mul_unit(*cur, n, *cls.fundamental, direction)
+
+
+def test_unit_powers_reach_the_sympy_fundamental():
+    # n = s^2*d: the unit of Z[sqrt n] is a positive power of fundamental(d),
+    # and its inverse the negative power.
+    pytest.importorskip("sympy")
+    from sympy.solvers.diophantine.diophantine import diop_DN
+
+    for n in range(2, 200):
+        if math.isqrt(n) ** 2 == n:
+            continue
+        d, s = squarefree_kernel(n)
+        [(w, z)] = diop_DN(n, 1)
+        unit = (int(w), int(z) * s)
+        e = _unit_shift(unit, (1, 0), d)
+        assert e is not None and e >= 1, n
+        assert _unit_shift((1, 0), unit, d) == -e
+        cur = (1, 0)
+        for _ in range(e):
+            cur = _mul_unit(*cur, d, *fundamental(d), 1)
+        assert cur == unit, n
+
+
+def test_unit_shift_identifies_signs_and_rejects_other_classes():
+    eps2 = _mul_unit(*fundamental(2), 2, *fundamental(2), 1)
+    eps4 = _mul_unit(*eps2, 2, *eps2, 1)
+    assert _unit_shift(eps4, (1, 0), 2) == 4
+    assert _unit_shift((-eps4[0], -eps4[1]), (1, 0), 2) == 4
+    assert _unit_shift((3, 1), _mul_unit(3, 1, 2, *eps4, 1), 2) == -4
+    assert _unit_shift((3, 1), (3, -1), 2) is None  # two classes of w^2 - 2z^2 = 7
+    assert _unit_shift((1, 1), (1, 0), 2) is None  # norm -1
 
 
 def test_desk_scale_completeness():
@@ -136,27 +151,10 @@ def test_desk_scale_completeness():
                 assert in_classes(s, w, z), (n, N, w, z)
 
 
-def test_quadnum_arithmetic():
-    a = QuadNum(Fraction(3), Fraction(2), 2)
-    assert a.norm() == 1
-    assert (a * a.inverse()).a == 1 and (a * a.inverse()).b == 0
-    assert a.sign() == 1 and (-a).sign() == -1
-    b = QuadNum(Fraction(1), Fraction(-2), 2)  # 1 - 2*sqrt(2) < 0
-    assert b.sign() == -1
-
-
 def test_squarefree_kernel():
     assert squarefree_kernel(8) == (2, 2)
     assert squarefree_kernel(2) == (2, 1)
     assert squarefree_kernel(36) == (1, 6)
-
-
-def test_unit_exponent():
-    eps = QuadNum(Fraction(3), Fraction(2), 2)
-    assert unit_exponent(unit_power(eps, 4), eps) == 4
-    assert unit_exponent(unit_power(eps, -3), eps) == -3
-    assert unit_exponent(-unit_power(eps, 2), eps) == 2
-    assert unit_exponent(QuadNum(Fraction(1), Fraction(1), 2), eps) is None
 
 
 def test_solve_generalized_matches_sympy():

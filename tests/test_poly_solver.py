@@ -42,6 +42,7 @@ from conftest import (
     system_satisfied_at,
 )
 
+FIXTURES = Path(__file__).parent / "fixtures"
 OPTS = SolveOptions(enum_bound=2000, scan_cap=20_000, value_bits=4000)
 
 TRIANGULAR = PredicateDecl("T", (Fraction(1, 2), Fraction(1, 2), Fraction(0)))
@@ -384,6 +385,35 @@ class Test4c:
                 discarded = self.neg.holds(x)
                 assert (k in new.indices) == (not discarded), (k, x)
 
+    def test_subtract_discarded_on_probe_pairs(self):
+        # Every eighth unordered pair of the probe quadratics whose Pell
+        # orbits meet a discard set: each kept index is one where the
+        # negative fails, and each removed index one where it holds.
+        quads = [PolyAtom(2, 0, a, b, q, r) for a in range(1, 7) for b in (0, 4 * a)
+                 for q in (1, 2, 3) for r in range(q)]
+        pairs = []
+        for i, q1 in enumerate(quads):
+            for q3 in quads[i + 1:]:
+                if q1.a * q3.b == q3.a * q1.b or not _try_discard_sets(
+                        ConstraintSystem(positives=[q1, q3], negatives=[self.neg]), sorted([q1, q3])):
+                    continue
+                pairs.append((q1, q3))
+        assert len(pairs) == 228
+        for q1, q3 in pairs[::8]:
+            S = solve_positive([q1, q3], options=OPTS)
+            sys_ = ConstraintSystem(positives=[q1, q3], negatives=[self.neg])
+            S2 = subtract_discarded(S, _try_discard_sets(sys_, sorted([q1, q3])))
+            removed = 0
+            for old, new in zip(S.families, S2.families):
+                for k in range(-50, 51):
+                    if k not in old.indices:
+                        assert k not in new.indices
+                        continue
+                    discarded = self.neg.holds(old.vmap.apply(old.value_seq.eval(k)))
+                    assert (k in new.indices) == (not discarded), (q1, q3, k)
+                    removed += discarded
+            assert removed, (q1, q3)
+
     def test_decide_sat_on_residual(self):
         sys_ = ConstraintSystem(lower=4, positives=[self.q1, self.q3], negatives=[self.neg])
         v = decide_prepared(sys_, OPTS)
@@ -400,6 +430,23 @@ class Test4c:
         assert sys_.trace[-2:] == ["discard:index-progressions", "witness-scan:exhausted"]
         sol = discard_pell_indices(sys_.clone(), solve_positive(sys_.positives, options=OPTS))
         assert sol.families and all(e.indices.is_empty() for e in sol.families)
+
+    @pytest.mark.parametrize("text", [
+        (FIXTURES / "pell_discard.sexp").read_text(),
+        # The second witness on 0 mod 5 (Q(u) = (5u)^2): the negative removes every index.
+        "(declare-pred G (coeffs 1 0 -3 0)) (declare-pred Q (coeffs 25 0 0)) "
+        "(exists x (and (> x 0) (pow 2 x) (pred Q (+ (* 2 x) 8)) (not (pred G (+ x 2)))))",
+    ], ids=["fixture", "stride-5"])
+    def test_discard_sentences_agree_with_the_oracle(self, text):
+        f = parse(text)
+        out = solve_formula(f, SolveOptions(enum_bound=200))
+        assert "discard:index-progressions" in out.case_trace
+        v = out.verdict
+        if v.is_sat:
+            assert oracle.scan(f, abs(v.witness)).witnesses == (v.witness,)
+        else:
+            assert v.is_unsat and out.case_trace[-1] == "witness-scan:exhausted"
+            assert oracle.scan(f, 20_000).witnesses == ()
 
     def test_irrational_radicand_is_vacuous(self):
         # A negative whose curve data does not split leaves the set alone.
@@ -436,9 +483,6 @@ class TestDecidePoly:
         sys_ = ConstraintSystem(lower=0, positives=list(atoms))
         v = decide_prepared(sys_, OPTS)
         assert v.is_sat and v.witness == 1
-
-
-FIXTURES = Path(__file__).parent / "fixtures"
 
 
 class TestCubicMerge:

@@ -11,6 +11,7 @@ from unipres.power_solver import (
     ImagePoly,
     LrbsEntry,
     MemberStream,
+    SolutionSet,
     SolveOptions,
     coalesce_similar,
     decide,
@@ -151,6 +152,67 @@ class TestImagePoly:
                 for t in range(-5, 6):
                     u = w + period * t
                     assert poly.eval(t) * den == sum(c * u**i for i, c in enumerate(nums)), (nums, den, w, t)
+
+
+def _random_image_poly(rng, digits=30):
+    """sum(c_i * t^i), or sum(c_i * C(t, i)) with a denominator up to d!; c_d > 0."""
+    degree = rng.randint(2, 6)
+    spread = 10 ** rng.randint(0, digits)
+    basis = _binomial if rng.random() < 0.5 else lambda i: [0] * i + [1]
+    asc = [Fraction(0)] * (degree + 1)
+    for i in range(degree + 1):
+        c = rng.randint(1, 40) if i == degree else rng.choice((0, rng.randint(-spread, spread)))
+        for d, b in enumerate(basis(i)):
+            asc[d] += c * b
+    return ImagePoly(asc)
+
+
+def test_above_bits_is_sound_and_marks_a_monotone_ray(rng):
+    # above_bits(t, b) holds for every b below some threshold, so claiming
+    # the value's own bit length is the one claim that must fail.
+    fired = 0
+    for _ in range(400):
+        poly = _random_image_poly(rng)
+        for t in range(-300, 301):
+            bits = poly.eval(t).bit_length()
+            assert not poly.above_bits(t, bits), (poly, t)
+            if poly.above_bits(t, bits // 2):
+                fired += 1
+                step = 1 if t > 0 else -1
+                assert abs(poly.eval(t + step)) > abs(poly.eval(t)), (poly, t)
+                assert poly.above_bits(t + step, bits // 2)
+    assert fired > 20_000
+
+
+def test_late_values_leave_the_member_stream_unchanged(rng, monkeypatch):
+    # Values past the cap are evaluated only when drawn; without that
+    # (above_bits always False) every value is built as the stream widens.
+    deferred = 0
+    for _ in range(150):
+        # Coefficients of at most 3 digits keep the turn bound, the first radius, small.
+        sol = SolutionSet("probe", True, tuple(_random_image_poly(rng, 3) for _ in range(rng.randint(1, 3))),
+                          tuple(rng.randint(-10**6, 10**6) for _ in range(rng.randint(0, 3))))
+        options = SolveOptions(value_bits=rng.randint(8, 16))
+        stream = MemberStream(sol, options)
+        lazy = list(stream)
+        deferred += any(s.late for s in stream.sources)
+        with monkeypatch.context() as m:
+            m.setattr(ImagePoly, "above_bits", lambda self, t, bits: False)
+            eager = list(MemberStream(sol, options))
+        assert lazy == eager, sol
+    assert deferred >= 10
+
+
+def test_a_huge_exponent_evaluates_only_the_values_it_draws(monkeypatch):
+    # u^1000000 = x + 3: the stream of x > 0 draws 2^1000000 - 3, and
+    # x = -2 is the least witness.  No value past the cap is built but the
+    # two drawn at t = +-2 (the parent stream built t = -6..6).
+    evaluated = []
+    eval_at = ImagePoly.eval
+    monkeypatch.setattr(ImagePoly, "eval", lambda self, t: evaluated.append(t) or eval_at(self, t))
+    v = solve_formula(parse("(exists x (pow 1000000 (+ x 3)))"), SolveOptions(enum_bound=200)).verdict
+    assert (v.status, v.witness) == ("sat", -2)
+    assert max(map(abs, evaluated)) == 2
 
 
 def _cauchy_turn_bound(nums):
