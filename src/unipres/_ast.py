@@ -282,6 +282,9 @@ class ConstraintSystem:
     excluded: list = field(default_factory=list)      # y-points carved out exactly
     resolved: Verdict | None = None
     trace: list = field(default_factory=list)
+    # One key per `log` call, parallel to `trace`: a clone copies both, so
+    # an entry it inherited keeps the key its parent logged it under.
+    trace_keys: list = field(default_factory=list, repr=False, compare=False)
 
     def to_original(self, y: int) -> int:
         m, r = self.substitution
@@ -289,6 +292,7 @@ class ConstraintSystem:
 
     def log(self, event: str) -> None:
         self.trace.append(event)
+        self.trace_keys.append(object())
 
     def clone(self) -> "ConstraintSystem":
         return replace(
@@ -297,6 +301,7 @@ class ConstraintSystem:
             negatives=list(self.negatives),
             excluded=list(self.excluded),
             trace=list(self.trace),
+            trace_keys=list(self.trace_keys),
         )
 
 

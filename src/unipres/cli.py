@@ -25,7 +25,7 @@ from pathlib import Path
 from ._ast import ParseError, Verdict
 from .formula import Formula, NormalForm, conjunct_holds, normalize, parse, parse_multi
 from .numtheory import ResidueClass, crt_extended
-from .power_solver import SolveOptions, _by_size, _image_radius, _keep, _lattice_images, least_witness
+from .power_solver import SolveOptions, _by_size, least_witness, listed_hits
 from .power_solver import decide as decide_power
 from . import encoder
 
@@ -86,11 +86,10 @@ def _least_hit(conj, best: int, bound: int) -> int | None:
     else `best`; None when that needs more than 2*`bound` + 1 points.
 
     The candidates are the points of the window [-|best|, |best|] that
-    the conjunct's bounds and congruences leave: the lattice images there
-    of its cheapest positive atom, filtered by `_keep` for its other
-    positive atoms, unless that atom's listing radius passes `bound` or
-    its images outnumber the points; then the points themselves.  The hit
-    is the first candidate in (|x|, x) order at which `conjunct_holds`.
+    the conjunct's bounds and congruences leave: the listing of its
+    positive atoms there (`power_solver.listed_hits`), or where that costs
+    more, the points themselves.  The hit is the first candidate in
+    (|x|, x) order at which `conjunct_holds`.
     """
     lo, hi = -abs(best), abs(best)
     for lit in conj:
@@ -106,13 +105,8 @@ def _least_hit(conj, best: int, bound: int) -> int | None:
     xs = heapq.merge(range(up + (r - up) % M, hi + 1, M), range(down - (down - r) % M, lo - 1, -M), key=_by_size)
     limit = 2 * bound
     pos = [lit[2] for lit in conj if lit[0] == "pred" and lit[1] > 0]
-    if pos:
-        at = min(pos, key=lambda p: _image_radius(p, lo, hi) // p.stride)
-        R = _image_radius(at, lo, hi)
-        if R <= bound and 2 * R // at.stride < (hi - lo) // M:
-            images = [x for x in _lattice_images(at, R) if lo <= x <= hi and x % M == r]
-            xs = sorted(_keep(images, [p for p in pos if p is not at]), key=_by_size)
-            limit = len(xs)
+    if pos and (listed := listed_hits(pos, lo, hi, bound, (M, r))) is not None:
+        xs, limit = listed, len(listed)
     for i, x in enumerate(xs):
         if _by_size(x) >= _by_size(best):
             break
@@ -135,16 +129,21 @@ def _least_below(conjuncts, best: int, bound: int) -> int | None:
 def _decide_lazily(nf: NormalForm, options: SolveOptions, trace: list) -> Verdict:
     # A conjunct is settled, and `_least_below` skips it, when each of its
     # systems answered unsat, or sat with x = y from a scan in (|y|, y)
-    # order of every point or of a complete member stream, which answers
-    # its least x; a finite set from a bounded walk may miss one.
-    verdicts, gate, settled = [], True, []
+    # order of every point, of the window or of a complete member stream,
+    # which answers its least x; a finite set from a bounded walk may miss
+    # one.  The window is the start of the stream's order, and a bounded
+    # walk never beats its first survivor, so `witness-scan:window` is
+    # scanned as `witness-scan:hit` is.  A clone carries the entries of the
+    # system it was cloned from, so each entry is traced once, by its key.
+    verdicts, gate, settled, logged = [], True, [], set()
     for i in range(len(nf.conjuncts)):
         systems = nf.systems_of(i)
         settled.append(True)
         for k, system in enumerate(systems, 1):
             verdicts.append(v := decide_power(system, options))
-            trace.extend(system.trace)
-            scanned = system.upper is not None or system.trace[-1:] == ["witness-scan:hit"]
+            trace.extend(e for e, key in zip(system.trace, system.trace_keys) if key not in logged)
+            logged.update(system.trace_keys)
+            scanned = system.upper is not None or system.trace[-1:] in (["witness-scan:hit"], ["witness-scan:window"])
             exact = v.is_sat and scanned and system.substitution == (1, 0)
             settled[i] &= v.is_unsat or exact and k == len(systems)
             if gate and v.is_sat:
@@ -166,7 +165,8 @@ def solve_formula(f: Formula, options: SolveOptions | None = None) -> SolveOutco
     system is built.  Otherwise systems are built and decided conjunct by
     conjunct up to the first sat x*, and `_least_below` lists each
     conjunct that no decided system settled below x*; where that would
-    pass `enum_bound`, every system is decided and `_combine`d.  Only decided systems add to the trace, and
+    pass `enum_bound`, every system is decided and `_combine`d.  Only
+    decided systems add to the trace, each entry once, and
     `least-witness` marks a witness that direct evaluation supplied.
     """
     options = options or SolveOptions()
@@ -245,14 +245,19 @@ def run(config: RunConfig, stream=None) -> int:
             code = max(code, _report_error(path, "internal", exc, config, stream))
             continue
         for index, outcome, ms in results:
-            if config.fmt == "json-lines":
-                print(json.dumps(_record(path, index, outcome, ms, config.trace), sort_keys=True), file=stream)
-            else:
-                prefix = f"{path}[{index}]: " if many else ""
-                line = prefix + outcome.printable
-                if config.trace and outcome.case_trace:
-                    line += "  ; " + " ".join(outcome.case_trace)
-                print(line, file=stream)
+            try:
+                if config.fmt == "json-lines":
+                    line = json.dumps(_record(path, index, outcome, ms, config.trace), sort_keys=True)
+                else:
+                    prefix = f"{path}[{index}]: " if many else ""
+                    line = prefix + outcome.printable
+                    if config.trace and outcome.case_trace:
+                        line += "  ; " + " ".join(outcome.case_trace)
+            except Exception as exc:  # a fault while reporting, never a verdict's code
+                traceback.print_exc()
+                code = max(code, _report_error(path, "internal", exc, config, stream))
+                continue
+            print(line, file=stream)
             code = max(code, outcome.exit_code)
     return code
 
@@ -297,6 +302,8 @@ def _encode_main(argv) -> int:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # a witness may have more than 4,300 digits
     if argv and argv[0] == "encode":
         return _encode_main(argv[1:])
     args = _solve_parser().parse_args(argv)

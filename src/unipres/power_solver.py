@@ -5,13 +5,16 @@ atoms of one type, `PolyAtom`: "a*x + b is in the value set of
 u^d (+ lin*u) over a lattice of u".  `preprocess` works on the atoms of
 power shape, stride 1 and no linear part, which say "a*x + b is a d-th
 power" (a > 0): it discards redundant ones and coalesces similar
-positives.  `solve_positive` routes the positive atoms by count and
-degree to polynomial images, Pell orbits, divisor factorizations, the
-double-root curve cases of `poly_solver`, or a bounded walk, and answers
-with one record, `SolutionSet`: families of image polynomials or Pell
-orbits, finitely many values, or every integer.  `MemberStream` merges
-its members in (|x|, x) order, and negative atoms are filtered pointwise
-along that deterministic witness scan.  Every residue question, "which
+positives.  `decide` first lists a window of the points of least |y|
+above the lower bound (`listed_hits`), where nearly every witness lies,
+and answers its first survivor.  Past it, `solve_positive` routes the
+positive atoms by count and degree to polynomial images, Pell orbits,
+divisor factorizations, the double-root curve cases of `poly_solver`,
+or a bounded walk, and answers with one record, `SolutionSet`: families
+of image polynomials or Pell orbits, finitely many values, or every
+integer.  `MemberStream` merges its members in (|x|, x) order, and
+negative atoms are filtered pointwise along that deterministic witness
+scan, whose start the window is.  Every residue question, "which
 witnesses u have f(u) = b (mod a)", goes to `numtheory.residue_classes`,
 which answers with classes at their least period.
 
@@ -744,6 +747,26 @@ def _keep(xs, atoms) -> set[int]:
     return set(xs)
 
 
+def listed_hits(atoms, lo: int, hi: int, bound: int, step=(1, 0)) -> list[int] | None:
+    """The x of lo <= x <= hi with x = r (mod M), for step = (M, r), at
+    which every atom holds, in (|x|, x) order; None when listing them
+    costs more than testing the points.
+
+    The listing is the lattice images there (`_lattice_images`) of the
+    atom with the fewest lattice points, `_image_radius` // stride,
+    filtered by `_keep` for the other atoms.  It is skipped when that
+    atom's radius passes `bound` or its lattice points, 2R // stride, are
+    not fewer than the (hi - lo) // M points.
+    """
+    at = min(atoms, key=lambda p: _image_radius(p, lo, hi) // p.stride)
+    R = _image_radius(at, lo, hi)
+    M, r = step
+    if R > bound or 2 * R // at.stride >= (hi - lo) // M:
+        return None
+    images = [x for x in _lattice_images(at, R) if lo <= x <= hi and x % M == r]
+    return sorted(_keep(images, [p for p in atoms if p is not at]), key=_by_size)
+
+
 def _bounded_curve(walked: PolyAtom, rest, options: SolveOptions, label: str) -> SolutionSet:
     """The x of the walked atom's lattice points u with |u| <= enum_bound
     at which every atom of `rest` holds.
@@ -920,6 +943,23 @@ def _scan_interval(system: ConstraintSystem, options: SolveOptions) -> Verdict:
     return Verdict.unsat()
 
 
+# An open system's first pass: the points y > lower with
+# |y| <= max(lower, 0) + _WINDOW, where nearly every witness lies.
+_WINDOW = 64
+
+
+def _window_witness(system: ConstraintSystem, options: SolveOptions) -> int | None:
+    """The first survivor of the window's points at which every positive
+    atom holds (`listed_hits`), in (|y|, y) order and within `scan_cap` of
+    them; None when there is none or listing costs more than the points."""
+    reach = max(system.lower or 0, 0) + _WINDOW
+    lo = -reach if system.lower is None else max(system.lower + 1, -reach)
+    hits = listed_hits(system.positives, lo, reach, options.enum_bound)
+    if hits is None:
+        return None
+    return next(_survivors(system, itertools.islice(hits, options.scan_cap)), None)
+
+
 def decide(system: ConstraintSystem, options: SolveOptions = DEFAULT_OPTIONS) -> Verdict:
     """Three-valued satisfiability of one system that `normalize` produced.
 
@@ -928,7 +968,12 @@ def decide(system: ConstraintSystem, options: SolveOptions = DEFAULT_OPTIONS) ->
     hand-built one went through `poly_solver.prepare`.  A resolved system
     returns its `resolved` verdict.  A bounded system (a bounded conjunct,
     or a point that preprocessing pinned) is scanned point by point
-    (`_scan_interval`).  Otherwise the positive atoms give one
+    (`_scan_interval`).  An open system with a positive atom first scans
+    the window of the y > lower with |y| <= max(lower, 0) + `_WINDOW`: the
+    points there at which every positive atom holds, listed from lattice
+    images (`listed_hits`), in (|y|, y) order and at most `scan_cap` of
+    them.  Its first survivor answers, logged `witness-scan:window`, and
+    no solution set is built.  Otherwise the positive atoms give one
     `SolutionSet` (`solve_positive`), and the lower bound, the excluded
     points and the negative atoms filter it: a set of `everything` by a
     scan of the integers above the bound, a set without families by its
@@ -939,7 +984,10 @@ def decide(system: ConstraintSystem, options: SolveOptions = DEFAULT_OPTIONS) ->
     Witness rule: a bounded system answers the least (|x|, x) witness
     among the points it tests; the other scans answer their first hit in
     (|y|, y) order of the working variable y, which under x = M*y + r need
-    not be the system's least x.  Sat witnesses are in original
+    not be the system's least x.  The window is the start of the member
+    stream's own order, so its first survivor is the first hit the
+    stream's scan would reach; a bounded walk may miss that point but
+    never finds one before it.  Sat witnesses are in original
     coordinates, verified by direct evaluation of the system.  The
     sentence's least witness is certified above this function:
     `cli.solve_formula` stops at the first sat system and lists every
@@ -950,6 +998,9 @@ def decide(system: ConstraintSystem, options: SolveOptions = DEFAULT_OPTIONS) ->
         return system.resolved
     if system.upper is not None:
         return _scan_interval(system, options)
+    if system.positives and (y := _window_witness(system, options)) is not None:
+        system.log("witness-scan:window")
+        return _verified_sat(system, y)
     from .poly_solver import discard_pell_indices
 
     sol = solve_positive(system.positives, options)

@@ -1,9 +1,11 @@
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
 from unipres import SolveOptions, cli, oracle, parse
+from unipres.cli import RunConfig
 from unipres.power_solver import Verdict, decide
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -60,6 +62,81 @@ def test_internal_error_has_its_own_exit_code_and_keeps_other_results(tmp_path, 
     out, err = capsys.readouterr()
     assert out.splitlines() == [f"{power}[0]: sat x=4"]
     assert f"error: {poly}: solver fault" in err
+
+
+# x = 2^30000 - 3 has 9,031 digits, past Python's default limit of 4,300
+# for converting an int to a string.
+LARGE_WITNESS = "(exists x (and (> x 10) (pow 30000 (+ x 3))))"
+
+
+@pytest.fixture
+def digit_limit():
+    """Puts back the int-to-string digit limit, which `cli.main` lifts."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        yield None
+        return
+    before = sys.get_int_max_str_digits()
+    yield before
+    sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize("fmt", ["human", "json-lines"])
+def test_a_witness_past_the_digit_limit_prints_in_full(tmp_path, capsys, digit_limit, fmt):
+    path = write(tmp_path, "large.sexp", LARGE_WITNESS)
+    assert cli.main(["--bound", "200", "--format", fmt, path]) == cli.EXIT_SAT
+    out, err = capsys.readouterr()
+    assert err == ""
+    if fmt == "human":
+        assert out == f"sat x={2**30000 - 3}\n"
+    else:
+        [record] = cli.read_records(out)
+        assert (record["verdict"], record["witness"]) == ("sat", 2**30000 - 3)
+
+
+def test_a_fault_while_reporting_has_the_internal_exit_code(tmp_path, capsys, monkeypatch, digit_limit):
+    # A result that cannot be printed exits 70, never with its verdict's
+    # code, and the other files are still reported.
+    good = write(tmp_path, "good.sexp", "(exists x (and (> x 0) (pow 2 x) (not (pow 4 x))))")
+    large = write(tmp_path, "large.sexp", LARGE_WITNESS)
+    printable = cli.SolveOutcome.printable
+
+    def broken(outcome):
+        if outcome.verdict.witness != 4:
+            raise ValueError("cannot print")
+        return printable.fget(outcome)
+
+    monkeypatch.setattr(cli.SolveOutcome, "printable", property(broken))
+    config = RunConfig([large, good], SolveOptions(enum_bound=200))
+    assert cli.run(config) == cli.EXIT_INTERNAL == 70
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [f"{good}[0]: sat x=4"]
+    assert f"error: {large}: cannot print" in err
+    if digit_limit is None:
+        return
+    # Without `main`'s lift, the json record of the large witness fails to print.
+    sys.set_int_max_str_digits(4300)
+    config = RunConfig([large, good], SolveOptions(enum_bound=200), "json-lines")
+    assert cli.run(config) == cli.EXIT_INTERNAL
+    records = cli.read_records(capsys.readouterr().out)
+    assert [(r["file"], r["verdict"]) for r in records] == [(large, "error"), (good, "sat")]
+    assert records[0]["error"] == "internal"
+
+
+@pytest.mark.parametrize("text, trace", [
+    # The three case-split systems are clones of the one that logged the
+    # congruence; each refuted half logs its own empty-residues entry.
+    ("(exists x (and (mod x 7 3) (pow 3 (+ x 1)) (not (pow 2 x))))",
+     ["crt:7+3", "case-split:zero", "case-split:positive", "poly:empty-residues",
+      "case-split:negative", "negative-tail:discharged", "poly:empty-residues"]),
+    # The bounded head of a negative tail is a clone: unsat below 51, then
+    # the rest answers x = 100 from its window.
+    ("(exists x (and (> x 0) (mod x 2 0) (pow 2 (+ x -100)) (not (pow 2 (+ (* -1 x) 50)))))",
+     ["crt:2+0", "negative-tail:bounded-part", "interval:enumerated", "negative-tail:discharged",
+      "witness-scan:window"]),
+])
+def test_a_cloned_system_traces_each_entry_once(text, trace):
+    out = cli.solve_formula(parse(text), SolveOptions(enum_bound=200))
+    assert out.case_trace == trace
 
 
 # fixture -> (exit code, verdict, witness) at --bound 200

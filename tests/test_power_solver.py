@@ -301,14 +301,16 @@ COALESCED_POWERS = [
 
 @pytest.mark.parametrize("text, witness", COALESCED_POWERS)
 def test_coalesced_power_pair_has_one_image(text, witness):
+    # The window answers the witness; the set it leaves unbuilt is one image.
     out = solve_formula(parse(text))
     assert (out.verdict.status, out.verdict.witness) == ("sat", witness)
-    assert out.case_trace[1:] == ["poly:single:images", "witness-scan:hit"]
+    assert out.case_trace[1:] == ["witness-scan:window"]
     assert oracle.eval_at(parse(text), witness)
     [system] = normalize(parse(text)).systems
     [atom] = system.positives
     assert atom.degree in (14, 15) and atom.is_power
     sol = solve_positive(system.positives)
+    assert len(sol.families) == 1 and sol.case == "poly:single:images"
     [poly] = sol.families
     assert isinstance(poly, ImagePoly) and sol.values == ()
 
@@ -654,6 +656,81 @@ class TestDecide:
                 assert v.is_unsat and sys_.trace == [], (sys_, bound)
             statuses.add(v.status)
         assert statuses == {"sat", "unsat", "unknown"}
+
+
+def _first_stream_survivor(system, options, limit: int):
+    """The first y of the member stream of the system's positive atoms, in
+    (|y|, y) order, above the bound, not excluded and failing every
+    negative atom, among its first `limit` members: the scan `decide`'s
+    window must agree with."""
+    for i, y in enumerate(MemberStream(solve_positive(system.positives, options), options)):
+        if i >= limit:
+            return None
+        if y > system.lower and y not in system.excluded and not any(a.holds(y) for a in system.negatives):
+            return y
+    return None
+
+
+def test_window_answers_the_first_survivor_of_the_member_stream(rng):
+    # Random systems with strided and linear-part atoms, excluded points,
+    # lower bounds below -W, in [-W, W) and above W, and a tiny scan cap
+    # now and then: a sat answer is the stream's first survivor, whether
+    # the window or a later scan found it.
+    def atom():
+        d = rng.choice((2, 2, 3))
+        stride = rng.choice((1, 1, 2, 3))
+        lin = rng.randint(-6, 6) if d == 3 and rng.random() < 0.4 else 0
+        return PolyAtom(d, lin, rng.randint(1, 12), rng.randint(-40, 40), stride, rng.randrange(stride))
+
+    W = 64
+    opts = SolveOptions(enum_bound=2000, scan_cap=20_000, value_bits=4000)
+    answered = {"window": 0, "later": 0, "capped": 0, "negative-lower": 0, "past-window-lower": 0}
+    for _ in range(400):
+        lower = rng.choice((rng.randint(-200, -W - 1), rng.randint(-W, -1), rng.randint(0, W), rng.randint(W + 1, 300)))
+        system = ConstraintSystem(
+            lower=lower,
+            positives=[atom() for _ in range(rng.randint(1, 2))],
+            negatives=[atom() for _ in range(rng.randint(0, 2))],
+            excluded=rng.sample(range(lower + 1, lower + 40), rng.randint(0, 3)),
+        )
+        for prepared in prepare(system):
+            if prepared.resolved is not None or prepared.upper is not None or not prepared.positives:
+                continue
+            cap = rng.choice((1, 2, 20_000))
+            want = _first_stream_survivor(prepared, opts, 5000)
+            v = decide(prepared.clone(), SolveOptions(enum_bound=2000, scan_cap=cap, value_bits=4000))
+            if v.is_sat:
+                assert v.witness == want, (prepared, cap, v)
+            elif want is not None and cap == 20_000:
+                assert v.is_unknown, (prepared, v, want)
+            via_window = v.is_sat and abs(v.witness) <= max(lower, 0) + W
+            answered["window" if via_window else "later"] += v.is_sat
+            answered["capped"] += v.is_sat and cap < 20_000
+            answered["negative-lower"] += via_window and lower < 0
+            answered["past-window-lower"] += via_window and lower > W
+    assert min(answered.values()) >= 5, answered
+
+
+def test_a_survivor_past_the_window_logs_the_solution_set():
+    # Every square of the window 0 < y <= 64 is excluded: the scan of the
+    # member stream answers 81.
+    squares = [y * y for y in range(1, 9)]
+    system = ConstraintSystem(lower=0, positives=[pow_atom(2, 1, 0)], excluded=squares)
+    assert decide(system, OPTS) == Verdict.sat(81)
+    assert system.trace == ["poly:single:images", "witness-scan:hit"]
+    # The first witness lies past the window: 2*y - 10000 = u^2 at u = 0.
+    system = ConstraintSystem(lower=0, positives=[PolyAtom(2, 0, 2, -10_000, 1, 0)])
+    assert decide(system, OPTS).witness == 5000
+    assert system.trace == ["poly:single:images", "witness-scan:hit"]
+    # 1000*y = u^2 lists 2*252 lattice points for the 63 of the window, so
+    # the window is skipped and the stream answers y = 10 in it.
+    system = ConstraintSystem(lower=0, positives=[pow_atom(2, 1000, 0)])
+    assert decide(system, OPTS) == Verdict.sat(10)
+    assert system.trace == ["poly:single:images", "witness-scan:hit"]
+    # In the window, the first witness answers at once.
+    system = ConstraintSystem(lower=-5, positives=[pow_atom(2, 1, 3)], negatives=[pow_atom(3, 1, 0)])
+    assert decide(system, OPTS) == Verdict.sat(-2)
+    assert system.trace == ["witness-scan:window"]
 
 
 @pytest.mark.slow
