@@ -13,7 +13,6 @@ file that fails is reported (an `error:` line, and a record with verdict
 from __future__ import annotations
 
 import argparse
-import heapq
 import json
 import os
 import sys
@@ -23,9 +22,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ._ast import ParseError, Verdict
-from .formula import Formula, NormalForm, conjunct_holds, normalize, parse, parse_multi
-from .numtheory import ResidueClass, crt_extended
-from .power_solver import SolveOptions, _by_size, least_witness, listed_hits
+from .formula import Formula, NormalForm, conjunct_frame, conjunct_holds, normalize, parse, parse_multi
+from .power_solver import SolveOptions, _by_magnitude, _by_size, least_witness, listed_hits
 from .power_solver import decide as decide_power
 from . import encoder
 
@@ -85,24 +83,17 @@ def _least_hit(conj, best: int, bound: int) -> int | None:
     """The least (|x|, x) point before `best` at which the conjunct holds,
     else `best`; None when that needs more than 2*`bound` + 1 points.
 
-    The candidates are the points of the window [-|best|, |best|] that
-    the conjunct's bounds and congruences leave: the listing of its
-    positive atoms there (`power_solver.listed_hits`), or where that costs
-    more, the points themselves.  The hit is the first candidate in
-    (|x|, x) order at which `conjunct_holds`.
+    The candidates are the points x = r (mod M) of the conjunct's frame
+    (`conjunct_frame`) clamped to the window [-|best|, |best|]: the
+    listing of its positive atoms there (`power_solver.listed_hits`), or
+    where that costs more, the points themselves (`_by_magnitude`).  The
+    hit is the first candidate in (|x|, x) order at which `conjunct_holds`.
     """
-    lo, hi = -abs(best), abs(best)
-    for lit in conj:
-        if lit[0] in ("gt", "eq"):
-            lo = max(lo, lit[1] + (lit[0] == "gt"))
-        if lit[0] in ("lt", "eq"):
-            hi = min(hi, lit[1] - (lit[0] == "lt"))
-    cls = crt_extended(ResidueClass(lit[1], lit[2]) for lit in conj if lit[0] == "mod")
-    if cls is None or lo > hi:
+    frame = conjunct_frame(conj, -abs(best), abs(best))
+    if frame is None or frame[2] > frame[3]:
         return best
-    M, r = cls.modulus, cls.residue
-    up, down = max(lo, 0), min(hi, -1)
-    xs = heapq.merge(range(up + (r - up) % M, hi + 1, M), range(down - (down - r) % M, lo - 1, -M), key=_by_size)
+    M, r, lo, hi = frame
+    xs = _by_magnitude(lo - 1, hi + 1, (M, r))
     limit = 2 * bound
     pos = [lit[2] for lit in conj if lit[0] == "pred" and lit[1] > 0]
     if pos and (listed := listed_hits(pos, lo, hi, bound, (M, r))) is not None:
@@ -190,8 +181,8 @@ def solve_formula(f: Formula, options: SolveOptions | None = None) -> SolveOutco
     return SolveOutcome(out, True, trace, log)
 
 
-def _record(path: str, index: int, outcome: SolveOutcome, ms: float, trace: bool) -> dict:
-    rec = {
+def _record(path: str, index: int, outcome: SolveOutcome, ms: float) -> dict:
+    return {
         "file": path,
         "index": index,
         "verdict": outcome.verdict.status,
@@ -203,9 +194,6 @@ def _record(path: str, index: int, outcome: SolveOutcome, ms: float, trace: bool
         "log": list(outcome.log),
         "timings_ms": round(ms, 3),
     }
-    if not trace:
-        rec["case_trace"] = [t for t in rec["case_trace"] if not t.startswith("depress")]
-    return rec
 
 
 def _solve_file(path: str, config: RunConfig):
@@ -247,7 +235,7 @@ def run(config: RunConfig, stream=None) -> int:
         for index, outcome, ms in results:
             try:
                 if config.fmt == "json-lines":
-                    line = json.dumps(_record(path, index, outcome, ms, config.trace), sort_keys=True)
+                    line = json.dumps(_record(path, index, outcome, ms), sort_keys=True)
                 else:
                     prefix = f"{path}[{index}]: " if many else ""
                     line = prefix + outcome.printable

@@ -22,14 +22,14 @@ declarations before it.
 
 `normalize` only rewrites a sentence into a disjunction of constraint
 systems of the shape the solvers consume: exactly one lower bound,
-positive and negative `PolyAtom`s, modular constraints folded into a
-signed affine substitution x = M*y + r (M < 0 after the sign of y is
-flipped).  A bounded conjunct also gets an upper bound and keeps its
-atoms, for `decide` to scan; every other system has atoms with positive
-x-coefficients.  Each predicate literal gets its `PolyAtom` as it is
-lowered, and every later stage acts on that atom.  A power atom (pow k t)
-is the value set of the monomial u^k, so it lowers to the same literal as
-a predicate and becomes the same kind of atom.
+positive and negative `PolyAtom`s, and the substitution x = M*y + r of
+the conjunct's frame, x = r (mod M) over lo <= x <= hi (`conjunct_frame`;
+M < 0 after the sign of y is flipped).  A bounded conjunct also gets an
+upper bound and keeps its atoms, for `decide` to scan; every other system
+has atoms with positive x-coefficients.  Each predicate literal gets its
+`PolyAtom` as it is lowered, and every later stage acts on that atom.  A
+power atom (pow k t) is the value set of the monomial u^k, so it lowers
+to the same literal as a predicate and becomes the same kind of atom.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from ._ast import (
     Quant,
     Verdict,
 )
-from .numtheory import ResidueClass, crt_extended
 from .numtheory import kth_root  # unused here; perfbench's tracer test reads formula.kth_root
 from . import poly_solver, power_solver
 
@@ -78,6 +77,7 @@ __all__ = [
     "format_formula",
     "normalize",
     "conjunct_holds",
+    "conjunct_frame",
     "read_sexprs",
 ]
 
@@ -409,18 +409,19 @@ def format_formula(f: Formula) -> str:
 # ---------------------------------------------------------------------------
 # Normalization.
 #
-# A conjunct is a list of literals over the working variable y:
-#     ("eq", c), ("lt", c), ("gt", c)   y = c, y < c, y > c
-#     ("mod", m, r)                     y = r (mod m)
-#     ("pred", sign, atom, name)        the PolyAtom holds at y (sign 1) or fails (sign -1)
+# A conjunct is a list of literals over x:
+#     ("eq", c), ("lt", c), ("gt", c)   x = c, x < c, x > c
+#     ("mod", m, r)                     x = r (mod m)
+#     ("pred", sign, atom)              the PolyAtom holds at x (sign 1) or fails (sign -1)
 # and a disjunctive form is a list of conjuncts: [] is false, [[]] is true.
 
 
 @dataclass
 class NormalForm:
     """The DNF conjuncts of a sentence, literal lists over x, and their
-    systems: `systems_of(i)` builds conjunct i's at its first call, and
-    `systems` is every conjunct's.  For forall sentences the body was
+    systems: `systems_of(i)` builds conjunct i's at its first call (one
+    bounded or open system, or the two sign halves), and `systems` is
+    every conjunct's.  For forall sentences the body was
     negated first: the sentence is true iff no system is satisfiable
     (`negated` records this).
     """
@@ -530,14 +531,14 @@ def _lower_pred(decl: PredicateDecl, term: LinTerm, positive: bool):
         else:
             asc = tuple(-c for c in asc)
             a, b = -a, -b
-    return _atom_literal(poly_solver.depress_ascending(asc, a, b), positive, decl.name)
+    return _atom_literal(poly_solver.depress_ascending(asc, a, b), positive)
 
 
-def _atom_literal(atom: PolyAtom, positive: bool, name: str | None):
+def _atom_literal(atom: PolyAtom, positive: bool):
     # A constant term (a = 0) is decided here, by the atom at any point.
     if atom.a == 0:
         return _const(atom.holds(0) == positive)
-    return [[("pred", 1 if positive else -1, atom, name)]]
+    return [[("pred", 1 if positive else -1, atom)]]
 
 
 def _lower_atom(node, positive: bool, decls):
@@ -546,9 +547,9 @@ def _lower_atom(node, positive: bool, decls):
     if isinstance(node, ModAtomNode):
         return _lower_mod(node.term, node.modulus, node.residue, positive)
     if isinstance(node, PowAtomNode):
-        # The value set of u^k: a predicate literal with no name.
+        # The value set of u^k: the same literal as a predicate's.
         atom = poly_solver.depress_ascending((0,) * node.k + (1,), node.term.a, node.term.b)
-        return _atom_literal(atom, positive, None)
+        return _atom_literal(atom, positive)
     if isinstance(node, PredAtomNode):
         return _lower_pred(decls[node.name], node.term, positive)
     raise TypeError(f"not an atom: {node!r}")
@@ -578,47 +579,38 @@ def _to_dnf(node, positive: bool, decls):
     return _lower_atom(node, positive, decls)
 
 
-def _substitute_atom(atom: PolyAtom, M: int, r: int) -> PolyAtom:
-    """The atom at y = M*y' + r: (a, b) -> (a*M, a*r + b), its lattice re-reduced."""
-    return poly_solver._reduce_atom(
-        atom.degree, atom.lin, atom.a * M, atom.a * r + atom.b, atom.stride, atom.offset
-    )
-
-
-def _substitute_lits(lits, M: int, r0: int):
-    """The literals at y = M*y' + r0, or None when an equality misses the lattice."""
-    out = []
-    for lit in lits:
+def conjunct_frame(conj, lo: int | None = None, hi: int | None = None):
+    """A conjunct's comparisons and congruences folded into (M, r, lo, hi):
+    x = r (mod M), 0 <= r < M, and lo <= x <= hi within the given bounds,
+    None for an open side; None when the congruences clash."""
+    M, r = 1, 0
+    for lit in conj:
         tag = lit[0]
-        if tag == "eq":
-            c = lit[1]
-            if (c - r0) % M != 0:
+        if tag == "gt" or tag == "eq":
+            c = lit[1] + (tag == "gt")
+            if lo is None or c > lo:
+                lo = c
+        if tag == "lt" or tag == "eq":
+            c = lit[1] - (tag == "lt")
+            if hi is None or c < hi:
+                hi = c
+        elif tag == "mod":
+            # x = r + M*t with M*t = s - r (mod m): the classes meet mod lcm(M, m).
+            step = poly_solver._lin_congruence(M, lit[2] - r, lit[1])
+            if step is None:
                 return None
-            out.append(("eq", (c - r0) // M))
-        elif tag == "gt":
-            out.append(("gt", (lit[1] - r0) // M))
-        elif tag == "lt":
-            # y' < (c - r0)/M  <=>  y' < ceil((c - r0)/M) adjusted for integrality
-            out.append(("lt", _ceil_div(lit[1] - r0, M)))
-        else:
-            _, sign, atom, name = lit
-            out.append(("pred", sign, _substitute_atom(atom, M, r0), name))
-    return out
+            r += M * step[0]
+            M *= step[1]
+    return M, r, lo, hi
 
 
-def _flip_lits(lits):
-    """The bounds and atom literals at y -> -y."""
-    out = []
-    for lit in lits:
-        tag = lit[0]
-        if tag == "gt":
-            out.append(("lt", -lit[1]))
-        elif tag == "lt":
-            out.append(("gt", -lit[1]))
-        else:
-            _, sign, atom, name = lit
-            out.append(("pred", sign, _substitute_atom(atom, -1, 0), name))
-    return out
+def _at(atoms, M: int, r: int):
+    """The atom literals at x = M*y + r: each (a, b) -> (a*M, a*r + b), its
+    lattice re-reduced; M = -1 is the sign flip y -> -y."""
+    if M == 1 and r == 0:
+        return atoms
+    reduce = poly_solver._reduce_atom
+    return [("pred", s, reduce(t.degree, t.lin, t.a * M, t.a * r + t.b, t.stride, t.offset)) for _, s, t in atoms]
 
 
 def _bounded(sys: ConstraintSystem, atoms, lo: int, hi: int, label: str = "interval:enumerated"):
@@ -628,68 +620,44 @@ def _bounded(sys: ConstraintSystem, atoms, lo: int, hi: int, label: str = "inter
     if hi - lo <= 1:
         return []
     sys.lower, sys.upper = lo, hi
-    for _, sign, atom, _ in atoms:
+    for _, sign, atom in atoms:
         (sys.positives if sign > 0 else sys.negatives).append(atom)
     sys.log(label)
     return [sys]
 
 
 def _build_systems(conj) -> list[ConstraintSystem]:
-    sys = ConstraintSystem()
-
-    # Fold modular constraints into the substitution x = M*y + r.
-    mods = [ResidueClass(l[1], l[2]) for l in conj if l[0] == "mod"]
-    lits = [l for l in conj if l[0] != "mod"]
-    if mods:
-        merged = crt_extended(mods)
-        if merged is None:
-            return []
-        M, r0 = merged.modulus, merged.residue
-        sys.substitution = (M, r0)
-        sys.log(f"crt:{M}+{r0}")
-        lits = _substitute_lits(lits, M, r0)
-        if lits is None:
-            return []
-
-    eqs = {l[1] for l in lits if l[0] == "eq"}
-    gts = [l[1] for l in lits if l[0] == "gt"]
-    lts = [l[1] for l in lits if l[0] == "lt"]
-    atoms = [l for l in lits if l[0] == "pred"]
-
-    if eqs:
-        # Equality pins the variable: check the one point it leaves.
-        if len(eqs) > 1:
-            return []
-        [y] = eqs
-        lo, hi = max([y - 1, *gts]), min([y + 1, *lts])
-        return _bounded(sys, atoms, lo, hi, "equality:substituted")
-    if gts and lts:
-        return _bounded(sys, atoms, max(gts), min(lts))
-    if lts:
-        sys.substitution = (-sys.substitution[0], sys.substitution[1])
+    frame = conjunct_frame(conj)
+    if frame is None:
+        return []
+    M, r, lo, hi = frame
+    sys = ConstraintSystem(substitution=(M, r))
+    if M > 1:
+        sys.log(f"crt:{M}+{r}")
+    atoms = [l for l in conj if l[0] == "pred"]
+    # lo <= M*y + r <= hi  <=>  below < y < above.
+    below = None if lo is None else _ceil_div(lo - r, M) - 1
+    above = None if hi is None else (hi - r) // M + 1
+    if below is not None and above is not None:
+        label = "equality:substituted" if any(l[0] == "eq" for l in conj) else "interval:enumerated"
+        return _bounded(sys, _at(atoms, M, r), below, above, label)
+    if below is not None:
+        return _assemble(sys, below, _at(atoms, M, r))
+    if above is not None:
+        sys.substitution = (-M, r)
         sys.log("sign-flip")
-        lits = _flip_lits(lits)
-        gts = [l[1] for l in lits if l[0] == "gt"]
-        atoms = [l for l in lits if l[0] == "pred"]
-
-    if gts:
-        return _assemble(sys, max(gts), atoms)
+        return _assemble(sys, -above, _at(atoms, -M, r))
     if not atoms:
         # Pure congruence talk: satisfiable everywhere it parses.
-        x = power_solver.least_witness(sys.to_original(y) for y in range(-1, 2))
-        sys.resolved = Verdict.sat(x)
+        sys.resolved = Verdict.sat(power_solver.least_witness((r - M, r)))
         sys.log("unconstrained")
         return [sys]
-    # No inequality at all: split y < 0, y = 0, y > 0.
-    out = _bounded(sys.clone(), atoms, -1, 1, "case-split:zero")
-    pos = sys.clone()
-    pos.log("case-split:positive")
-    out.extend(_assemble(pos, 0, atoms))
+    # No comparison: the halves y >= 0 and y < 0, the second flipped.
     neg = sys.clone()
-    neg.substitution = (-neg.substitution[0], neg.substitution[1])
+    neg.substitution = (-M, r)
+    sys.log("case-split:positive")
     neg.log("case-split:negative")
-    out.extend(_assemble(neg, 0, _flip_lits(atoms)))
-    return out
+    return _assemble(sys, -1, _at(atoms, M, r)) + _assemble(neg, 0, _at(atoms, -M, r))
 
 
 def _assemble(sys: ConstraintSystem, lower: int, atoms):
@@ -701,13 +669,13 @@ def _assemble(sys: ConstraintSystem, lower: int, atoms):
     thresholds: list[tuple[int, tuple]] = []  # (threshold, literal) for disposable negatives
     kept = []
     for lit in atoms:
-        _, sign, atom, name = lit
+        _, sign, atom = lit
         d, a, b, q, r = atom.degree, atom.a, atom.b, atom.stride, atom.offset
         if a > 0:
             kept.append(lit)
         elif d % 2 == 1:
             # f(-u) = -f(u) for the odd depressed f: u -> -u negates a and b.
-            kept.append(("pred", sign, PolyAtom(d, atom.lin, -a, -b, q, -r % q), name))
+            kept.append(("pred", sign, PolyAtom(d, atom.lin, -a, -b, q, -r % q)))
         else:
             # u^d >= min(r, q - r)^d on the lattice u = r (mod q); with a < 0
             # that floor on a*y + b is an upper bound on y.
@@ -732,9 +700,7 @@ def _assemble(sys: ConstraintSystem, lower: int, atoms):
             sys.lower = T
         sys.log("negative-tail:discharged")
 
-    for _, sign, atom, name in kept:
-        if name is not None:
-            sys.log(f"depress:{name}")
+    for _, sign, atom in kept:
         (sys.positives if sign > 0 else sys.negatives).append(atom)
 
     return out + poly_solver.prepare(sys)
@@ -748,14 +714,14 @@ def normalize(f: Formula) -> NormalForm:
     disjunctive normal form, where each predicate or power literal gets
     its `PolyAtom` (a power atom is the monomial u^k) and a constant term
     is decided by that atom.  The rest runs per conjunct, when
-    `NormalForm.systems_of` first asks for it: modular coalescing by the
-    extended CRT into x = M*y + r, which maps each atom's (a, b) to
-    (a*M, a*r + b);
-    equality substitution and bounded intervals, each left as a system
-    lower < y < upper for `decide` to scan; sign normalization (the
-    y -> -y flip, which negates M, and the three-way case split when no
-    inequality appears, then a positive x-coefficient on every atom); and
-    redundancy and similarity processing (`poly_solver.prepare`), the only
+    `NormalForm.systems_of` first asks for it: the comparisons and
+    congruences fold into one frame (`conjunct_frame`), x = M*y + r over
+    the bounds it leaves on y, which maps each atom's (a, b) to
+    (a*M, a*r + b); a bounded frame is left as a system lower < y < upper
+    for `decide` to scan; sign normalization (the y -> -y flip, which
+    negates M, and the two halves y >= 0 and y < 0 when no comparison
+    appears, then a positive x-coefficient on every atom); and redundancy
+    and similarity processing (`poly_solver.prepare`), the only
     preprocessing an unbounded system gets before `decide`.
     """
     decls = f.decl_map()

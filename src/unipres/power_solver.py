@@ -891,16 +891,26 @@ def _verified_sat(system: ConstraintSystem, y: int) -> Verdict:
     return Verdict.sat(system.to_original(y))
 
 
-def _by_magnitude(lo: int | None, hi: int | None = None):
-    """The integers y with lo < y < hi in (|y|, y) order; None leaves a
-    side open (lo only when hi is None too)."""
-    if lo is not None and lo >= 0:
-        yield from itertools.count(lo + 1) if hi is None else range(lo + 1, hi)
+def _by_magnitude(lo: int | None, hi: int | None = None, step=(1, 0)):
+    """The y = r (mod M), for step = (M, r) with 0 <= r < M, with lo < y < hi
+    in (|y|, y) order; None leaves a side open."""
+    M, r = step
+    if lo is not None and lo >= -1:
+        up = lo + 1 + (r - lo - 1) % M
+        yield from itertools.count(up, M) if hi is None else range(up, hi, M)
         return
-    for m in itertools.count() if hi is None else range(max(0, 1 - hi), max(-lo, hi)):
-        for y in (-m, m) if m else (0,):
-            if (lo is None or y > lo) and (hi is None or y < hi):
-                yield y
+    # Merge the class's y >= 0, upwards, with its y < min(hi, 0), downwards.
+    top = math.inf if hi is None else hi
+    bottom = -math.inf if lo is None else lo
+    up, down = r, min(top, 0) - 1
+    down -= (down - r) % M
+    while up < top or down > bottom:
+        if down > bottom and (up >= top or -down <= up):
+            yield down
+            down -= M
+        else:
+            yield up
+            up += M
 
 
 def _search(system: ConstraintSystem, candidates, options: SolveOptions) -> Verdict:

@@ -43,7 +43,8 @@ def test_internal_error_has_its_own_exit_code_and_keeps_other_results(tmp_path, 
     decide = cli.decide_power
 
     def broken(system, options):
-        if "depress:T" in system.trace:
+        # Only the poly file has no comparison, so only it splits by sign.
+        if "case-split:positive" in system.trace:
             raise RuntimeError("solver fault")
         return decide(system, options)
 
@@ -123,10 +124,10 @@ def test_a_fault_while_reporting_has_the_internal_exit_code(tmp_path, capsys, mo
 
 
 @pytest.mark.parametrize("text, trace", [
-    # The three case-split systems are clones of the one that logged the
+    # The two case-split systems are clones of the one that logged the
     # congruence; each refuted half logs its own empty-residues entry.
     ("(exists x (and (mod x 7 3) (pow 3 (+ x 1)) (not (pow 2 x))))",
-     ["crt:7+3", "case-split:zero", "case-split:positive", "poly:empty-residues",
+     ["crt:7+3", "case-split:positive", "poly:empty-residues",
       "case-split:negative", "negative-tail:discharged", "poly:empty-residues"]),
     # The bounded head of a negative tail is a clone: unsat below 51, then
     # the rest answers x = 100 from its window.
@@ -168,6 +169,20 @@ def test_fixture_golden(name, capsys):
     assert cli.main(["--bound", "200", "--format", "json-lines", path]) == code
     [record] = cli.read_records(capsys.readouterr().out)
     assert (record["verdict"], record["witness"]) == (verdict, witness)
+
+
+@pytest.mark.parametrize("text, trace", [
+    # 2x a fourth power needs an odd 2-adic valuation of x, a sixth power
+    # an even one: the coalesced atoms meet only at x = 0.
+    ("(exists x (and (> x 0) (pow 4 (* 2 x)) (pow 6 x)))", ["coalesce:incompatible"]),
+    # x = w^2 and x + 9 = u^2: (u - w)(u + w) = 9 leaves x = 0 and x = 16.
+    ("(exists x (and (> x 100) (pow 2 x) (pow 2 (+ x 9))))", ["poly:pair:divisor", "finite:exhausted"]),
+])
+def test_complete_paths_refute_as_the_scan(text, trace):
+    f = parse(text)
+    out = cli.solve_formula(f, SolveOptions(enum_bound=200))
+    assert (out.verdict, out.case_trace) == (Verdict.unsat(), trace)
+    assert oracle.scan(f, 2000).witnesses == ()
 
 
 def test_coalesced_power_fixture_at_the_default_bound(capsys):
@@ -264,10 +279,10 @@ def decided(monkeypatch):
 
 
 @pytest.mark.parametrize("text, options, count, witness", [
-    # 6 conjuncts, 13 systems; x = 0 fails the congruence, the second
-    # system of x = 1 (mod 7) answers x = 1, and x = -1 (a square minus
-    # one, x = 6 (mod 7)) is found below it.
-    ("(exists x (and (pow 2 (+ x 1)) (not (mod x 7 0))))", SolveOptions(enum_bound=200), 2, -1),
+    # 6 conjuncts, 7 systems; x = 0 fails the congruence, the first
+    # system, the y >= 0 half of x = 1 (mod 7), answers x = 8, and x = -1
+    # (a square minus one, x = 6 (mod 7)) is found below it.
+    ("(exists x (and (pow 2 (+ x 1)) (not (mod x 7 0))))", SolveOptions(enum_bound=200), 1, -1),
     # The first conjunct answers x = 633^2 = 400689; the lattice images of
     # 2x + 1 = u^3 below it give x = 13 without a bounded walk.
     ("(exists x (or (and (> x 400000) (pow 2 x)) (and (pow 2 (+ x 3)) (pow 3 (+ (* 2 x) 1)))))",

@@ -243,6 +243,70 @@ def test_semantic_preservation_smoke():
             assert covered == direct, (text, x)
 
 
+def _assert_conjuncts_match_their_systems(text: str, radius: int = 200):
+    nf = normalize(parse(text))
+    for i, conj in enumerate(nf.conjuncts):
+        systems = nf.systems_of(i)
+        for x in range(-radius, radius + 1):
+            covered = any(system_satisfied_at(s, x) for s in systems)
+            assert covered == formula.conjunct_holds(conj, x), (text, i, x)
+
+
+@pytest.mark.parametrize("body", [
+    # witnesses at y = 0 of x = M*y + r, where the y >= 0 half starts
+    "(and (mod x 7 3) (pow 2 (+ x 1)))",
+    "(and (mod x 6 4) (mod (* 3 x) 4 0) (pow 2 (+ x -4)))",
+    "(and (mod x 5 2) (not (pow 2 (+ x 2))))",
+    "(and (mod (+ x 1) 9 5) (pow 3 (+ (* -2 x) 9)))",
+    "(or (and (mod x 4 1) (pow 2 (+ (* -3 x) 4))) (and (mod x 3 2) (not (pow 3 (+ x 6)))))",
+])
+def test_each_conjunct_is_the_union_of_its_systems(body):
+    _assert_conjuncts_match_their_systems(f"(exists x {body})")
+
+
+def test_random_conjuncts_are_the_union_of_their_systems():
+    rng = random.Random(20261021)
+    for _ in range(150):
+        _assert_conjuncts_match_their_systems(_random_formula(rng))
+
+
+def test_conjunct_frame_by_brute_force():
+    rng = random.Random(5)
+    atom = ("pred", 1, PolyAtom(2, 0, 1, 0, 1, 0))  # ignored by the frame
+
+    def literal():
+        tag = rng.choice(["gt", "lt", "eq", "mod", "mod", "pred"])
+        if tag == "mod":
+            m = rng.randint(2, 12)
+            return ("mod", m, rng.randrange(m))
+        return atom if tag == "pred" else (tag, rng.randint(-120, 120))
+
+    def holds(lit, x):
+        tag = lit[0]
+        if tag == "mod":
+            return x % lit[1] == lit[2]
+        return tag == "pred" or (x > lit[1] if tag == "gt" else x < lit[1] if tag == "lt" else x == lit[1])
+
+    for _ in range(3000):
+        lits = [literal() for _ in range(rng.randint(0, 5))]
+        lo = rng.choice([None, rng.randint(-100, 100)])
+        hi = rng.choice([None, rng.randint(-100, 100)])
+        frame = formula.conjunct_frame(lits, lo, hi)
+        mods = [l for l in lits if l[0] == "mod"]
+        period = math.lcm(*(l[1] for l in mods))
+        if frame is None:
+            assert mods and not any(all(holds(l, x) for l in mods) for x in range(period)), lits
+            continue
+        M, r, flo, fhi = frame
+        assert M == period and 0 <= r < M, (lits, frame)
+        assert (flo is None) == (lo is None and not any(l[0] in ("gt", "eq") for l in lits)), (lits, lo, frame)
+        assert (fhi is None) == (hi is None and not any(l[0] in ("lt", "eq") for l in lits)), (lits, hi, frame)
+        for x in range(-150, 151):
+            want = all(holds(l, x) for l in lits) and (lo is None or x >= lo) and (hi is None or x <= hi)
+            got = x % M == r and (flo is None or x >= flo) and (fhi is None or x <= fhi)
+            assert got == want, (lits, lo, hi, frame, x)
+
+
 def test_power_atoms_of_every_degree_and_sign_against_the_oracle():
     # (pow k t) for k = 2..6 and every x-coefficient a in -4..4: the
     # odd-degree flip u -> -u and the even-degree upper bound reach u^5
@@ -327,15 +391,20 @@ def test_sentence_differential_against_the_oracle():
     assert obstructed > 0
 
 
-@pytest.mark.parametrize("body, atoms", [
+@pytest.mark.parametrize("body, atoms, labels", [
     # a bounded interval; (pow 2 x) is an atom literal too
-    ("(and (> x 10) (< x 3000) (pred T (+ (* 2 x) 1)) (not (pred C x)) (not (pow 2 x)))", 3),
+    ("(and (> x 10) (< x 3000) (pred T (+ (* 2 x) 1)) (not (pred C x)) (not (pow 2 x)))", 3,
+     ["interval:enumerated"]),
     # equality path
-    ("(and (= (* 2 x) 12) (pred T x) (not (pred C (+ x 1))))", 2),
-    # unbounded: the case split bounds y = 0 and hands y > 0 and y < 0 on
-    ("(and (pred T x) (not (pred C (+ x 1))))", 2),
+    ("(and (= (* 2 x) 12) (pred T x) (not (pred C (+ x 1))))", 2, ["equality:substituted"]),
+    # no comparison: the halves y >= 0 and y < 0; T has no value below 0,
+    # so the flipped half's upper bound leaves it no point
+    ("(and (pred T x) (not (pred C (+ x 1))))", 2, ["case-split:positive"]),
+    # both halves, each with a bounded head below the negative's tail
+    ("(and (pred C x) (not (pred T (+ x 1))))", 2,
+     ["case-split:positive", "case-split:negative", "case-split:negative"]),
 ])
-def test_finite_checks_build_each_predicate_atom_once(monkeypatch, body, atoms):
+def test_finite_checks_build_each_predicate_atom_once(monkeypatch, body, atoms, labels):
     calls = []
     depress_ascending = poly_solver.depress_ascending
 
@@ -347,13 +416,11 @@ def test_finite_checks_build_each_predicate_atom_once(monkeypatch, body, atoms):
     f = parse(f"(declare-pred T (coeffs 1/2 1/2 0)) (declare-pred C (coeffs 1 0 -3 0)) (exists x {body})")
     nf = normalize(f)
     assert len(calls) == atoms
-    system, *rest = nf.systems
-    assert system.upper is not None
-    v = decide(system)
-    assert v.is_sat and oracle.eval_at(f, v.witness)
+    assert [s.trace[0] for s in nf.systems] == labels
+    verdicts = [decide(s) for s in nf.systems]
     assert len(calls) == atoms  # `decide` builds no atom
-    assert all(s.resolved is None and "case-split:positive" in s.trace for s in rest if s.upper is None)
-    assert all(decide(s).is_unsat for s in rest if s.upper is not None)
+    assert any(v.is_sat for v in verdicts)
+    assert all(oracle.eval_at(f, v.witness) for v in verdicts if v.is_sat)
 
 
 def test_parse_multi():

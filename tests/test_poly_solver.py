@@ -513,9 +513,7 @@ class TestCubicMerge:
         # The window answers x = 12 before any solution set is built; the
         # merged system's set is still the single atom's images.
         f = parse((FIXTURES / "cubic_merge_sat.sexp").read_text())
-        assert solve_formula(f).case_trace == [
-            "depress:A", "depress:B", "poly-redundant:merge:3", "witness-scan:window",
-        ]
+        assert solve_formula(f).case_trace == ["poly-redundant:merge:3", "witness-scan:window"]
         [system] = normalize(f).systems
         assert solve_positive(system.positives).case == "poly:single:images"
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -17,6 +18,7 @@ from unipres.power_solver import (
     decide,
     is_redundant,
     _bounded_curve,
+    _by_magnitude,
     _image_radius,
     _local_obstruction,
     _turn_bound,
@@ -226,6 +228,24 @@ def _cauchy_turn_bound(nums):
         return 2 + max(abs(c) for c in cs[:-1]) // abs(cs[-1])
 
     return max(cauchy(list(nums)), cauchy([i * nums[i] for i in range(1, len(nums))]))
+
+
+def test_by_magnitude_lists_a_residue_class_in_size_order(rng):
+    # Every lo < y < hi with y = r (mod M), in (|y|, y) order, with either
+    # side open; an open side is checked on a prefix.
+    for _ in range(2000):
+        M = rng.choice([1, 1, 2, 3, 7, 12])
+        r = rng.randrange(M)
+        lo = rng.choice([None, rng.randint(-60, 60)])
+        hi = rng.choice([None, rng.randint(-60, 60)])
+        want = sorted(
+            (y for y in range(-400, 401) if (lo is None or y > lo) and (hi is None or y < hi) and y % M == r),
+            key=lambda y: (abs(y), y),
+        )
+        if lo is None or hi is None:
+            want = [y for y in want if abs(y) <= 300]
+        got = list(itertools.islice(_by_magnitude(lo, hi, (M, r)), len(want) + (lo is not None and hi is not None)))
+        assert got == want, (lo, hi, M, r)
 
 
 def test_turn_bound_is_a_monotone_radius_within_the_cauchy_bound(rng):
